@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import io
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .build import build_recipe
@@ -28,8 +26,6 @@ from .stats import (
     compare_signature,
     signature,
 )
-
-THREADS_ENV_VAR = "RINGLINE_THREADS"
 
 TABLE1_ROW_ORDER = ("27/15", "24/20", "16/4", "16/8", "16/10", "16/12", "16/14", "8/6")
 
@@ -353,29 +349,9 @@ class RunReport:
         return buf.getvalue()
 
 
-def thread_count() -> int:
-    """Worker count for catalog evaluation, capped by RINGLINE_THREADS."""
-    default = min(4, os.cpu_count() or 1)
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is not None:
-        try:
-            return max(1, min(default, int(cap)))
-        except ValueError:
-            pass
-    return default
-
-
-def run_catalog(
-    entries: tuple[CatalogEntry, ...] | None = None, threads: int | None = None
-) -> RunReport:
-    """Evaluate entries in parallel; merge results ordered by entry name."""
+def run_catalog(entries: tuple[CatalogEntry, ...] | None = None) -> RunReport:
+    """Evaluate entries in order; merge results ordered by entry name."""
     if entries is None:
         entries = builtin_catalog()
-    workers = threads if threads is not None else thread_count()
-    if workers <= 1 or len(entries) <= 1:
-        results = [evaluate_entry(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate_entry, entries))
-    ordered = tuple(sorted(results, key=lambda r: r.name))
+    ordered = tuple(sorted(map(evaluate_entry, entries), key=lambda r: r.name))
     return RunReport(results=ordered, passed=all(r.status != "FAIL" for r in ordered))

@@ -11,19 +11,13 @@ import numpy as np
 
 
 def adjacency_masks(adjacency: np.ndarray) -> list[int]:
-    """Rows of a symmetric boolean matrix as neighbour bitmasks."""
-    n = adjacency.shape[0]
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in np.flatnonzero(adjacency[i]):
-            if j != i:
-                m |= 1 << int(j)
-        masks.append(m)
-    return masks
+    """Rows of a symmetric boolean matrix as neighbour bitmasks (diagonal ignored)."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(packed)]
 
 
-def _bits(mask: int):
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -112,7 +106,7 @@ def max_clique(adjacency: np.ndarray) -> tuple[int, ...]:
     cand = full
     need = omega
     while need > 0:
-        for v in _bits(cand):
+        for v in bits(cand):
             rest = cand & nb[v]
             if need == 1 or has_clique(nb, rest, need - 1):
                 chosen.append(v)

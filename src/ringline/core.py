@@ -25,22 +25,6 @@ from .errors import (
 
 IDEAL_ENUMERATION_CAP = 64
 
-_SIDE_ALIASES = {
-    "left": "left",
-    "right": "right",
-    "two_sided": "two_sided",
-    "twosided": "two_sided",
-    "twoSided": "two_sided",
-    "two-sided": "two_sided",
-}
-
-
-def _normalize_side(side: str) -> str:
-    try:
-        return _SIDE_ALIASES[side]
-    except KeyError:
-        raise ValueError(f"unknown side {side!r}; expected left, right or two_sided") from None
-
 
 class FiniteRing:
     """A validated finite ring with unity.
@@ -368,7 +352,8 @@ def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubs
     which reaches every ideal since an ideal is the sum of the cyclic ideals
     of its elements.
     """
-    side = _normalize_side(side)
+    if side not in ("left", "right", "two_sided"):
+        raise ValueError(f"unknown side {side!r}; expected left, right or two_sided")
     if ring.order > IDEAL_ENUMERATION_CAP:
         raise OrderTooLarge(
             f"ideal enumeration capped at order {IDEAL_ENUMERATION_CAP}, got {ring.order}"

@@ -10,9 +10,11 @@ coordinates of a pair on the right by the same unit) preserves invertibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .clique import adjacency_masks
 from .core import FiniteRing, unit_elements
 from .errors import OrderTooLarge, RightLineBreakdown
 
@@ -92,6 +94,11 @@ class ProjectiveLine:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def distant_masks(self) -> tuple[int, ...]:
+        """Per point, the bitmask of the points distant from it (built once)."""
+        return tuple(adjacency_masks(self.adjacency))
 
     def __repr__(self) -> str:
         return (

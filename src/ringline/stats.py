@@ -11,13 +11,12 @@ side by side and never asserted).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 from . import clique
 from .core import jacobson_radical, unit_elements
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine
+from .line import ProjectiveLine, point_type
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 
@@ -176,28 +175,21 @@ class SignatureComparison:
 
 def neighbour_masks(line: ProjectiveLine) -> list[int]:
     """Per point, the bitmask of its neighbours (distinct and not distant)."""
-    n = len(line.points)
-    full = (1 << n) - 1
-    masks = []
-    for i in range(n):
-        distant_mask = 0
-        for j in line.adjacency[i].nonzero()[0]:
-            distant_mask |= 1 << int(j)
-        masks.append(full & ~distant_mask & ~(1 << i))
-    return masks
+    full = (1 << len(line.points)) - 1
+    return [full & ~(m | (1 << i)) for i, m in enumerate(line.distant_masks)]
 
 
 def neighbourhood(line: ProjectiveLine, i: int) -> frozenset[int]:
     """{ j != i : j not distant from i }."""
-    n = len(line.points)
-    return frozenset(
-        j for j in range(n) if j != i and not line.adjacency[i, j]
-    )
+    return frozenset(clique.bits(neighbour_masks(line)[i]))
 
 
 def _distant_pairs(line: ProjectiveLine) -> list[tuple[int, int]]:
-    n = len(line.points)
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if line.adjacency[i, j]]
+    return [
+        (i, j)
+        for i, m in enumerate(line.distant_masks)
+        for j in clique.bits(m >> (i + 1) << (i + 1))
+    ]
 
 
 def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
@@ -220,22 +212,18 @@ def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
     A line without such a triple yields the vacuous StatValue (count 0).
     """
     masks = neighbour_masks(line)
-    adj = line.adjacency
+    distant = line.distant_masks
     values = []
     for i, j in _distant_pairs(line):
         both = masks[i] & masks[j]
-        for k in range(j + 1, len(line.points)):
-            if adj[i, k] and adj[j, k]:
-                values.append((both & masks[k]).bit_count())
+        later = (distant[i] & distant[j]) >> (j + 1) << (j + 1)
+        values.extend((both & masks[k]).bit_count() for k in clique.bits(later))
     return StatValue.of(values)
 
 
 def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
     """An exact maximum clique of the distant graph (lexicographically least)."""
-    chosen = clique.max_clique(line.adjacency)
-    for a, b in combinations(chosen, 2):  # certificate
-        assert line.adjacency[a, b]
-    return chosen
+    return clique.max_clique(line.adjacency)
 
 
 def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
@@ -271,14 +259,9 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
 
 def signature(line: ProjectiveLine) -> LineSignature:
     """Aggregate all Table-1 statistics of the line."""
-    tpi = sum(
-        1
-        for p in line.points
-        if line.ring.is_unit(p.rep[0]) or line.ring.is_unit(p.rep[1])
-    )
     return LineSignature(
         tot=len(line.points),
-        tpi=tpi,
+        tpi=sum(point_type(line, i) == "TypeI" for i in range(len(line.points))),
         one_n=one_neighbourhood_stat(line),
         cap2n=pair_intersection_stat(line),
         cap3n=triple_intersection_stat(line),

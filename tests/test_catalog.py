@@ -6,10 +6,9 @@ import csv
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-
-from conftest import catalog_report
 
 from ringline import (
     CatalogEntry,
@@ -22,7 +21,10 @@ from ringline import (
     run_catalog,
 )
 from ringline.build import build_recipe
-from ringline.catalog import CSV_COLUMNS, TABLE1_ROW_ORDER, thread_count
+from ringline.catalog import CSV_COLUMNS, TABLE1_ROW_ORDER
+
+# read only: perfbench/capture_golden.py writes it from known-good sources
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 EXPECTED_MINIMUM = {
     "t2f2": ("8/6", (18, 14, 9, 4, 0, 3), 1),
@@ -173,26 +175,13 @@ class TestRunReport:
             "skewgf4": True, "f2xy": True,
         }
 
-    def test_deterministic_across_thread_counts(self, report, monkeypatch):
-        def strip(d):
-            return json.loads(
-                json.dumps(d), parse_float=lambda _: 0.0
-            )  # elapsedMs is the only float
-
-        monkeypatch.setenv("RINGLINE_THREADS", "1")
-        sequential = run_catalog()
-        monkeypatch.setenv("RINGLINE_THREADS", "3")
-        threaded = run_catalog(threads=3)
-        assert strip(sequential.to_json_dict()) == strip(threaded.to_json_dict())
-        assert strip(sequential.to_json_dict()) == strip(catalog_report().to_json_dict())
-
-    def test_thread_count_env_cap(self, monkeypatch):
-        monkeypatch.setenv("RINGLINE_THREADS", "1")
-        assert thread_count() == 1
-        monkeypatch.setenv("RINGLINE_THREADS", "999")
-        assert thread_count() >= 1
-        monkeypatch.setenv("RINGLINE_THREADS", "junk")
-        assert thread_count() >= 1
+    def test_matches_golden_output(self, report):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["catalog"]
+        as_dict = json.loads(json.dumps(report.to_json_dict()))
+        for entry in as_dict["entries"]:
+            del entry["elapsedMs"]
+        assert as_dict == golden["report"]
+        assert report.to_csv_text() == golden["csv"]
 
 
 class TestEntryEvaluation:

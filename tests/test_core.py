@@ -207,6 +207,11 @@ class TestIdealLattice:
         two = {i.members for i in ideal_lattice(ring, "two_sided")}
         assert left == right == two
 
+    @pytest.mark.parametrize("side", ["twoSided", "two-sided", "twosided"])
+    def test_only_canonical_sides(self, side):
+        with pytest.raises(ValueError):
+            ideal_lattice(ring_of("z4"), side)
+
     def test_order_cap(self):
         ring = triangular_ring(ring_gf(2, 2), 2)  # order 64 passes the cap
         ideal_lattice(ring, "two_sided")

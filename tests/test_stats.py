@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import line_of, ring_of
 
@@ -22,7 +23,7 @@ from ringline import (
     triple_intersection_stat,
 )
 from ringline.line import Point, ProjectiveLine
-from ringline.stats import ExpectedSignature, StatValue
+from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
 
 CATALOG_NAMES = [
     "t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2",
@@ -114,6 +115,56 @@ class TestTripleIntersection:
         adj[0, 1] = adj[1, 0] = True
         stat = triple_intersection_stat(synthetic_line(adj))
         assert stat.vacuous and stat.value == 0 and stat.constant
+
+
+def _graph(n: int, edges: list[bool]) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = edges
+    return adj | adj.T
+
+
+symmetric_graphs = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda edges: _graph(n, edges)
+    )
+)
+
+
+def _spread(values) -> tuple[int, bool, int, int, int]:
+    """(value, constant, lo, hi, count) as a StatValue should report them."""
+    values = [int(v) for v in values]
+    if not values:
+        return (0, True, 0, 0, 0)
+    lo, hi = min(values), max(values)
+    return (lo, lo == hi, lo, hi, len(values))
+
+
+def _fields(stat: StatValue) -> tuple[int, bool, int, int, int]:
+    return (stat.value, stat.constant, stat.lo, stat.hi, stat.count)
+
+
+@given(adj=symmetric_graphs)
+@example(adj=_graph(4, [False] * 6))  # no distant pair
+@example(adj=_graph(3, [True, False, True]))  # distant pairs, no distant triple
+@example(adj=_graph(4, [True] * 6))  # complete
+@settings(max_examples=80, deadline=None)
+def test_stats_match_matrix_counts(adj):
+    """The bitmask statistics against counts taken straight from the matrix."""
+    n = adj.shape[0]
+    near = ~adj & ~np.eye(n, dtype=bool)
+    a, b = np.nonzero(np.triu(adj))
+    triples = [
+        t for t in combinations(range(n), 3) if all(adj[u, v] for u, v in combinations(t, 2))
+    ]
+    line = synthetic_line(adj)
+    assert _fields(one_neighbourhood_stat(line)) == _spread(near.sum(axis=1))
+    if len(a):
+        assert _fields(pair_intersection_stat(line)) == _spread((near[a] & near[b]).sum(axis=1))
+    else:
+        with pytest.raises(NoDistantPair):
+            pair_intersection_stat(line)
+    expected = _spread((near[u] & near[v] & near[w]).sum() for u, v, w in triples)
+    assert _fields(triple_intersection_stat(line)) == expected
 
 
 class TestMaxDistantSet:
