@@ -1,10 +1,13 @@
 """The projective line over a finite ring with unity.
 
 Points are unit-orbit classes of admissible coordinate pairs; two points are
-distant when representatives stack to an invertible 2x2 matrix. Everything
-reduces to invertibility tests between orbit representatives, which is sound
-because multiplying one row of a 2x2 matrix on the left by a unit (or both
-coordinates of a pair on the right by the same unit) preserves invertibility.
+distant when representatives stack to an invertible 2x2 matrix. Both are
+read off one boolean matrix: invertibility between every pair of left-orbit
+representatives, computed as one matrix product (_invertible). Orbit
+representatives suffice because multiplying one row of a 2x2 matrix on the
+left by a unit (or both coordinates of a pair on the right by the same unit)
+preserves invertibility. is_invertible_2x2 and is_admissible test single
+matrices and pairs without these shortcuts, as independent checks.
 """
 
 from __future__ import annotations
@@ -24,38 +27,22 @@ Pair = tuple[int, int]
 Mat2 = tuple[Pair, Pair]
 
 
-def _mat_mul2(ring: FiniteRing, x: Mat2, y: Mat2) -> Mat2:
-    add, mul = ring.add, ring.mul
-    (x11, x12), (x21, x22) = x
-    (y11, y12), (y21, y22) = y
-    return (
-        (int(add[mul[x11, y11], mul[x12, y21]]), int(add[mul[x11, y12], mul[x12, y22]])),
-        (int(add[mul[x21, y11], mul[x22, y21]]), int(add[mul[x21, y12], mul[x22, y22]])),
-    )
-
-
 def is_invertible_2x2(ring: FiniteRing, matrix: Mat2) -> bool:
     """True iff the matrix has a two-sided inverse over the ring.
 
-    Solves M*X = I column by column over all |R|^2 candidate columns, then
-    verifies X*M = I (automatic in a finite ring, kept as corruption
-    insurance).
+    Solves M*X = I column by column over all |R|^2 candidate columns. A right
+    inverse is two-sided: Y -> M*Y is onto (M*X*Z = Z), hence one-to-one on
+    the finite set M2(R), and M*(X*M) = M*I gives X*M = I.
     """
     (a, b), (c, d) = matrix
-    add, mul, one, n = ring.add, ring.mul, ring.one, ring.order
+    add, mul, one = ring.add, ring.mul, ring.one
     fab = add[np.ix_(mul[a], mul[b])]  # (x, z) -> a*x + b*z
     fcd = add[np.ix_(mul[c], mul[d])]
     col1 = (fab == one) & (fcd == 0)
     if not col1.any():
         return False
     col2 = (fab == 0) & (fcd == one)
-    if not col2.any():
-        return False
-    x1, z1 = np.unravel_index(int(np.argmax(col1)), (n, n))
-    x2, z2 = np.unravel_index(int(np.argmax(col2)), (n, n))
-    x = ((int(x1), int(x2)), (int(z1), int(z2)))
-    assert _mat_mul2(ring, x, matrix) == ((one, 0), (0, one)), "one-sided inverse only"
-    return True
+    return bool(col2.any())
 
 
 def is_admissible(ring: FiniteRing, pair: Pair) -> bool:
@@ -107,101 +94,34 @@ class ProjectiveLine:
         )
 
 
-class _RepSolver:
-    """Invertibility between representative rows with per-row cached masks."""
+def orbit_labels(ring: FiniteRing, side: str) -> np.ndarray:
+    """For each pair code a*n+b, the least code in its unit orbit on the side.
 
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
-        self._masks: dict[Pair, tuple[np.ndarray, np.ndarray]] = {}
-        self._verdicts: dict[tuple[Pair, Pair], bool] = {}
-
-    def _mask(self, row: Pair) -> tuple[np.ndarray, np.ndarray]:
-        got = self._masks.get(row)
-        if got is None:
-            ring = self.ring
-            a, b = row
-            f = ring.add[np.ix_(ring.mul[a], ring.mul[b])]
-            got = ((f == ring.one).ravel(), (f == 0).ravel())
-            self._masks[row] = got
-        return got
-
-    def invertible(self, row1: Pair, row2: Pair) -> bool:
-        key = (row1, row2) if row1 <= row2 else (row2, row1)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            one1, zero1 = self._mask(row1)
-            one2, zero2 = self._mask(row2)
-            col1 = one1 & zero2
-            verdict = bool(col1.any())
-            if verdict:
-                col2 = zero1 & one2
-                verdict = bool(col2.any())
-                if verdict:
-                    ring = self.ring
-                    n = ring.order
-                    x1, z1 = divmod(int(np.argmax(col1)), n)
-                    x2, z2 = divmod(int(np.argmax(col2)), n)
-                    x = ((x1, x2), (z1, z2))
-                    m = (row1, row2)
-                    assert _mat_mul2(ring, x, m) == (
-                        (ring.one, 0),
-                        (0, ring.one),
-                    ), "one-sided inverse only"
-            self._verdicts[key] = verdict
-        return verdict
-
-
-def _unit_orbits(ring: FiniteRing, side: str) -> list[frozenset[Pair]]:
-    """Partition all coordinate pairs into unit orbits on the chosen side."""
-    n = ring.order
-    mul = ring.mul
-    us = unit_elements(ring)
-    seen = bytearray(n * n)
-    orbits = []
-    for code in range(n * n):
-        if seen[code]:
-            continue
-        a, b = divmod(code, n)
-        if side == "left":
-            orbit = frozenset((int(mul[u, a]), int(mul[u, b])) for u in us)
-        else:
-            orbit = frozenset((int(mul[a, u]), int(mul[b, u])) for u in us)
-        for x, y in orbit:
-            seen[x * n + y] = 1
-        orbits.append(orbit)
-    return orbits
-
-
-def _admissible_pairs(ring: FiniteRing, solver: _RepSolver) -> set[Pair]:
-    """All admissible pairs, by completion search between left-orbit reps.
-
-    Restricting completions to left-orbit representatives is exact: if (c,d)
-    completes (a,b) then so does the rep (rc, rd) of its left orbit, since
-    [[a,b],[rc,rd]] = diag(1,r) * [[a,b],[c,d]].
+    The left orbit of (a, b) is {(ua, ub)}, the right orbit {(au, bu)}, over
+    the units u; the label is the minimum over a (units x n^2) image array.
     """
-    unit_set = set(unit_elements(ring))
-    orbits = _unit_orbits(ring, "left")
-    reps = [min(o) for o in orbits]
-    m = len(orbits)
-    # a pair with a unit coordinate is admissible: complete with (0,1) or (1,0)
-    status: list[bool | None] = [
-        True if (a in unit_set or b in unit_set) else None for a, b in reps
-    ]
-    for i in range(m):
-        if status[i] is not None:
-            continue
-        verdict = False
-        for j in range(m):
-            if j != i and solver.invertible(reps[i], reps[j]):
-                verdict = True
-                status[j] = True  # both rows of an invertible matrix are admissible
-                break
-        status[i] = verdict
-    admissible: set[Pair] = set()
-    for i in range(m):
-        if status[i]:
-            admissible |= orbits[i]
-    return admissible
+    n = ring.order
+    us = np.array(unit_elements(ring))
+    images = ring.mul[us] if side == "left" else ring.mul[:, us].T  # (u, x) -> image of x
+    codes = images[:, :, None] * n + images[:, None, :]
+    return codes.reshape(len(us), n * n).min(axis=0)
+
+
+def _invertible(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
+    """inv[i, j]: rows codes[i] over codes[j] stack to an invertible matrix.
+
+    Row (a, b) sends the column (x, z) to a*x + b*z. The matrix has a right
+    inverse iff some column goes to (1, 0) and another to (0, 1), and a right
+    inverse is two-sided because M2(R) is finite. The column counts come
+    from a float32 matrix product, exact since no count exceeds n^2.
+    """
+    n = ring.order
+    a, b = np.divmod(codes, n)
+    f = ring.add[ring.mul[a][:, :, None], ring.mul[b][:, None, :]].reshape(len(codes), n * n)
+    ones = (f == ring.one).astype(np.float32)
+    zeros = (f == 0).astype(np.float32)
+    first = ones @ zeros.T > 0  # [i, j]: some column goes to (1, 0)
+    return first & first.T
 
 
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
@@ -217,40 +137,41 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
         raise OrderTooLarge(
             f"line construction capped at order {LINE_ORDER_CAP}, got {ring.order}"
         )
-    solver = _RepSolver(ring)
-    admissible = _admissible_pairs(ring, solver)
-    if side == "left":
-        orbits = [o for o in _unit_orbits(ring, "left") if min(o) in admissible]
-    else:
-        orbits = []
-        for orbit in _unit_orbits(ring, "right"):
-            inside = orbit & admissible
-            # admissibility is right-orbit invariant ((ar, br) completes with
-            # (cr, dr) via M * diag(r, r)), so orbits never straddle the set
-            assert not inside or inside == orbit, "admissibility not orbit-invariant"
-            if inside:
-                orbits.append(orbit)
+    n = ring.order
+    left = orbit_labels(ring, "left")
+    reps = np.unique(left)
+    inv = _invertible(ring, reps)
+    admissible = inv.any(axis=1)[np.searchsorted(reps, left)]
+    labels = left if side == "left" else orbit_labels(ring, "right")
+    # admissibility is right-orbit invariant ((ar, br) completes with
+    # (cr, dr) via M * diag(r, r)), so orbits never straddle the set
+    assert (admissible[labels] == admissible).all(), "admissibility not orbit-invariant"
+    members = np.flatnonzero(admissible)
+    point_codes, sizes = np.unique(labels[members], return_counts=True)
 
     nunits = len(unit_elements(ring))
-    sizes = [len(o) for o in orbits]
     if side == "left":
-        assert all(s == nunits for s in sizes), "left class-size law violated"
-    elif any(s != nunits for s in sizes):
-        histogram: dict[int, int] = {}
-        for s in sizes:
-            histogram[s] = histogram.get(s, 0) + 1
-        raise RightLineBreakdown(ring.name, histogram)
+        assert (sizes == nunits).all(), "left class-size law violated"
+    elif (sizes != nunits).any():
+        size_values, class_counts = np.unique(sizes, return_counts=True)
+        raise RightLineBreakdown(
+            ring.name, dict(zip(size_values.tolist(), class_counts.tolist()))
+        )
 
+    by_point = members[np.argsort(labels[members], kind="stable")]
+    groups = np.split(by_point, np.cumsum(sizes)[:-1])
     points = tuple(
-        Point(rep=min(o), members=o, side=side)
-        for o in sorted(orbits, key=min)
+        Point(
+            rep=divmod(int(code), n),
+            members=frozenset(divmod(int(c), n) for c in group),
+            side=side,
+        )
+        for code, group in zip(point_codes, groups)
     )
-    tot = len(points)
-    adjacency = np.zeros((tot, tot), dtype=bool)
-    for i in range(tot):
-        for j in range(i + 1, tot):
-            if solver.invertible(points[i].rep, points[j].rep):
-                adjacency[i, j] = adjacency[j, i] = True
+    # scaling a row on the left by a unit preserves invertibility, so each
+    # point is tested through the representative of its rep's left orbit
+    at = np.searchsorted(reps, left[point_codes])
+    adjacency = inv[np.ix_(at, at)]
     adjacency.flags.writeable = False
     return ProjectiveLine(ring=ring, side=side, points=points, adjacency=adjacency)
 

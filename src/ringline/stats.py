@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from . import clique
-from .core import jacobson_radical, unit_elements
+from .core import jacobson_radical
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine, point_type
+from .line import ProjectiveLine, orbit_labels, point_type
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 
@@ -242,18 +244,10 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     if candidate == "B":
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":
-        radical = sorted(jacobson_radical(ring).members)
-        mul = ring.mul
-        us = unit_elements(ring)
-        seen: set[tuple[int, int]] = set()
-        orbit_count = 0
-        for a in radical:
-            for b in radical:
-                if (a, b) == (0, 0) or (a, b) in seen:
-                    continue
-                orbit_count += 1
-                seen.update((int(mul[u, a]), int(mul[u, b])) for u in us)
-        return orbit_count
+        # J(R) is a two-sided ideal, so J x J is a union of left orbits
+        radical = np.array(sorted(jacobson_radical(ring).members))
+        codes = (radical[:, None] * ring.order + radical[None, :]).ravel()
+        return len(np.unique(orbit_labels(ring, "left")[codes])) - 1
     raise UnknownCandidate(f"unknown Jacobson candidate {candidate!r}")
 
 

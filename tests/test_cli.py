@@ -1,8 +1,13 @@
-"""Command-line interface end to end (in process)."""
+"""Command-line interface end to end (in process, plus one subprocess check
+under python -O)."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ringline import builtin_catalog, emit_ring_file, ring_zn
 from ringline.cli import main
@@ -137,6 +142,22 @@ def test_catalog_table1_json(tmp_path, capsys):
     assert by_row["16/12"]["status"] == "UNRESOLVED"
     assert by_row["16/10"]["status"] == "PASS"
     assert len(by_row["16/10"]["entries"]) == 3  # paper row plus two counterparts
+
+
+def test_catalog_table1_under_optimize():
+    """Stripping asserts (python -O) changes neither exit code nor output."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "ringline", "catalog", "table1"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_full_catalog_names_unique():

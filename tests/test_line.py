@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,17 +17,32 @@ from ringline import (
     OrderTooLarge,
     RightLineBreakdown,
     build_line,
+    build_recipe,
     distant,
     is_admissible,
     is_invertible_2x2,
     point_type,
     ring_gf,
+    signature,
     triangular_ring,
     unit_elements,
 )
 
 NONCOMMUTATIVE = ["t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2", "skewgf4", "f2xy"]
 CATALOG_NAMES = NONCOMMUTATIVE + ["gf4xz4", "gf4xdualf2"]
+
+# read only: perfbench/capture_golden.py writes it from known-good sources
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def golden_lines() -> list:
+    rings = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["rings"]
+    return [
+        pytest.param(recipe, side, record[side], id=f"{recipe}-{side}")
+        for recipe, record in rings.items()
+        if "left" in record
+        for side in ("left", "right")
+    ]
 
 
 class TestInvertible2x2:
@@ -194,11 +211,22 @@ class TestDistant:
         with pytest.raises(ValueError):
             distant(line_of("z4"), 2, 2)
 
-    @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_representative_independence_sampled(self, name):
-        line = line_of(name)
+    # left ids stay bare names; the right line over m2f2 breaks down
+    @pytest.mark.parametrize(
+        "name,side",
+        [pytest.param(n, "left", id=n) for n in CATALOG_NAMES]
+        + [
+            pytest.param(
+                n, "right", id=f"{n}-right",
+                marks=pytest.mark.skip(reason="no right line") if n == "m2f2" else (),
+            )
+            for n in CATALOG_NAMES
+        ],
+    )
+    def test_representative_independence_sampled(self, name, side):
+        line = line_of(name, side)
         ring = line.ring
-        rng = random.Random(f"reps-{name}")
+        rng = random.Random(f"reps-{name}-{side}")
         points = line.points
         for _ in range(50):
             i, j = rng.sample(range(len(points)), 2)
@@ -232,3 +260,19 @@ class TestPointType:
             }
             assert len(flags) == 1
             assert (point_type(line, i) == "TypeI") == flags.pop()
+
+
+@pytest.mark.parametrize("recipe,side,expected", golden_lines())
+def test_matches_golden_lines(recipe, side, expected):
+    """Order-32 lines of up to 162 points against the benchmark's golden file."""
+    ring = build_recipe(recipe)
+    if "breakdown" in expected:
+        with pytest.raises(RightLineBreakdown) as info:
+            build_line(ring, side)
+        assert info.value.class_sizes == {int(k): v for k, v in expected["breakdown"].items()}
+        return
+    sig = signature(build_line(ring, side))
+    assert list(sig.as_row()) == expected["row"]
+    for key, stat in (("oneN", sig.one_n), ("cap2N", sig.cap2n), ("cap3N", sig.cap3n)):
+        assert [stat.value, stat.constant, stat.lo, stat.hi, stat.count] == expected[key]
+    assert dict(sig.jcb) == expected["jcb"]
