@@ -26,6 +26,7 @@ from .errors import (
 
 MATRIX_RING_CAP = 2**16
 CLOSURE_CAP = 2**12
+RECIPE_DEPTH_CAP = 64  # nested constructor calls; the deepest shipped recipe has 4
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -562,7 +563,9 @@ def parse_recipe(text: str) -> RingRecipe:
     return recipe
 
 
-def _parse_recipe_expr(s: str) -> tuple[RingRecipe, str]:
+def _parse_recipe_expr(s: str, depth: int = 0) -> tuple[RingRecipe, str]:
+    if depth > RECIPE_DEPTH_CAP:
+        raise ValueError(f"recipe nests constructors deeper than {RECIPE_DEPTH_CAP} levels")
     m = _ATOM_RE.match(s)
     if not m:
         raise ValueError(f"bad recipe syntax near {s!r}")
@@ -596,7 +599,7 @@ def _parse_recipe_expr(s: str) -> tuple[RingRecipe, str]:
                 args.append(int(m3.group(0)))
                 rest = rest[m3.end() :]
             else:
-                sub, rest = _parse_recipe_expr(rest)
+                sub, rest = _parse_recipe_expr(rest, depth + 1)
                 args.append(sub)
             if rest.startswith(","):
                 rest = rest[1:]

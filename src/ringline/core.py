@@ -1,15 +1,17 @@
 """Finite associative unital rings as explicit Cayley tables.
 
 Elements are the indices 0..order-1; index 0 is always the additive zero.
-All structure (units, radical, ideal lattices, fingerprints) is computed by
-direct enumeration, which is exact and cheap at the desk-scale orders this
-package targets (ideal enumeration is capped at order 64).
+All structure (units, radical, ideal lattices, fingerprints) is computed
+exactly from whole tables, which is cheap at the desk-scale orders this
+package targets (ideal enumeration is capped at order 64). Right ideals
+are the left ideals of the opposite ring, whose multiplication table is
+``mul.T``, and two-sided ideals are the sets that are both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,13 +194,13 @@ def validate_ring(
             )
 
     idx = np.arange(n)
-    if not (np.array_equal(add[0], idx) and np.array_equal(add[:, 0], idx)):
-        bad = int(np.flatnonzero(add[0] != idx)[0]) if not np.array_equal(add[0], idx) else int(
-            np.flatnonzero(add[:, 0] != idx)[0]
-        )
-        raise ZeroIndexNotZero(
-            f"element 0 is not the additive identity (witness element {bad})", witness=(bad,)
-        )
+    for sums in (add[0], add[:, 0]):  # 0 + x, then x + 0
+        if not np.array_equal(sums, idx):
+            bad = int(np.flatnonzero(sums != idx)[0])
+            raise ZeroIndexNotZero(
+                f"element 0 is not the additive identity (witness element {bad})",
+                witness=(bad,),
+            )
 
     if not np.array_equal(add, add.T):
         a, b = np.argwhere(add != add.T)[0]
@@ -213,26 +215,19 @@ def validate_ring(
     _check_associative(add, n, NotAbelianGroup, "addition")
     _check_associative(mul, n, NotAssociative, "multiplication")
 
-    # a*(b+c) == a*b + a*c and (a+b)*c == a*c + b*c, sliced over a to bound memory
+    # a*(b+c) == a*b + a*c, sliced over a to bound memory; over the opposite
+    # table mul.T the same check is (b+c)*a == b*a + c*a
     for a in range(n):
-        row = mul[a]
-        left = row[add]  # (b, c) -> a*(b+c)
-        right = add[np.ix_(row, row)]  # (b, c) -> a*b + a*c
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise NotDistributive(
-                f"left distributivity fails at ({a}, {b}, {c})",
-                witness=(a, int(b), int(c)),
-            )
-        col = mul[:, a]
-        left2 = col[add]  # (b, c) -> (b+c)*a
-        right2 = add[np.ix_(col, col)]  # (b, c) -> b*a + c*a
-        if not np.array_equal(left2, right2):
-            b, c = np.argwhere(left2 != right2)[0]
-            raise NotDistributive(
-                f"right distributivity fails at ({b}, {c}, {a})",
-                witness=(int(b), int(c), a),
-            )
+        for side, table in (("left", mul), ("right", mul.T)):
+            row = table[a]
+            lhs = row[add]  # (b, c) -> a*(b+c)
+            rhs = add[np.ix_(row, row)]  # (b, c) -> a*b + a*c
+            if not np.array_equal(lhs, rhs):
+                b, c = np.argwhere(lhs != rhs)[0]
+                witness = (a, int(b), int(c)) if side == "left" else (int(b), int(c), a)
+                raise NotDistributive(
+                    f"{side} distributivity fails at {witness}", witness=witness
+                )
 
     one = int(one_index)
     if not (0 < one < n) or not (
@@ -264,20 +259,12 @@ def _check_associative(table: np.ndarray, n: int, exc: type, what: str) -> None:
 
 
 def _unit_set(ring: FiniteRing) -> frozenset[int]:
-    cached = ring._cache.get("units")
-    if cached is None:
-        mul, one, n = ring.mul, ring.one, ring.order
-        found = []
-        for x in range(n):
-            ys = np.flatnonzero(mul[x] == one)
-            # two-sided verification: cheap insurance against table corruption
-            for y in ys:
-                if mul[y, x] == one:
-                    found.append(x)
-                    break
-        cached = frozenset(found)
-        ring._cache["units"] = cached
-    return cached
+    if "units" not in ring._cache:
+        mul, one = ring.mul, ring.one
+        # x is a unit when some y has x*y == 1 == y*x
+        found = np.flatnonzero(((mul == one) & (mul.T == one)).any(axis=1))
+        ring._cache["units"] = frozenset(found.tolist())
+    return ring._cache["units"]
 
 
 def unit_elements(ring: FiniteRing) -> tuple[int, ...]:
@@ -303,54 +290,48 @@ def zero_divisors(ring: FiniteRing) -> ElementSubset:
 
 def jacobson_radical(ring: FiniteRing) -> ElementSubset:
     """{x : 1 - r*x is a unit for every r}, verified to be a two-sided ideal."""
-    cached = ring._cache.get("radical")
-    if cached is None:
-        us = _unit_set(ring)
-        add, mul, neg, one, n = ring.add, ring.mul, ring.neg, ring.one, ring.order
-        members = [
-            x
-            for x in range(n)
-            if all(int(add[one, neg[mul[r, x]]]) in us for r in range(n))
-        ]
-        mset = frozenset(members)
-        for x in members:  # ideal axioms must hold; failure means corrupt tables
-            for r in range(n):
-                if int(mul[r, x]) not in mset or int(mul[x, r]) not in mset:
-                    raise AssertionError("radical is not a two-sided ideal")
-            for y in members:
-                if int(add[x, y]) not in mset:
-                    raise AssertionError("radical is not additively closed")
-        cached = ElementSubset(members=mset, kind="radical")
-        ring._cache["radical"] = cached
-    return cached
+    if "radical" not in ring._cache:
+        add, mul = ring.add, ring.mul
+        one_minus = add[ring.one, ring.neg[mul]]  # (r, x) -> 1 - r*x
+        inside = np.isin(one_minus, list(_unit_set(ring))).all(axis=0)
+        members = np.flatnonzero(inside)
+        # ideal axioms must hold; failure means corrupt tables
+        if not (inside[mul[:, members]].all() and inside[mul[members]].all()):
+            raise AssertionError("radical is not a two-sided ideal")
+        if not inside[add[np.ix_(members, members)]].all():
+            raise AssertionError("radical is not additively closed")
+        ring._cache["radical"] = ElementSubset(
+            members=frozenset(members.tolist()), kind="radical"
+        )
+    return ring._cache["radical"]
 
 
-def _additive_closure(ring: FiniteRing, seed: Iterable[int]) -> frozenset[int]:
-    add = ring.add
-    cur = {0} | set(int(s) for s in seed)
-    while True:
-        new = {int(add[x, y]) for x in cur for y in cur} - cur
-        if not new:
-            return frozenset(cur)
-        cur |= new
+def _left_ideals(add: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:
+    """Every left ideal of the ring with these tables.
 
-
-def _cyclic_ideal(ring: FiniteRing, g: int, side: str) -> frozenset[int]:
-    mul, n = ring.mul, ring.order
-    if side == "left":
-        return frozenset(int(v) for v in mul[:, g])
-    if side == "right":
-        return frozenset(int(v) for v in mul[g, :])
-    products = {int(mul[int(mul[r, g]), s]) for r in range(n) for s in range(n)}
-    return _additive_closure(ring, products)
+    Starting from {0}, each ideal found is summed with every cyclic left
+    ideal R*g (column g of mul); an ideal is the sum of the cyclic ideals of
+    its elements, so this reaches them all.
+    """
+    cyclic = [np.array(sorted(c)) for c in {frozenset(col.tolist()) for col in mul.T}]
+    ideals = {frozenset([0])}
+    worklist = list(ideals)
+    while worklist:
+        current = list(worklist.pop())
+        for c in cyclic:
+            total = frozenset(add[np.ix_(current, c)].ravel().tolist())
+            if total not in ideals:
+                ideals.add(total)
+                worklist.append(total)
+    return ideals
 
 
 def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubset]:
     """All ideals of the given side, {0} and the whole ring included.
 
-    Computed as the closure of the cyclic ideals under pairwise ideal sums,
-    which reaches every ideal since an ideal is the sum of the cyclic ideals
-    of its elements.
+    Left ideals come from :func:`_left_ideals`; right ideals are the left
+    ideals of the opposite ring, whose multiplication table is ``mul.T``; and
+    two-sided ideals are the sets that are both left and right ideals.
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError(f"unknown side {side!r}; expected left, right or two_sided")
@@ -359,27 +340,18 @@ def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubs
             f"ideal enumeration capped at order {IDEAL_ENUMERATION_CAP}, got {ring.order}"
         )
     key = ("ideals", side)
-    cached = ring._cache.get(key)
-    if cached is None:
-        add = ring.add
-        ideals: set[frozenset[int]] = {
-            _cyclic_ideal(ring, g, side) for g in range(ring.order)
-        }
-        worklist = list(ideals)
-        while worklist:
-            current = worklist.pop()
-            for other in list(ideals):
-                total = frozenset(int(add[x, y]) for x in current for y in other)
-                if total not in ideals:
-                    ideals.add(total)
-                    worklist.append(total)
+    if key not in ring._cache:
+        if side == "two_sided":
+            left = {i.members for i in ideal_lattice(ring, "left")}
+            ideals = left.intersection(i.members for i in ideal_lattice(ring, "right"))
+        else:
+            ideals = _left_ideals(ring.add, ring.mul if side == "left" else ring.mul.T)
         kind = {"left": "leftIdeal", "right": "rightIdeal", "two_sided": "twoSidedIdeal"}[side]
-        cached = [
+        ring._cache[key] = [
             ElementSubset(members=m, kind=kind)
             for m in sorted(ideals, key=lambda s: (len(s), sorted(s)))
         ]
-        ring._cache[key] = cached
-    return cached
+    return ring._cache[key]
 
 
 def maximal_ideal_count(ring: FiniteRing, side: str = "two_sided") -> int:
@@ -408,28 +380,20 @@ def characteristic(ring: FiniteRing) -> int:
 
 
 def is_commutative(ring: FiniteRing) -> bool:
-    cached = ring._cache.get("commutative")
-    if cached is None:
-        cached = bool(np.array_equal(ring.mul, ring.mul.T))
-        ring._cache["commutative"] = cached
-    return cached
+    return bool(np.array_equal(ring.mul, ring.mul.T))
 
 
 def center(ring: FiniteRing) -> ElementSubset:
     """{x : x*r == r*x for all r}."""
-    mul = ring.mul
-    members = frozenset(
-        x for x in range(ring.order) if np.array_equal(mul[x], mul[:, x])
-    )
-    return ElementSubset(members=members, kind="center")
+    members = np.flatnonzero((ring.mul == ring.mul.T).all(axis=1))
+    return ElementSubset(members=frozenset(members.tolist()), kind="center")
 
 
 def fingerprint(ring: FiniteRing) -> RingFingerprint:
     """Deterministic aggregation of the invariants above."""
-    cached = ring._cache.get("fingerprint")
-    if cached is None:
+    if "fingerprint" not in ring._cache:
         ucount = len(_unit_set(ring))
-        cached = RingFingerprint(
+        ring._cache["fingerprint"] = RingFingerprint(
             order=ring.order,
             unit_count=ucount,
             zero_divisor_count=ring.order - ucount,
@@ -440,8 +404,7 @@ def fingerprint(ring: FiniteRing) -> RingFingerprint:
             maximal_two_sided_ideal_count=maximal_ideal_count(ring, "two_sided"),
             commutative=is_commutative(ring),
         )
-        ring._cache["fingerprint"] = cached
-    return cached
+    return ring._cache["fingerprint"]
 
 
 def relabel(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:

@@ -124,6 +124,16 @@ def _invertible(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     return first & first.T
 
 
+def _left_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, reps, inv): the left orbit labels of all pairs, their sorted
+    distinct values and _invertible over them; computed once per ring."""
+    if "left_orbits" not in ring._cache:
+        labels = orbit_labels(ring, "left")
+        reps = np.unique(labels)
+        ring._cache["left_orbits"] = (labels, reps, _invertible(ring, reps))
+    return ring._cache["left_orbits"]
+
+
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     """Enumerate admissible pairs, partition into unit orbits of the chosen
     side, compute the distant adjacency between class representatives.
@@ -138,9 +148,7 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
             f"line construction capped at order {LINE_ORDER_CAP}, got {ring.order}"
         )
     n = ring.order
-    left = orbit_labels(ring, "left")
-    reps = np.unique(left)
-    inv = _invertible(ring, reps)
+    left, reps, inv = _left_orbits(ring)
     admissible = inv.any(axis=1)[np.searchsorted(reps, left)]
     labels = left if side == "left" else orbit_labels(ring, "right")
     # admissibility is right-orbit invariant ((ar, br) completes with

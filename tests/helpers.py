@@ -44,6 +44,40 @@ def brute_radical(ring) -> set[int]:
     return out
 
 
+def brute_ideals(ring, side: str) -> set[frozenset[int]]:
+    """Ideals of one side as the additive subgroups closed under that side's
+    multiplication.
+
+    Subgroups are joins A + B of cyclic subgroups <x> = {0, x, x+x, ...},
+    grown from {0}; each is then tested against every product r*x (left),
+    x*r (right) or both (two_sided) on the raw table.
+    """
+    n, add, mul = ring.order, ring.add, ring.mul
+    cyclic = set()
+    for x in range(n):
+        group, y = {0}, x
+        while y not in group:
+            group.add(y)
+            y = int(add[y, x])
+        cyclic.add(frozenset(group))
+    subgroups = {frozenset([0])}
+    work = list(subgroups)
+    while work:
+        cur = work.pop()
+        for c in cyclic:
+            joined = frozenset(int(add[x, y]) for x in cur for y in c)
+            if joined not in subgroups:
+                subgroups.add(joined)
+                work.append(joined)
+
+    def closed(s) -> bool:
+        left = all(int(mul[r, x]) in s for r in range(n) for x in s)
+        right = all(int(mul[x, r]) in s for r in range(n) for x in s)
+        return {"left": left, "right": right, "two_sided": left and right}[side]
+
+    return {s for s in subgroups if closed(s)}
+
+
 def det_is_unit(ring, matrix) -> bool:
     """Determinant-is-a-unit test; valid oracle for commutative rings only."""
     (a, b), (c, d) = matrix

@@ -339,6 +339,12 @@ class TestRecipes:
             with pytest.raises(ValueError):
                 parse_recipe(bad)
 
+    def test_nesting_depth_capped(self):
+        # parsed only: building 64 nested duals would need a 2^65-element ring
+        assert str(parse_recipe("dual(" * 64 + "gf:2" + ")" * 64)).count("dual") == 64
+        with pytest.raises(ValueError, match="deeper than 64"):
+            parse_recipe("dual(" * 1500 + "gf:2" + ")" * 1500)
+
     def test_skew_identity_equals_dual(self):
         assert build_recipe("skew(gf:4,0)").same_tables(
             quotient_dual_numbers(ring_gf(2, 2))

@@ -15,6 +15,13 @@ from ringline.catalog import CatalogEntry
 from ringline.stats import ExpectedSignature
 
 
+def _src_env() -> dict:
+    """The environment for a subprocess that imports ringline from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_ring_show_recipe(capsys):
     assert main(["ring", "show", "zn:4"]) == 0
     out = capsys.readouterr().out
@@ -32,6 +39,17 @@ def test_ring_show_file(tmp_path, capsys):
 def test_ring_show_bad_recipe(capsys):
     assert main(["ring", "show", "nonsense:9"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_ring_show_deeply_nested_recipe():
+    """A recipe nested 1,500 deep is an input error, not a RecursionError."""
+    recipe = "dual(" * 1500 + "gf:2" + ")" * 1500
+    run = subprocess.run(
+        [sys.executable, "-m", "ringline", "ring", "show", recipe],
+        env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
 def test_ring_show_beyond_ideal_cap(capsys):
@@ -146,13 +164,10 @@ def test_catalog_table1_json(tmp_path, capsys):
 
 def test_catalog_table1_under_optimize():
     """Stripping asserts (python -O) changes neither exit code nor output."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     runs = [
         subprocess.run(
             [sys.executable, *flags, "-m", "ringline", "catalog", "table1"],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=_src_env(), capture_output=True, text=True, timeout=300,
         )
         for flags in ([], ["-O"])
     ]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ring_of
-from helpers import brute_radical, brute_units
+from helpers import brute_ideals, brute_radical, brute_units
 
 from ringline import (
     NoUnity,
@@ -18,6 +20,7 @@ from ringline import (
     NotDistributive,
     OrderTooLarge,
     ZeroIndexNotZero,
+    build_recipe,
     center,
     characteristic,
     direct_product,
@@ -40,6 +43,19 @@ CATALOG_NAMES = [
     "t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2",
     "gf4xz4", "gf4xdualf2", "skewgf4", "f2xy",
 ]
+SIDES = ("left", "right", "two_sided")
+
+# read only: perfbench/capture_golden.py writes it from known-good sources
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def golden_structure() -> list:
+    rings = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["rings"]
+    return [pytest.param(recipe, record, id=recipe) for recipe, record in rings.items()]
+
+
+def lattice_members(ring, side: str) -> list:
+    return [i.members for i in ideal_lattice(ring, side)]
 
 
 def z4_tables():
@@ -212,6 +228,21 @@ class TestIdealLattice:
         with pytest.raises(ValueError):
             ideal_lattice(ring_of("z4"), side)
 
+    @pytest.mark.parametrize("name", ["z4", "t2f2", "m2f2", "skewgf4", "f2xy", "dualf2"])
+    @pytest.mark.parametrize("side", SIDES)
+    def test_matches_subgroup_oracle(self, name, side):
+        ring = ring_of(name)
+        expected = sorted(brute_ideals(ring, side), key=lambda s: (len(s), sorted(s)))
+        assert lattice_members(ring, side) == expected
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["z4", "dualf2"])
+    def test_opposite_ring_swaps_sides(self, name):
+        ring = ring_of(name)
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one)
+        assert lattice_members(opposite, "left") == lattice_members(ring, "right")
+        assert lattice_members(opposite, "right") == lattice_members(ring, "left")
+        assert lattice_members(opposite, "two_sided") == lattice_members(ring, "two_sided")
+
     def test_order_cap(self):
         ring = triangular_ring(ring_gf(2, 2), 2)  # order 64 passes the cap
         ideal_lattice(ring, "two_sided")
@@ -294,3 +325,13 @@ class TestMaximalIdealHelpers:
         for m in top:
             assert len(m.members) < ring.order
             assert not any(m.members < other for other in proper)
+
+
+@pytest.mark.parametrize("recipe,expected", golden_structure())
+def test_matches_golden_structure(recipe, expected):
+    """Fingerprints and ideal counts up to order 64 against the benchmark's golden file."""
+    ring = build_recipe(recipe)
+    perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+    for r in (ring, relabel(ring, perm)):
+        assert list(fingerprint(r).as_tuple()) == expected["fingerprint"]
+        assert [len(ideal_lattice(r, side)) for side in SIDES] == expected["ideals"]
