@@ -24,11 +24,16 @@ from .errors import (
     RingSyntaxError,
 )
 
-MATRIX_RING_CAP = 2**16
-CLOSURE_CAP = 2**12
+ORDER_CAP = 1024  # largest ring any constructor builds; its tables hold n^2 entries
 RECIPE_DEPTH_CAP = 64  # nested constructor calls; the deepest shipped recipe has 4
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def _check_order(order: int, what: str) -> None:
+    """Refuse a construction before it allocates tables for ``order`` elements."""
+    if order > ORDER_CAP:
+        raise OrderTooLarge(f"{what} would have {order} elements (cap {ORDER_CAP})")
 
 
 def _is_prime(n: int) -> bool:
@@ -45,6 +50,7 @@ def ring_zn(n: int) -> FiniteRing:
     """Integers mod n; element index equals residue value."""
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
+    _check_order(n, f"Z{n}")
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -120,6 +126,7 @@ def ring_gf(p: int, k: int, poly: Sequence[int] | None = None) -> FiniteRing:
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
+    _check_order(p**k, f"GF({p}^{k})")
     if poly is None:
         poly = default_irreducible(p, k)
     poly = tuple(int(c) % p for c in poly)
@@ -166,6 +173,7 @@ def _pair_tables(
 
 def quotient_dual_numbers(f: FiniteRing) -> FiniteRing:
     """f[x]/(x^2) for a commutative base; index of a + b*x is a + b*|f|."""
+    _check_order(f.order**2, f"{f.name}[x]/(x^2)")
     if not is_commutative(f):
         raise ValueError("dual numbers require a commutative base ring")
     add, mul, one = _pair_tables(f, list(range(f.order)))
@@ -212,6 +220,7 @@ def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
 
 def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
     """a + b*x with x^2 = 0 and x*a = sigma(a)*x; noncommutative iff sigma != id."""
+    _check_order(f.order**2, f"{f.name}[x;s]/(x^2)")
     if len(unit_elements(f)) != f.order - 1:
         raise ValueError("skew dual numbers require a field base")
     sig = _check_automorphism(f, sigma)
@@ -223,6 +232,7 @@ def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
 def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Componentwise ring on pairs; index of (a, b) is a*|r2| + b."""
     n1, n2 = r1.order, r2.order
+    _check_order(n1 * n2, f"{r1.name}x{r2.name}")
     idx = np.arange(n1 * n2)
     i1 = idx // n2
     i2 = idx % n2
@@ -243,12 +253,13 @@ def _matrix_tables(
 
     Index encodes the entry tuple (in ``positions`` order) base |base| with
     the first position most significant, i.e. lexicographic on entry tuples.
+    The support must be closed under products (full or upper triangular),
+    or the encoding would drop entries.
     """
     nb = base.order
     count = len(positions)
     n_el = nb**count
-    if n_el > MATRIX_RING_CAP:
-        raise OrderTooLarge(f"matrix ring would have {n_el} elements (cap {MATRIX_RING_CAP})")
+    _check_order(n_el, name)
     # mats[v] = dense dim x dim matrix of element v
     mats = np.zeros((n_el, dim, dim), dtype=np.int64)
     for slot, (i, j) in enumerate(positions):
@@ -265,11 +276,6 @@ def _matrix_tables(
     for k in range(dim):
         term = base.mul[mats[:, None, :, k, None], mats[None, :, None, k, :]]
         prod = term if prod is None else base.add[prod, term]
-    off_support = np.ones((dim, dim), dtype=bool)
-    for i, j in positions:
-        off_support[i, j] = False
-    # support must be multiplicatively closed, else encoding would drop entries
-    assert not prod[:, :, off_support].any(), "matrix support not closed under product"
     mul = (prod * places).sum(axis=(2, 3))
 
     one_mat = np.zeros((dim, dim), dtype=np.int64)
@@ -319,6 +325,7 @@ def structure_constants_algebra(
     if const.shape != (rank, rank, rank):
         raise ValueError(f"constants must be {rank}x{rank}x{rank} coefficient vectors")
     n_el = m**rank
+    _check_order(n_el, name or f"Z{m}-algebra(rank {rank})")
     coeffs = np.array(
         [[(v // m**i) % m for i in range(rank)] for v in range(n_el)], dtype=np.int64
     )
@@ -378,7 +385,7 @@ def matrix_subring_closure(
     base: FiniteRing,
     generators: Sequence[Matrix],
     dim: int | None = None,
-    cap: int = CLOSURE_CAP,
+    cap: int = ORDER_CAP,
 ) -> FiniteRing:
     """Smallest subring of dim x dim matrices over ``base`` containing the
     generators, 0 and the identity; re-indexed as a standalone ring.
@@ -490,6 +497,7 @@ def parse_ring_file(text: str) -> FiniteRing:
         order = int(rest[0])
     except (IndexError, ValueError):
         raise RingSyntaxError("order must be an integer", lineno) from None
+    _check_order(order, name)
 
     lineno, rest = take("one")
     try:
@@ -622,6 +630,7 @@ def build_recipe(recipe: RingRecipe | str) -> FiniteRing:
         return ring_zn(args[0])
     if kind == "gf":
         q = args[0]
+        _check_order(q, f"GF({q})")
         for p in range(2, q + 1):
             if _is_prime(p) and q % p == 0:
                 k = 0

@@ -13,11 +13,9 @@ matrices and pairs without these shortcuts, as independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .clique import adjacency_masks
 from .core import FiniteRing, unit_elements
 from .errors import OrderTooLarge, RightLineBreakdown
 
@@ -68,9 +66,6 @@ class Point:
     members: frozenset[Pair]
     side: str
 
-    def __post_init__(self):
-        assert self.rep in self.members
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveLine:
@@ -81,11 +76,6 @@ class ProjectiveLine:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def distant_masks(self) -> tuple[int, ...]:
-        """Per point, the bitmask of the points distant from it (built once)."""
-        return tuple(adjacency_masks(self.adjacency))
 
     def __repr__(self) -> str:
         return (
@@ -153,14 +143,15 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     labels = left if side == "left" else orbit_labels(ring, "right")
     # admissibility is right-orbit invariant ((ar, br) completes with
     # (cr, dr) via M * diag(r, r)), so orbits never straddle the set
-    assert (admissible[labels] == admissible).all(), "admissibility not orbit-invariant"
+    if not (admissible[labels] == admissible).all():
+        raise AssertionError("admissibility not orbit-invariant")
     members = np.flatnonzero(admissible)
     point_codes, sizes = np.unique(labels[members], return_counts=True)
 
     nunits = len(unit_elements(ring))
-    if side == "left":
-        assert (sizes == nunits).all(), "left class-size law violated"
-    elif (sizes != nunits).any():
+    if (sizes != nunits).any():
+        if side == "left":  # (ua, ub) = (a, b) with a*x + b*z = 1 forces u = 1
+            raise AssertionError("left class-size law violated")
         size_values, class_counts = np.unique(sizes, return_counts=True)
         raise RightLineBreakdown(
             ring.name, dict(zip(size_values.tolist(), class_counts.tolist()))

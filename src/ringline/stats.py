@@ -6,6 +6,11 @@ distant pairs and pairwise-distant triples, the maximum number of mutually
 distant points, and a family of candidate "Jacobson point" statistics (the
 literature's definition is not pinned down here, so candidates are reported
 side by side and never asserted).
+
+The neighbourhood columns are whole-matrix counts over the distant adjacency
+``line.adjacency``: products of the neighbour matrix taken in float32, which
+is exact since no count reaches 2**24. Bitmasks of the distant graph live
+only in ringline.clique, behind the maximum-clique search.
 """
 
 from __future__ import annotations
@@ -44,11 +49,12 @@ class StatValue:
         return self.count == 0
 
     @classmethod
-    def of(cls, values: list[int]) -> "StatValue":
-        if not values:
+    def of(cls, values: np.ndarray) -> "StatValue":
+        """The spread of an array of counts, as plain ints (JSON-safe)."""
+        if not values.size:
             return cls(value=0, constant=True, lo=0, hi=0, count=0)
-        lo, hi = min(values), max(values)
-        return cls(value=lo, constant=lo == hi, lo=lo, hi=hi, count=len(values))
+        lo, hi = int(values.min()), int(values.max())
+        return cls(value=lo, constant=lo == hi, lo=lo, hi=hi, count=int(values.size))
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,52 +181,44 @@ class SignatureComparison:
                    passed=d["pass"])
 
 
-def neighbour_masks(line: ProjectiveLine) -> list[int]:
-    """Per point, the bitmask of its neighbours (distinct and not distant)."""
-    full = (1 << len(line.points)) - 1
-    return [full & ~(m | (1 << i)) for i, m in enumerate(line.distant_masks)]
+def _near(line: ProjectiveLine) -> np.ndarray:
+    """near[i, j]: points i != j that are not distant (neighbours)."""
+    adj = line.adjacency
+    return ~adj & ~np.eye(len(adj), dtype=bool)
 
 
 def neighbourhood(line: ProjectiveLine, i: int) -> frozenset[int]:
     """{ j != i : j not distant from i }."""
-    return frozenset(clique.bits(neighbour_masks(line)[i]))
-
-
-def _distant_pairs(line: ProjectiveLine) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i, m in enumerate(line.distant_masks)
-        for j in clique.bits(m >> (i + 1) << (i + 1))
-    ]
+    return frozenset(np.flatnonzero(_near(line)[i]).tolist())
 
 
 def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
-    masks = neighbour_masks(line)
-    return StatValue.of([m.bit_count() for m in masks])
+    return StatValue.of(_near(line).sum(axis=1))
 
 
 def pair_intersection_stat(line: ProjectiveLine) -> StatValue:
     """|N(P) ∩ N(Q)| over all unordered distant pairs."""
-    pairs = _distant_pairs(line)
-    if not pairs:
+    i, j = np.nonzero(np.triu(line.adjacency))
+    if not len(i):
         raise NoDistantPair(f"line over {line.ring.name} has no distant pair")
-    masks = neighbour_masks(line)
-    return StatValue.of([(masks[i] & masks[j]).bit_count() for i, j in pairs])
+    near = _near(line).astype(np.float32)
+    return StatValue.of((near @ near.T)[i, j])  # [i, j]: common neighbours
 
 
 def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
     """|N(P) ∩ N(Q) ∩ N(S)| over all pairwise-distant triples.
 
-    A line without such a triple yields the vacuous StatValue (count 0).
+    Row p of the product counts, for the p-th distant pair (i, j) and every
+    point k, the common neighbours of all three; a triple is kept when k is
+    distant from both and k > j, so each is counted once. A line without
+    such a triple yields the vacuous StatValue (count 0).
     """
-    masks = neighbour_masks(line)
-    distant = line.distant_masks
-    values = []
-    for i, j in _distant_pairs(line):
-        both = masks[i] & masks[j]
-        later = (distant[i] & distant[j]) >> (j + 1) << (j + 1)
-        values.extend((both & masks[k]).bit_count() for k in clique.bits(later))
-    return StatValue.of(values)
+    adj = line.adjacency
+    near = _near(line)
+    i, j = np.nonzero(np.triu(adj))
+    counts = (near[i] & near[j]).astype(np.float32) @ near.T.astype(np.float32)
+    later = adj[i] & adj[j] & (np.arange(len(adj)) > j[:, None])
+    return StatValue.of(counts[later])
 
 
 def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
@@ -238,9 +236,7 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     """
     ring = line.ring
     if candidate == "A":
-        n = len(line.points)
-        masks = neighbour_masks(line)
-        return sum(1 for m in masks if m.bit_count() == n - 1)
+        return int((~line.adjacency.any(axis=1)).sum())  # distant from no point
     if candidate == "B":
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":

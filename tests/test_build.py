@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from ringline import (
     validate_ring,
 )
 from ringline.build import (
+    ORDER_CAP,
     default_irreducible,
     frobenius_automorphism,
     identity_automorphism,
@@ -149,7 +151,7 @@ class TestMatrixRings:
 
     def test_cap(self):
         with pytest.raises(OrderTooLarge):
-            matrix_ring(ring_zn(17), 2)  # 17^4 > 2^16
+            matrix_ring(ring_zn(17), 2)  # 17^4 > ORDER_CAP
 
 
 class TestSkewDualNumbers:
@@ -286,6 +288,10 @@ class TestRingFiles:
             parse_ring_file(bad)
         assert info.value.line == 5
 
+    def test_order_cap_before_tables(self):
+        with pytest.raises(OrderTooLarge):
+            parse_ring_file("ring big\norder 2000\none 1\nadd\n0 1\n")
+
     def test_bad_keyword(self):
         with pytest.raises(RingSyntaxError):
             parse_ring_file("rng x\norder 2\n")
@@ -344,6 +350,29 @@ class TestRecipes:
         assert str(parse_recipe("dual(" * 64 + "gf:2" + ")" * 64)).count("dual") == 64
         with pytest.raises(ValueError, match="deeper than 64"):
             parse_recipe("dual(" * 1500 + "gf:2" + ")" * 1500)
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "zn:2000",
+            "gf:1031",
+            "dual(zn:40)",
+            "skew(gf:37)",
+            "prod(zn:40,zn:40)",
+            "tri(zn:4,3)",
+            "dual(" * 64 + "gf:2" + ")" * 64,
+        ],
+        ids=["zn", "gf", "dual", "skew", "prod", "tri", "nested-dual"],
+    )
+    def test_order_cap_before_allocation(self, recipe):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge):
+                build_recipe(recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ORDER_CAP**2  # less than one int64 table of a refused order
 
     def test_skew_identity_equals_dual(self):
         assert build_recipe("skew(gf:4,0)").same_tables(

@@ -41,15 +41,24 @@ def test_ring_show_bad_recipe(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_ring_show_deeply_nested_recipe():
-    """A recipe nested 1,500 deep is an input error, not a RecursionError."""
-    recipe = "dual(" * 1500 + "gf:2" + ")" * 1500
+def _assert_ring_show_input_error(recipe: str) -> None:
+    """`ring show` in a subprocess exits 1 with an error line, no traceback."""
     run = subprocess.run(
         [sys.executable, "-m", "ringline", "ring", "show", recipe],
         env=_src_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 1
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
+def test_ring_show_deeply_nested_recipe():
+    """A recipe nested 1,500 deep is an input error, not a RecursionError."""
+    _assert_ring_show_input_error("dual(" * 1500 + "gf:2" + ")" * 1500)
+
+
+def test_ring_show_oversized_recipe():
+    """64 nested duals pass the depth limit but are refused by the order cap."""
+    _assert_ring_show_input_error("dual(" * 64 + "gf:2" + ")" * 64)
 
 
 def test_ring_show_beyond_ideal_cap(capsys):

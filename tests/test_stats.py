@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,8 @@ from ringline import (
     signature,
     triple_intersection_stat,
 )
-from ringline.line import Point, ProjectiveLine
+from ringline import clique
+from ringline.line import Point, ProjectiveLine, build_line
 from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
 
 CATALOG_NAMES = [
@@ -147,24 +149,28 @@ def _fields(stat: StatValue) -> tuple[int, bool, int, int, int]:
 @example(adj=_graph(4, [False] * 6))  # no distant pair
 @example(adj=_graph(3, [True, False, True]))  # distant pairs, no distant triple
 @example(adj=_graph(4, [True] * 6))  # complete
+@example(adj=_graph(4, [True, True, False, True, False, False]))  # one universal neighbour
 @settings(max_examples=80, deadline=None)
 def test_stats_match_matrix_counts(adj):
-    """The bitmask statistics against counts taken straight from the matrix."""
+    """The matrix statistics against set intersections over the graph."""
     n = adj.shape[0]
-    near = ~adj & ~np.eye(n, dtype=bool)
-    a, b = np.nonzero(np.triu(adj))
+    nbhd = [{v for v in range(n) if v != u and not adj[u, v]} for u in range(n)]
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if adj[u, v]]
     triples = [
         t for t in combinations(range(n), 3) if all(adj[u, v] for u, v in combinations(t, 2))
     ]
     line = synthetic_line(adj)
-    assert _fields(one_neighbourhood_stat(line)) == _spread(near.sum(axis=1))
-    if len(a):
-        assert _fields(pair_intersection_stat(line)) == _spread((near[a] & near[b]).sum(axis=1))
+    assert [neighbourhood(line, u) for u in range(n)] == nbhd
+    assert _fields(one_neighbourhood_stat(line)) == _spread(len(s) for s in nbhd)
+    if pairs:
+        expected = _spread(len(nbhd[u] & nbhd[v]) for u, v in pairs)
+        assert _fields(pair_intersection_stat(line)) == expected
     else:
         with pytest.raises(NoDistantPair):
             pair_intersection_stat(line)
-    expected = _spread((near[u] & near[v] & near[w]).sum() for u, v, w in triples)
+    expected = _spread(len(nbhd[u] & nbhd[v] & nbhd[w]) for u, v, w in triples)
     assert _fields(triple_intersection_stat(line)) == expected
+    assert jacobson_stat(line, "A") == sum(len(s) == n - 1 for s in nbhd)
 
 
 class TestMaxDistantSet:
@@ -232,6 +238,18 @@ class TestSignature:
         sig = signature(line_of(name))
         assert sig.tot >= sig.md >= 1
         assert sig.one_n.value <= sig.tot - 1
+
+    def test_one_bitmask_build(self, monkeypatch):
+        """The distant graph's bitmasks are built once, inside the clique search."""
+        calls = []
+        build = clique.adjacency_masks
+        for name, module in list(sys.modules.items()):  # wherever the builder is bound
+            if name.startswith("ringline") and getattr(module, "adjacency_masks", None) is build:
+                monkeypatch.setattr(
+                    module, "adjacency_masks", lambda adj: calls.append(1) or build(adj)
+                )
+        signature(build_line(ring_of("m2f2")))  # a fresh line: nothing cached on it
+        assert len(calls) == 1
 
     def test_json_round_trip(self):
         sig = signature(line_of("t2f2"))
