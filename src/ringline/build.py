@@ -497,6 +497,8 @@ def parse_ring_file(text: str) -> FiniteRing:
         order = int(rest[0])
     except (IndexError, ValueError):
         raise RingSyntaxError("order must be an integer", lineno) from None
+    if order < 2:
+        raise RingSyntaxError(f"order must be at least 2, got {order}", lineno)
     _check_order(order, name)
 
     lineno, rest = take("one")

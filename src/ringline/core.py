@@ -3,9 +3,12 @@
 Elements are the indices 0..order-1; index 0 is always the additive zero.
 All structure (units, radical, ideal lattices, fingerprints) is computed
 exactly from whole tables, which is cheap at the desk-scale orders this
-package targets (ideal enumeration is capped at order 64). Right ideals
-are the left ideals of the opposite ring, whose multiplication table is
-``mul.T``, and two-sided ideals are the sets that are both.
+package targets (ideal enumeration is capped at order 64). Validation checks
+associativity and distributivity on additive generators, in O(n^2) time per
+generator. Left ideals are boolean membership masks; all sums of one ideal
+with the cyclic left ideals come from one float32 matrix product. Right
+ideals are the left ideals of the opposite ring, whose multiplication table
+is ``mul.T``, and two-sided ideals are the sets that are both.
 """
 
 from __future__ import annotations
@@ -156,8 +159,12 @@ def _as_table(table: Sequence[Sequence[int]] | np.ndarray, what: str) -> np.ndar
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotClosed(f"{what} table is not square: shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
+        if not isinstance(table, np.ndarray):
+            arr = np.array(table, dtype=object)  # exact ints, not numpy's float rounding
         try:
             conv = arr.astype(np.int64)
+        except OverflowError:
+            raise NotClosed(f"{what} table has an entry outside the int64 range") from None
         except (TypeError, ValueError):
             raise NotClosed(f"{what} table has non-integer entries") from None
         if not np.array_equal(conv, arr):
@@ -176,6 +183,9 @@ def validate_ring(
 
     Returns a :class:`FiniteRing` or raises a :class:`RingValidationError`
     subclass naming the first violated axiom, with a witnessing index tuple.
+    Associativity and distributivity are checked on additive generators
+    (:func:`_axioms_hold_on_generators`); only when that fails does the
+    per-element scan run, to name the lexicographically first witness.
     """
     add = _as_table(add_table, "addition")
     mul = _as_table(mul_table, "multiplication")
@@ -212,22 +222,12 @@ def validate_ring(
     if not np.array_equal(sorted_rows, np.tile(idx, (n, 1))):
         a = int(np.flatnonzero((sorted_rows != idx).any(axis=1))[0])
         raise NotAbelianGroup(f"addition row {a} is not a permutation", witness=(a,))
-    _check_associative(add, n, NotAbelianGroup, "addition")
-    _check_associative(mul, n, NotAssociative, "multiplication")
-
-    # a*(b+c) == a*b + a*c, sliced over a to bound memory; over the opposite
-    # table mul.T the same check is (b+c)*a == b*a + c*a
-    for a in range(n):
-        for side, table in (("left", mul), ("right", mul.T)):
-            row = table[a]
-            lhs = row[add]  # (b, c) -> a*(b+c)
-            rhs = add[np.ix_(row, row)]  # (b, c) -> a*b + a*c
-            if not np.array_equal(lhs, rhs):
-                b, c = np.argwhere(lhs != rhs)[0]
-                witness = (a, int(b), int(c)) if side == "left" else (int(b), int(c), a)
-                raise NotDistributive(
-                    f"{side} distributivity fails at {witness}", witness=witness
-                )
+    if not _axioms_hold_on_generators(add, mul):
+        # name the lexicographically first witness of the failed axiom
+        _check_associative(add, n, NotAbelianGroup, "addition")
+        _check_associative(mul, n, NotAssociative, "multiplication")
+        _check_distributive(add, mul, n)
+        raise AssertionError("a generator check failed but the full scan found no witness")
 
     one = int(one_index)
     if not (0 < one < n) or not (
@@ -252,6 +252,79 @@ def _check_associative(table: np.ndarray, n: int, exc: type, what: str) -> None:
             raise exc(
                 f"{what} not associative at ({a}, {b}, {c})", witness=(a, int(b), int(c))
             )
+
+
+def _check_distributive(add: np.ndarray, mul: np.ndarray, n: int) -> None:
+    # a*(b+c) == a*b + a*c, sliced over a to bound memory; over the opposite
+    # table mul.T the same check is (b+c)*a == b*a + c*a
+    for a in range(n):
+        for side, table in (("left", mul), ("right", mul.T)):
+            row = table[a]
+            lhs = row[add]  # (b, c) -> a*(b+c)
+            rhs = add[np.ix_(row, row)]  # (b, c) -> a*b + a*c
+            if not np.array_equal(lhs, rhs):
+                b, c = np.argwhere(lhs != rhs)[0]
+                witness = (a, int(b), int(c)) if side == "left" else (int(b), int(c), a)
+                raise NotDistributive(
+                    f"{side} distributivity fails at {witness}", witness=witness
+                )
+
+
+def _additive_generators(add: np.ndarray) -> list[int]:
+    """Generators g of the additive group, each the least element not yet
+    reached, where the reached set is {0} closed under the steps x -> x + g.
+
+    Every element is then a chain ((0 + g1) + g2) + ... of generator steps;
+    building it assumes no associativity.
+    """
+    reached = np.zeros(add.shape[0], dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        steps = add[:, gens]
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            fresh = np.zeros_like(reached)
+            fresh[steps[frontier]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+    return gens
+
+
+def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
+    """Associativity of both operations and distributivity, from checks on
+    additive generators only (the addition is known to be a commutative
+    loop: 0 is its identity and every row is a permutation).
+
+    1. Light's test, (x+g)+y == x+(g+y) for every x, y and generator g. The
+       elements that associate in the middle contain 0 and are closed under
+       +, and every element is a chain of +g steps from 0, so + is
+       associative.
+    2. a*(x+g) == a*x + a*g for every a, x and g, over mul and mul.T. At
+       x = 0 this gives a*0 = 0; with + associative, induction along the
+       chain of b then gives a*(x+b) == a*x + a*b for every b. So every left
+       and right multiplication map is additive.
+    3. Multiplication is then bi-additive, so both (ab)c and a(bc) are
+       additive in each argument, and associativity on triples of
+       generators gives it everywhere.
+
+    Each step is O(n^2) in time and memory; when + is a group, each
+    generator at least doubles the reached subgroup, so there are at most
+    log2(n) of them.
+    """
+    gens = _additive_generators(add)
+    for g in gens:  # (x+g)+y == x+(g+y)
+        if not np.array_equal(add[add[:, g]], add[:, add[g]]):
+            return False
+    for table in (mul, mul.T):
+        for g in gens:  # a*(x+g) == a*x + a*g
+            if not np.array_equal(table[:, add[:, g]], add[table, table[:, g, None]]):
+                return False
+    g = np.array(gens)
+    prod = mul[g[:, None], g]  # (i, j) -> gi*gj
+    return np.array_equal(mul[prod[:, :, None], g], mul[g[:, None, None], prod])
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +384,31 @@ def _left_ideals(add: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:
 
     Starting from {0}, each ideal found is summed with every cyclic left
     ideal R*g (column g of mul); an ideal is the sum of the cyclic ideals of
-    its elements, so this reaches them all.
+    its elements, so this reaches them all. Ideals are boolean masks, and all
+    sums of one ideal I come from one float32 product: y is in I + R*g iff
+    I[y - c] holds for some c in R*g, so ``I[sub] @ cyc > 0`` with ``sub``
+    the map (y, c) -> y - c and ``cyc`` the (element x cyclic ideal)
+    membership matrix. No count exceeds n, so float32 is exact.
     """
-    cyclic = [np.array(sorted(c)) for c in {frozenset(col.tolist()) for col in mul.T}]
-    ideals = {frozenset([0])}
+    n = add.shape[0]
+    sub = add[:, np.argmax(add == 0, axis=1)]  # (y, c) -> y - c
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], mul.T] = True  # row g marks R*g
+    distinct = {row.tobytes(): row for row in member}
+    cyc = np.array(list(distinct.values()), dtype=np.float32).T
+    zero = np.zeros(n, dtype=bool)
+    zero[0] = True
+    ideals = {zero.tobytes()}  # each mask's bytes
     worklist = list(ideals)
     while worklist:
-        current = list(worklist.pop())
-        for c in cyclic:
-            total = frozenset(add[np.ix_(current, c)].ravel().tolist())
-            if total not in ideals:
-                ideals.add(total)
-                worklist.append(total)
-    return ideals
+        current = np.frombuffer(worklist.pop(), dtype=bool)
+        sums = np.ascontiguousarray((current[sub].astype(np.float32) @ cyc > 0).T)
+        for total in sums:
+            key = total.tobytes()
+            if key not in ideals:
+                ideals.add(key)
+                worklist.append(key)
+    return {frozenset(np.flatnonzero(np.frombuffer(k, dtype=bool)).tolist()) for k in ideals}
 
 
 def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubset]:

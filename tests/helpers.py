@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 
 def brute_units(ring) -> set[int]:
     """Two-sided inverse scan over the raw multiplication table."""
@@ -76,6 +78,27 @@ def brute_ideals(ring, side: str) -> set[frozenset[int]]:
         return {"left": left, "right": right, "two_sided": left and right}[side]
 
     return {s for s in subgroups if closed(s)}
+
+
+def cyclic_join_ideals(add, mul) -> set[frozenset[int]]:
+    """Left ideals of the ring with these tables, as sets.
+
+    Starting from {0}, each ideal found is summed element by element with
+    every cyclic left ideal R*g (column g of mul). Fast enough at order 64,
+    where :func:`brute_ideals` is not; right ideals are the left ideals over
+    ``mul.T``.
+    """
+    cyclic = [np.array(sorted(c)) for c in {frozenset(col.tolist()) for col in mul.T}]
+    ideals = {frozenset([0])}
+    worklist = list(ideals)
+    while worklist:
+        current = list(worklist.pop())
+        for c in cyclic:
+            total = frozenset(add[np.ix_(current, c)].ravel().tolist())
+            if total not in ideals:
+                ideals.add(total)
+                worklist.append(total)
+    return ideals
 
 
 def det_is_unit(ring, matrix) -> bool:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ring_of
 from helpers import brute_units
@@ -17,6 +19,7 @@ from ringline import (
     NotPrime,
     OrderTooLarge,
     RingSyntaxError,
+    RinglineError,
     build_recipe,
     builtin_catalog,
     direct_product,
@@ -45,6 +48,20 @@ from ringline.build import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+FUZZ_RECIPES = ["zn:4", "dual(gf:2)", "tri(gf:2,2)", "skew(gf:4)"]
+FUZZ_TOKEN = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.integers(2**62, 2**70).map(str),
+    st.integers(-(2**70), -(2**62)).map(str),
+    st.sampled_from(["ring", "order", "one", "add", "mul", "#", "1.5", "0x3", "1e3", ""]),
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), min_size=1, max_size=4),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def ring_of_recipe(recipe: str):
+    return build_recipe(recipe)
 
 
 class TestZn:
@@ -300,6 +317,46 @@ class TestRingFiles:
         text = emit_ring_file(ring_zn(2))
         with pytest.raises(RingSyntaxError):
             parse_ring_file("\n".join(text.splitlines()[:-1]))
+
+    @pytest.mark.parametrize("order", ["-1", "0", "1"])
+    def test_order_below_two(self, order):
+        with pytest.raises(RingSyntaxError, match="order must be at least 2") as info:
+            parse_ring_file(f"ring x\norder {order}\none 1\nadd\n0\nmul\n0\n")
+        assert info.value.line == 2
+
+    @given(recipe=st.sampled_from(FUZZ_RECIPES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_parses_or_raises_ringline_error(self, recipe, data):
+        """Token-level mutations of an emitted file: a ring or a RinglineError."""
+        text = emit_ring_file(ring_of_recipe(recipe))
+        lines = [line.split() for line in text.splitlines()]
+        mutations = data.draw(st.integers(0, 3))
+        for _ in range(mutations):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            op = data.draw(st.sampled_from(["replace", "delete", "duplicate", "line"]))
+            if op == "line":
+                if data.draw(st.booleans()):
+                    del lines[i]
+                else:
+                    lines.insert(i, list(lines[i]))
+                if not lines:
+                    lines.append([])
+                continue
+            if not lines[i]:
+                continue
+            j = data.draw(st.integers(0, len(lines[i]) - 1))
+            if op == "replace":
+                lines[i][j] = data.draw(FUZZ_TOKEN)
+            elif op == "delete":
+                del lines[i][j]
+            else:
+                lines[i].insert(j, lines[i][j])
+        try:
+            ring = parse_ring_file("\n".join(" ".join(line) for line in lines) + "\n")
+        except RinglineError:
+            return
+        if mutations == 0:
+            assert ring.same_tables(ring_of_recipe(recipe))
 
     def test_validation_failure_propagates(self):
         bad = "ring x\norder 2\none 1\nadd\n0 1\n1 0\nmul\n0 0\n0 0\n"

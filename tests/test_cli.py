@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ringline import builtin_catalog, emit_ring_file, ring_zn
 from ringline.cli import main
 from ringline.catalog import CatalogEntry
@@ -41,10 +43,10 @@ def test_ring_show_bad_recipe(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _assert_ring_show_input_error(recipe: str) -> None:
-    """`ring show` in a subprocess exits 1 with an error line, no traceback."""
+def _assert_input_error(*argv: str) -> None:
+    """The CLI in a subprocess exits 1 with an error line, no traceback."""
     run = subprocess.run(
-        [sys.executable, "-m", "ringline", "ring", "show", recipe],
+        [sys.executable, "-m", "ringline", *argv],
         env=_src_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 1
@@ -53,12 +55,12 @@ def _assert_ring_show_input_error(recipe: str) -> None:
 
 def test_ring_show_deeply_nested_recipe():
     """A recipe nested 1,500 deep is an input error, not a RecursionError."""
-    _assert_ring_show_input_error("dual(" * 1500 + "gf:2" + ")" * 1500)
+    _assert_input_error("ring", "show", "dual(" * 1500 + "gf:2" + ")" * 1500)
 
 
 def test_ring_show_oversized_recipe():
     """64 nested duals pass the depth limit but are refused by the order cap."""
-    _assert_ring_show_input_error("dual(" * 64 + "gf:2" + ")" * 64)
+    _assert_input_error("ring", "show", "dual(" * 64 + "gf:2" + ")" * 64)
 
 
 def test_ring_show_beyond_ideal_cap(capsys):
@@ -83,6 +85,16 @@ def test_ring_validate_rejects_corrupt_file(tmp_path, capsys):
     path.write_text("\n".join(text) + "\n")
     assert main(["ring", "validate", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [2**63, 99999999999999999999])
+def test_ring_validate_entry_beyond_int64(tmp_path, entry):
+    """An addition entry too large for int64 is an input error, not an OverflowError."""
+    text = emit_ring_file(ring_zn(4)).splitlines()
+    text[4] = f"0 1 2 {entry}"  # first addition row
+    path = tmp_path / "huge.ring"
+    path.write_text("\n".join(text) + "\n")
+    _assert_input_error("ring", "validate", str(path))
 
 
 def test_line_compute_z4(capsys):

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ring_of
-from helpers import brute_ideals, brute_radical, brute_units
+from helpers import brute_ideals, brute_radical, brute_units, cyclic_join_ideals
 
 from ringline import (
     NoUnity,
@@ -19,8 +21,10 @@ from ringline import (
     NotClosed,
     NotDistributive,
     OrderTooLarge,
+    RingValidationError,
     ZeroIndexNotZero,
     build_recipe,
+    builtin_catalog,
     center,
     characteristic,
     direct_product,
@@ -38,20 +42,25 @@ from ringline import (
     validate_ring,
     zero_divisor_count,
 )
+from ringline import core
 
 CATALOG_NAMES = [
     "t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2",
     "gf4xz4", "gf4xdualf2", "skewgf4", "f2xy",
 ]
 SIDES = ("left", "right", "two_sided")
+CORRUPTIBLE = ["z4", "gf4", "dualf2", "t2f2", "m2f2", "skewgf4"]
 
 # read only: perfbench/capture_golden.py writes it from known-good sources
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
+def golden_rings() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["rings"]
+
+
 def golden_structure() -> list:
-    rings = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["rings"]
-    return [pytest.param(recipe, record, id=recipe) for recipe, record in rings.items()]
+    return [pytest.param(recipe, record, id=recipe) for recipe, record in golden_rings().items()]
 
 
 def lattice_members(ring, side: str) -> list:
@@ -62,6 +71,32 @@ def z4_tables():
     add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     mul = [[(a * b) % 4 for b in range(4)] for a in range(4)]
     return add, mul
+
+
+def validation_outcome(add, mul, one) -> tuple:
+    try:
+        validate_ring(add, mul, one)
+    except RingValidationError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+    return ("valid",)
+
+
+def full_scan(add, mul) -> bool:
+    """The per-element associativity and distributivity scans, raising on failure."""
+    n = add.shape[0]
+    core._check_associative(add, n, NotAbelianGroup, "addition")
+    core._check_associative(mul, n, NotAssociative, "multiplication")
+    core._check_distributive(add, mul, n)
+    return True
+
+
+@pytest.fixture
+def refuse_full_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full scan ran")
+
+    monkeypatch.setattr(core, "_check_associative", refuse)
+    monkeypatch.setattr(core, "_check_distributive", refuse)
 
 
 class TestValidateRing:
@@ -117,6 +152,69 @@ class TestValidateRing:
         add, mul = z4_tables()
         with pytest.raises(NoUnity):
             validate_ring(add, mul, 2)
+
+    @pytest.mark.parametrize("entry", [2**63, 10**20, -(2**70)])
+    def test_entry_beyond_int64(self, entry):
+        add, mul = z4_tables()
+        mul[1][2] = entry
+        with pytest.raises(NotClosed, match="multiplication table"):
+            validate_ring(add, mul, 1)
+
+    @given(
+        name=st.sampled_from(CORRUPTIBLE),
+        kind=st.sampled_from(
+            ["entries", "symmetric", "intercalate", "rows", "values", "conjugate"]
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generator_checks_agree_with_full_scan(self, name, kind, data):
+        """Same class, message and witness as validation by the full scan alone."""
+        ring = ring_of(name)
+        n, one = ring.order, ring.one
+        add, mul = ring.add.copy(), ring.mul.copy()
+        element = st.integers(0, n - 1)
+        if kind == "entries":
+            for _ in range(data.draw(st.integers(1, 3))):
+                table = data.draw(st.sampled_from([add, mul]))
+                table[data.draw(element), data.draw(element)] = data.draw(element)
+        elif kind == "symmetric":
+            i, j = data.draw(element), data.draw(element)
+            add[i, j] = add[j, i] = data.draw(element)
+        elif kind == "intercalate":
+            # swap i+i = k+k with i+k: addition stays a commutative loop
+            pairs = [(i, k) for i in range(1, n) for k in range(i + 1, n) if add[i, i] == add[k, k]]
+            i, k = data.draw(st.sampled_from(pairs))
+            add[i, i], add[i, k] = add[i, k], add[i, i]
+            add[k, k], add[k, i] = add[i, i], add[i, k]
+            if data.draw(st.booleans()):
+                mul[:] = 0  # distributive and associative over any addition
+        else:
+            # a permutation fixing 0 and 1 applied to the multiplication table
+            others = [x for x in range(1, n) if x != one]
+            perm = np.arange(n)
+            perm[others] = data.draw(st.permutations(others))
+            if kind == "rows":
+                mul = mul[perm]
+            elif kind == "values":
+                mul = perm[mul]
+            else:  # an isomorphic copy of mul over the unchanged addition
+                inv = np.argsort(perm)
+                mul = perm[mul[np.ix_(inv, inv)]]
+        fast = validation_outcome(add, mul, one)
+        with mock.patch.object(core, "_axioms_hold_on_generators", full_scan):
+            assert fast == validation_outcome(add, mul, one)
+
+    def test_valid_rings_skip_full_scan(self, refuse_full_scan):
+        recipes = [e.recipe for e in builtin_catalog() if e.recipe is not None]
+        for recipe in recipes + ["zn:1024"]:
+            assert build_recipe(recipe).order > 1
+
+    def test_corrupt_table_reaches_full_scan(self, refuse_full_scan):
+        add, mul = z4_tables()
+        mul[2][3] = 1
+        with pytest.raises(AssertionError, match="full scan ran"):
+            validate_ring(add, mul, 1)
 
 
 class TestUnits:
@@ -242,6 +340,19 @@ class TestIdealLattice:
         assert lattice_members(opposite, "left") == lattice_members(ring, "right")
         assert lattice_members(opposite, "right") == lattice_members(ring, "left")
         assert lattice_members(opposite, "two_sided") == lattice_members(ring, "two_sided")
+
+    @pytest.mark.parametrize("recipe", list(golden_rings()))
+    def test_matches_cyclic_join_oracle(self, recipe):
+        """Full member lists against set-based cyclic joins, up to order 64."""
+        ring = build_recipe(recipe)
+        perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one)
+        for r in (ring, relabel(ring, perm), opposite):
+            left = cyclic_join_ideals(r.add, r.mul)
+            right = cyclic_join_ideals(r.add, r.mul.T)
+            for side, ideals in zip(SIDES, (left, right, left & right)):
+                expected = sorted(ideals, key=lambda s: (len(s), sorted(s)))
+                assert lattice_members(r, side) == expected
 
     def test_order_cap(self):
         ring = triangular_ring(ring_gf(2, 2), 2)  # order 64 passes the cap

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ringline import (
     build_line,
     build_recipe,
     distant,
+    fingerprint,
     is_admissible,
     is_invertible_2x2,
     point_type,
@@ -26,6 +28,7 @@ from ringline import (
     signature,
     triangular_ring,
     unit_elements,
+    validate_ring,
 )
 
 NONCOMMUTATIVE = ["t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2", "skewgf4", "f2xy"]
@@ -177,6 +180,22 @@ class TestRightLine:
         sizes = info.value.class_sizes
         assert len(sizes) > 1  # genuinely non-constant multiset
         assert sum(size * count for size, count in sizes.items()) == 35 * 6
+
+    def test_m2f2_opposite_ring(self):
+        """Over M2(GF(2))^op the sides swap: the left line keeps its signature,
+        and the right line breaks down as M2(GF(2))'s does."""
+        ring = ring_of("m2f2")
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one)
+        fp = fingerprint(ring)
+        assert fingerprint(opposite) == replace(
+            fp,
+            maximal_left_ideal_count=fp.maximal_right_ideal_count,
+            maximal_right_ideal_count=fp.maximal_left_ideal_count,
+        )
+        assert signature(build_line(opposite, "left")).as_row() == (35, 26, 18, 9, 3, 5)
+        with pytest.raises(RightLineBreakdown) as info:
+            build_line(opposite, "right")
+        assert info.value.class_sizes == {6: 32, 3: 6}
 
     @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "m2f2"])
     def test_right_line_exists_elsewhere(self, name):
