@@ -28,6 +28,7 @@ ORDER_CAP = 1024  # largest ring any constructor builds; its tables hold n^2 ent
 RECIPE_DEPTH_CAP = 64  # nested constructor calls; the deepest shipped recipe has 4
 
 Matrix = tuple[tuple[int, ...], ...]
+_MATRIX_BLOCK = 2**16  # matrix pairs per step when filling matrix ring tables
 
 
 def _check_order(order: int, what: str) -> None:
@@ -61,15 +62,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
@@ -116,7 +108,8 @@ def default_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 def ring_gf(p: int, k: int, poly: Sequence[int] | None = None) -> FiniteRing:
-    """Field GF(p^k) on polynomial residues.
+    """Field GF(p^k) on polynomial residues: the structure-constant algebra on
+    the basis 1, x, ..., x^(k-1).
 
     Element index encodes the coefficient vector base p, constant term least
     significant, so index 1 is the field's one and indices 0..p-1 are the
@@ -134,17 +127,12 @@ def ring_gf(p: int, k: int, poly: Sequence[int] | None = None) -> FiniteRing:
         raise NotIrreducible(f"need a monic polynomial of degree {k}, got {poly}")
     if not is_irreducible(poly, p):
         raise NotIrreducible(f"{poly} is reducible over Z_{p}")
-    q = p**k
-    digits = [[(v // p**i) % p for i in range(k)] for v in range(q)]
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            s = [(digits[a][i] + digits[b][i]) % p for i in range(k)]
-            add[a, b] = sum(c * p**i for i, c in enumerate(s))
-            m = _poly_mod(_poly_mul(digits[a], digits[b], p), poly, p)
-            mul[a, b] = sum(c * p**i for i, c in enumerate(m))
-    return validate_ring(add, mul, 1, name=f"GF({q})")
+    # const[i][j] = coefficients of x^(i+j) mod poly
+    const = [
+        [(_poly_mod([0] * (i + j) + [1], poly, p) + [0] * k)[:k] for j in range(k)]
+        for i in range(k)
+    ]
+    return structure_constants_algebra(p, k, const, name=f"GF({p**k})")
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +197,14 @@ def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
         raise NotAutomorphism("sigma is not a permutation of the elements")
     if sig[f.one] != f.one or sig[0] != 0:
         raise NotAutomorphism("sigma does not fix 0 and 1")
-    for a in range(n):
-        for b in range(n):
-            if sig[f.add[a, b]] != f.add[sig[a], sig[b]]:
-                raise NotAutomorphism(f"sigma breaks addition at ({a}, {b})")
-            if sig[f.mul[a, b]] != f.mul[sig[a], sig[b]]:
-                raise NotAutomorphism(f"sigma breaks multiplication at ({a}, {b})")
+    s = np.array(sig)
+    breaks_add = s[f.add] != f.add[np.ix_(s, s)]
+    breaks_mul = s[f.mul] != f.mul[np.ix_(s, s)]
+    broken = np.argwhere(breaks_add | breaks_mul)
+    if len(broken):  # first witness in row-major order; addition is checked first
+        a, b = (int(v) for v in broken[0])
+        what = "addition" if breaks_add[a, b] else "multiplication"
+        raise NotAutomorphism(f"sigma breaks {what} at ({a}, {b})")
     return sig
 
 
@@ -246,61 +236,79 @@ def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
 # matrix rings
 
 
-def _matrix_tables(
-    base: FiniteRing, positions: list[tuple[int, int]], dim: int, name: str
-) -> FiniteRing:
-    """Ring of dim x dim matrices supported on the given entry positions.
-
-    Index encodes the entry tuple (in ``positions`` order) base |base| with
-    the first position most significant, i.e. lexicographic on entry tuples.
-    The support must be closed under products (full or upper triangular),
-    or the encoding would drop entries.
-    """
-    nb = base.order
-    count = len(positions)
-    n_el = nb**count
-    _check_order(n_el, name)
-    # mats[v] = dense dim x dim matrix of element v
-    mats = np.zeros((n_el, dim, dim), dtype=np.int64)
-    for slot, (i, j) in enumerate(positions):
-        place = nb ** (count - 1 - slot)
-        mats[:, i, j] = (np.arange(n_el) // place) % nb
-    places = np.zeros((dim, dim), dtype=np.int64)
-    for slot, (i, j) in enumerate(positions):
-        places[i, j] = nb ** (count - 1 - slot)
-
-    sums = base.add[mats[:, None, :, :], mats[None, :, :, :]]
-    add = (sums * places).sum(axis=(2, 3))
-
+def _matrix_mul(base: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stacked products over the base ring: ``out[i, j] = x[i] @ y[j]``."""
     prod = None
-    for k in range(dim):
-        term = base.mul[mats[:, None, :, k, None], mats[None, :, None, k, :]]
+    for k in range(x.shape[-1]):
+        term = base.mul[x[:, None, :, k, None], y[None, :, None, k, :]]
         prod = term if prod is None else base.add[prod, term]
-    mul = (prod * places).sum(axis=(2, 3))
+    return prod
 
-    one_mat = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(dim):
-        one_mat[i, i] = base.one
-    one = int((one_mat * places).sum())
-    return validate_ring(add, mul, one, name=name)
+
+def _matrix_codes(base: FiniteRing, mats: np.ndarray) -> np.ndarray:
+    """Entries read row-major as digits base |base|, first entry most
+    significant, so code order is lexicographic order on entry tuples."""
+    cells = mats.shape[-1] * mats.shape[-2]
+    places = base.order ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    return mats.reshape(*mats.shape[:-2], cells) @ places
+
+
+def _matrix_ring(base: FiniteRing, mats: np.ndarray, name: str) -> FiniteRing:
+    """Ring on a stack of distinct matrices closed under sum and product.
+
+    Index is the rank of the matrix's code (:func:`_matrix_codes`), which
+    puts the zero matrix at index 0. Tables are filled a block of rows at a
+    time, so the working memory beyond the tables themselves is
+    O(max(n, _MATRIX_BLOCK) * dim^2), not O(n^2 * dim^2).
+    """
+    codes = _matrix_codes(base, mats)
+    by_code = np.argsort(codes)
+    mats, codes = mats[by_code], codes[by_code]
+    n = len(codes)
+    add = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
+    step = max(1, _MATRIX_BLOCK // n)
+    for i in range(0, n, step):
+        block = mats[i : i + step]
+        sums = base.add[block[:, None], mats[None]]
+        add[i : i + step] = np.searchsorted(codes, _matrix_codes(base, sums))
+        prods = _matrix_mul(base, block, mats)
+        mul[i : i + step] = np.searchsorted(codes, _matrix_codes(base, prods))
+    one = _matrix_codes(base, np.eye(mats.shape[-1], dtype=np.int64) * base.one)
+    return validate_ring(add, mul, int(np.searchsorted(codes, one)), name=name)
+
+
+def _supported_matrices(
+    base: FiniteRing, positions: list[tuple[int, int]], dim: int, name: str
+) -> np.ndarray:
+    """Every dim x dim matrix over the base ring supported on ``positions``."""
+    count = len(positions)
+    _check_order(base.order**count, name)
+    digits = np.array(list(iter_product(range(base.order), repeat=count)), dtype=np.int64)
+    rows, cols = zip(*positions)
+    mats = np.zeros((len(digits), dim, dim), dtype=np.int64)
+    mats[:, rows, cols] = digits
+    return mats
 
 
 def matrix_ring(base: FiniteRing, dim: int) -> FiniteRing:
-    """Full dim x dim matrices over the base ring."""
+    """Full dim x dim matrices over the base ring, indexed lexicographically
+    on their row-major entry tuples."""
     if dim < 1:
         raise ValueError("matrix dimension must be positive")
     positions = [(i, j) for i in range(dim) for j in range(dim)]
     name = base.name if dim == 1 else f"M{dim}({base.name})"
-    return _matrix_tables(base, positions, dim, name)
+    return _matrix_ring(base, _supported_matrices(base, positions, dim, name), name)
 
 
 def triangular_ring(base: FiniteRing, dim: int) -> FiniteRing:
-    """Upper-triangular dim x dim matrices over the base ring."""
+    """Upper-triangular dim x dim matrices over the base ring, indexed
+    lexicographically on their row-major entry tuples."""
     if dim < 1:
         raise ValueError("matrix dimension must be positive")
     positions = [(i, j) for i in range(dim) for j in range(i, dim)]
     name = base.name if dim == 1 else f"T{dim}({base.name})"
-    return _matrix_tables(base, positions, dim, name)
+    return _matrix_ring(base, _supported_matrices(base, positions, dim, name), name)
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +369,6 @@ NAMED_ALGEBRAS = {
 # matrix subring closure
 
 
-def _mat_add(base: FiniteRing, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(int(base.add[x, y]) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mat_mul(base: FiniteRing, a: Matrix, b: Matrix) -> Matrix:
-    dim = len(a)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = 0
-            for k in range(dim):
-                acc = int(base.add[acc, base.mul[a[i][k], b[k][j]]])
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def matrix_subring_closure(
     base: FiniteRing,
     generators: Sequence[Matrix],
@@ -391,7 +379,8 @@ def matrix_subring_closure(
     generators, 0 and the identity; re-indexed as a standalone ring.
 
     Elements are sorted by entry tuple (row-major), which puts the zero
-    matrix at index 0 as required.
+    matrix at index 0 as required. The sort key is an int64 code, so bases
+    with |base|^(dim^2) >= 2^63 are refused with :class:`ClosureTooLarge`.
     """
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
     if gens:
@@ -401,56 +390,33 @@ def matrix_subring_closure(
                 raise ValueError("generators must be square matrices of equal size")
     elif dim is None:
         dim = 1
-    zero = tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
-    one = tuple(
-        tuple(base.one if i == j else 0 for j in range(dim)) for i in range(dim)
-    )
+    if base.order ** (dim * dim) >= 2**63:
+        raise ClosureTooLarge(
+            f"{dim}x{dim} matrices over {base.name} have codes outside the int64 range"
+        )
+    one = np.eye(dim, dtype=np.int64) * base.one
+    basis = np.concatenate([one[None], np.array(gens, dtype=np.int64).reshape(-1, dim, dim)])
+    span = np.zeros((1, dim, dim), dtype=np.int64)
+    span_codes = np.zeros(1, dtype=np.int64)
 
-    basis = [one] + [g for g in gens if g != zero]
-    seen_basis = set(basis)
+    def fresh(mats: np.ndarray) -> np.ndarray:
+        """The distinct matrices of the stack that are not yet in the span."""
+        codes, first = np.unique(_matrix_codes(base, mats), return_index=True)
+        return mats[first[~np.isin(codes, span_codes)]]
 
-    def additive_span(bs: list[Matrix]) -> set[Matrix]:
-        span = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for b in bs:
-                    s = _mat_add(base, x, b)
-                    if s not in span:
-                        if len(span) >= cap:
-                            raise ClosureTooLarge(
-                                f"closure exceeds {cap} elements"
-                            )
-                        span.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return span
-
-    span = additive_span(basis)
-    while True:
-        fresh = []
-        for a in basis:
-            for b in basis:
-                p = _mat_mul(base, a, b)
-                if p not in span and p not in seen_basis:
-                    fresh.append(p)
-                    seen_basis.add(p)
-        if not fresh:
-            break
-        basis.extend(fresh)
-        span = additive_span(basis)
-
-    elems = sorted(span)
-    index = {mat: i for i, mat in enumerate(elems)}
-    n = len(elems)
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = index[_mat_add(base, a, b)]
-            mul[i, j] = index[_mat_mul(base, a, b)]
-    return validate_ring(add, mul, index[one], name=f"closure({base.name},{dim}x{dim})")
+    new = basis
+    while len(new):
+        # the span is a group, so span + <new> is reached from it by adding new
+        frontier, steps = span, new
+        while len(frontier):
+            frontier = fresh(base.add[frontier[:, None], steps[None]].reshape(-1, dim, dim))
+            if len(span) + len(frontier) > cap:
+                raise ClosureTooLarge(f"closure exceeds {cap} elements")
+            span = np.concatenate([span, frontier])
+            span_codes = np.concatenate([span_codes, _matrix_codes(base, frontier)])
+        new = fresh(_matrix_mul(base, basis, basis).reshape(-1, dim, dim))
+        basis = np.concatenate([basis, new])
+    return _matrix_ring(base, span, name=f"closure({base.name},{dim}x{dim})")
 
 
 # ---------------------------------------------------------------------------

@@ -155,12 +155,15 @@ class RingFingerprint:
 
 
 def _as_table(table: Sequence[Sequence[int]] | np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(table)
+    try:
+        arr = np.asarray(table)
+    except ValueError:
+        raise NotClosed(f"{what} table has rows of unequal length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotClosed(f"{what} table is not square: shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
-        if not isinstance(table, np.ndarray):
-            arr = np.array(table, dtype=object)  # exact ints, not numpy's float rounding
+        # exact Python numbers, so the int64 cast raises instead of rounding or wrapping
+        arr = np.array(table, dtype=object)
         try:
             conv = arr.astype(np.int64)
         except OverflowError:

@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check library results.
 
 These deliberately avoid the library's own code paths: raw table scans,
-naive subset enumeration, determinant arithmetic for commutative rings.
+naive subset enumeration, determinant arithmetic for commutative rings,
+matrix arithmetic on tuples of tuples.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from ringline import ClosureTooLarge, NotAutomorphism, validate_ring
 
 
 def brute_units(ring) -> set[int]:
@@ -142,3 +145,106 @@ def brute_lex_least_max_clique(adj) -> tuple[int, ...]:
         for s in combinations(range(n), omega)
         if all(adj[u, v] for u, v in combinations(s, 2))
     )
+
+
+def check_automorphism_per_pair(f, sigma) -> tuple[int, ...]:
+    """Scan every pair (a, b) in row-major order, addition before
+    multiplication, and raise on the first one sigma does not respect."""
+    sig = tuple(int(s) for s in sigma)
+    n = f.order
+    if len(sig) != n or sorted(sig) != list(range(n)):
+        raise NotAutomorphism("sigma is not a permutation of the elements")
+    if sig[f.one] != f.one or sig[0] != 0:
+        raise NotAutomorphism("sigma does not fix 0 and 1")
+    for a in range(n):
+        for b in range(n):
+            if sig[f.add[a, b]] != f.add[sig[a], sig[b]]:
+                raise NotAutomorphism(f"sigma breaks addition at ({a}, {b})")
+            if sig[f.mul[a, b]] != f.mul[sig[a], sig[b]]:
+                raise NotAutomorphism(f"sigma breaks multiplication at ({a}, {b})")
+    return sig
+
+
+def _mat_add(base, a, b):
+    return tuple(
+        tuple(int(base.add[x, y]) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+
+
+def _mat_mul(base, a, b):
+    dim = len(a)
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = 0
+            for k in range(dim):
+                acc = int(base.add[acc, base.mul[a[i][k], b[k][j]]])
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def tuple_subring_closure(base, generators, dim=None, cap=1024):
+    """Matrix subring closure on Python tuples of tuples: additive spans by
+    breadth-first search, products entry by entry, tables filled pair by pair.
+    Same contract as :func:`ringline.matrix_subring_closure`.
+    """
+    gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
+    if gens:
+        dim = len(gens[0])
+        for g in gens:
+            if len(g) != dim or any(len(row) != dim for row in g):
+                raise ValueError("generators must be square matrices of equal size")
+    elif dim is None:
+        dim = 1
+    zero = tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
+    one = tuple(
+        tuple(base.one if i == j else 0 for j in range(dim)) for i in range(dim)
+    )
+
+    basis = [one] + [g for g in gens if g != zero]
+    seen_basis = set(basis)
+
+    def additive_span(bs):
+        span = {zero}
+        frontier = [zero]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for b in bs:
+                    s = _mat_add(base, x, b)
+                    if s not in span:
+                        if len(span) >= cap:
+                            raise ClosureTooLarge(
+                                f"closure exceeds {cap} elements"
+                            )
+                        span.add(s)
+                        nxt.append(s)
+            frontier = nxt
+        return span
+
+    span = additive_span(basis)
+    while True:
+        fresh = []
+        for a in basis:
+            for b in basis:
+                p = _mat_mul(base, a, b)
+                if p not in span and p not in seen_basis:
+                    fresh.append(p)
+                    seen_basis.add(p)
+        if not fresh:
+            break
+        basis.extend(fresh)
+        span = additive_span(basis)
+
+    elems = sorted(span)
+    index = {mat: i for i, mat in enumerate(elems)}
+    n = len(elems)
+    add = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            add[i, j] = index[_mat_add(base, a, b)]
+            mul[i, j] = index[_mat_mul(base, a, b)]
+    return validate_ring(add, mul, index[one], name=f"closure({base.name},{dim}x{dim})")

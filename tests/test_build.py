@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import pathlib
 import tracemalloc
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ring_of
-from helpers import brute_units
+from helpers import brute_units, check_automorphism_per_pair, tuple_subring_closure
 
 from ringline import (
     ClosureTooLarge,
@@ -41,6 +43,7 @@ from ringline import (
 )
 from ringline.build import (
     ORDER_CAP,
+    _check_automorphism,
     default_irreducible,
     frobenius_automorphism,
     identity_automorphism,
@@ -207,6 +210,37 @@ class TestSkewDualNumbers:
             skew_dual_numbers(ring_zn(4), (0, 1, 2, 3))
 
 
+def automorphism_outcome(check, ring, sigma) -> tuple:
+    try:
+        return ("ok", check(ring, sigma))
+    except NotAutomorphism as exc:
+        return ("raised", str(exc))
+
+
+@given(recipe=st.sampled_from(["gf:4", "gf:8", "gf:9", "tri(gf:2,2)"]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_automorphism_check_matches_per_pair_scan(recipe, data):
+    """Same message and witness as the row-major scan over every pair.
+
+    Over the fields no sigma fixing 0 and 1 breaks addition and
+    multiplication at its first witness; over T2(GF(2)) some do.
+    """
+    ring = ring_of_recipe(recipe)
+    sigma = list(frobenius_automorphism(ring, data.draw(st.integers(0, 3))))
+    if data.draw(st.booleans()):
+        others = [x for x in range(ring.order) if x not in (0, ring.one)]
+        sigma = list(range(ring.order))
+        for x, y in zip(others, data.draw(st.permutations(others))):
+            sigma[x] = y
+    element = st.integers(0, ring.order - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(element), data.draw(element)
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+    assert automorphism_outcome(_check_automorphism, ring, sigma) == automorphism_outcome(
+        check_automorphism_per_pair, ring, sigma
+    )
+
+
 class TestStructureConstants:
     def test_f2xy_candidate(self):
         ring = build_recipe("algebra:f2xy")
@@ -277,6 +311,94 @@ class TestMatrixSubringClosure:
         ]
         with pytest.raises(ClosureTooLarge):
             matrix_subring_closure(gf16, gens, cap=64)
+
+    def test_codes_beyond_int64_refused_before_allocation(self):
+        shift = tuple(tuple(int(j == i + 1) for j in range(8)) for i in range(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClosureTooLarge, match="int64"):
+                matrix_subring_closure(ring_gf(2, 1), [shift])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ORDER_CAP**2  # less than one int64 table of order 1024
+
+    @pytest.mark.parametrize(
+        "recipe, dim, kind",
+        [(r, d, k) for r in ("gf:2", "gf:3", "zn:4") for d in (1, 2) for k in ("mat", "tri")]
+        + [("gf:2", 3, "mat"), ("gf:2", 3, "tri")],
+    )
+    def test_unit_closure_equals_constructor(self, recipe, dim, kind):
+        """Over a prime ring the matrix units generate the whole support.
+
+        Over any other base the closure lacks the base's non-prime scalars,
+        so the cross-check is limited to bases that are their own prime ring.
+        """
+        base = ring_of_recipe(recipe)
+        one = base.one
+        units_ = [
+            tuple(tuple(one if (r, c) == (i, j) else 0 for c in range(dim)) for r in range(dim))
+            for i in range(dim)
+            for j in range(i if kind == "tri" else 0, dim)
+        ]
+        expected = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
+        assert matrix_subring_closure(base, units_).same_tables(expected)
+
+
+CLOSURE_BASES = ["gf:2", "gf:3", "zn:4", "gf:4", "dual(gf:2)"]
+
+
+@given(
+    recipe=st.sampled_from(CLOSURE_BASES),
+    dim=st.integers(1, 3),
+    cap=st.sampled_from([8, 64]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_tuple_oracle(recipe, dim, cap, data):
+    """Same (order, one, name, add, mul) as closure on tuples, or both refuse."""
+    base = ring_of_recipe(recipe)
+    entry = st.integers(0, base.order - 1)
+    matrix = st.tuples(*[st.tuples(*[entry] * dim)] * dim)
+    gens = data.draw(st.lists(matrix, min_size=1, max_size=3))
+
+    def outcome(closure):
+        try:
+            ring = closure(base, gens, cap=cap)
+        except ClosureTooLarge as exc:
+            return ("refused", str(exc))
+        return (ring.order, ring.one, ring.name, ring.add.tobytes(), ring.mul.tobytes())
+
+    assert outcome(matrix_subring_closure) == outcome(tuple_subring_closure)
+
+
+TABLE_DIGESTS = json.loads((DATA / "table_digests.json").read_text())
+
+
+@pytest.mark.parametrize("recipe", sorted(TABLE_DIGESTS))
+def test_tables_match_pinned_digests(recipe):
+    """Element order and encoding of every constructor stay as first shipped."""
+    ring = ring_of_recipe(recipe)
+    assert {
+        "name": ring.name,
+        "order": ring.order,
+        "one": ring.one,
+        "add": hashlib.sha256(ring.add.tobytes()).hexdigest(),
+        "mul": hashlib.sha256(ring.mul.tobytes()).hexdigest(),
+    } == TABLE_DIGESTS[recipe]
+
+
+def test_matrix_construction_memory_bounded():
+    """Tables are filled a block of rows at a time: order 1024 without
+    n^2 * dim^2 stacks."""
+    tracemalloc.start()
+    try:
+        ring = build_recipe("tri(gf:2,4)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.order == 1024
+    assert peak < 16 * 8 * ORDER_CAP**2  # 16 int64 tables of order 1024
 
 
 class TestRingFiles:

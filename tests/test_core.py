@@ -160,6 +160,29 @@ class TestValidateRing:
         with pytest.raises(NotClosed, match="multiplication table"):
             validate_ring(add, mul, 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(NotClosed, match="addition table has rows of unequal length"):
+            validate_ring([[0, 1], [1]], [[0, 0], [0, 1]], 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [2.0**63, -(2.0**64), np.inf])
+    def test_float_entry_beyond_int64(self, entry):
+        add, mul = z4_tables()
+        mul = np.array(mul, dtype=np.float64)
+        mul[1][2] = entry
+        with pytest.raises(NotClosed, match="multiplication table has an entry outside the int64"):
+            validate_ring(add, mul, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1.5, np.nan])
+    def test_float_entry_not_integer(self, entry):
+        add, mul = z4_tables()
+        mul = np.array(mul, dtype=np.float64)
+        mul[1][2] = entry
+        with pytest.raises(NotClosed, match="multiplication table has non-integer entries"):
+            validate_ring(add, mul, 1)
+
     @given(
         name=st.sampled_from(CORRUPTIBLE),
         kind=st.sampled_from(
