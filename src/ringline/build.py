@@ -31,10 +31,13 @@ Matrix = tuple[tuple[int, ...], ...]
 _MATRIX_BLOCK = 2**16  # matrix pairs per step when filling matrix ring tables
 
 
-def _check_order(order: int, what: str) -> None:
-    """Refuse a construction before it allocates tables for ``order`` elements."""
-    if order > ORDER_CAP:
-        raise OrderTooLarge(f"{what} would have {order} elements (cap {ORDER_CAP})")
+def _check_order(order: int, what: str, power: int = 1) -> None:
+    """Refuse a construction before it allocates tables for ``order**power``
+    elements. An order of at least 2 to a power past ORDER_CAP's bit length
+    exceeds the cap, so such a power is refused without being computed."""
+    if power > ORDER_CAP.bit_length() or order**power > ORDER_CAP:
+        size = order if power == 1 else f"{order}^{power}"
+        raise OrderTooLarge(f"{what} would have {size} elements (cap {ORDER_CAP})")
 
 
 def _is_prime(n: int) -> bool:
@@ -119,7 +122,7 @@ def ring_gf(p: int, k: int, poly: Sequence[int] | None = None) -> FiniteRing:
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    _check_order(p**k, f"GF({p}^{k})")
+    _check_order(p, f"GF({p}^{k})", k)
     if poly is None:
         poly = default_irreducible(p, k)
     poly = tuple(int(c) % p for c in poly)
@@ -173,14 +176,23 @@ def identity_automorphism(f: FiniteRing) -> tuple[int, ...]:
 
 
 def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
-    """x -> x^(p^power) where p is the characteristic."""
+    """x -> x^(p^power) where p is the characteristic.
+
+    The iterates of x -> x^p on a finite ring repeat, so a large power is
+    reduced along their cycle instead of being applied step by step.
+    """
     p = characteristic(f)
     if not _is_prime(p):
         raise NotAutomorphism(f"characteristic {p} is not prime")
-    sigma = list(range(f.order))
-    for _ in range(power):
-        sigma = [_ring_pow(f, sigma[x], p) for x in range(f.order)]
-    return tuple(sigma)
+    frob = [_ring_pow(f, x, p) for x in range(f.order)]
+    maps = [tuple(range(f.order))]  # maps[i] is x -> x^(p^i)
+    while len(maps) <= power:
+        step = tuple(frob[x] for x in maps[-1])
+        if step in maps:
+            start = maps.index(step)
+            return maps[start + (power - start) % (len(maps) - start)]
+        maps.append(step)
+    return maps[power]
 
 
 def _ring_pow(f: FiniteRing, x: int, e: int) -> int:
@@ -278,12 +290,13 @@ def _matrix_ring(base: FiniteRing, mats: np.ndarray, name: str) -> FiniteRing:
     return validate_ring(add, mul, int(np.searchsorted(codes, one)), name=name)
 
 
-def _supported_matrices(
-    base: FiniteRing, positions: list[tuple[int, int]], dim: int, name: str
-) -> np.ndarray:
-    """Every dim x dim matrix over the base ring supported on ``positions``."""
-    count = len(positions)
-    _check_order(base.order**count, name)
+def _supported_matrices(base: FiniteRing, dim: int, triangular: bool, name: str) -> np.ndarray:
+    """Every full or upper-triangular dim x dim matrix over the base ring."""
+    if dim < 1:
+        raise ValueError("matrix dimension must be positive")
+    count = dim * (dim + 1) // 2 if triangular else dim * dim
+    _check_order(base.order, name, count)  # before any list of dim^2 positions
+    positions = [(i, j) for i in range(dim) for j in range(i if triangular else 0, dim)]
     digits = np.array(list(iter_product(range(base.order), repeat=count)), dtype=np.int64)
     rows, cols = zip(*positions)
     mats = np.zeros((len(digits), dim, dim), dtype=np.int64)
@@ -294,21 +307,15 @@ def _supported_matrices(
 def matrix_ring(base: FiniteRing, dim: int) -> FiniteRing:
     """Full dim x dim matrices over the base ring, indexed lexicographically
     on their row-major entry tuples."""
-    if dim < 1:
-        raise ValueError("matrix dimension must be positive")
-    positions = [(i, j) for i in range(dim) for j in range(dim)]
     name = base.name if dim == 1 else f"M{dim}({base.name})"
-    return _matrix_ring(base, _supported_matrices(base, positions, dim, name), name)
+    return _matrix_ring(base, _supported_matrices(base, dim, False, name), name)
 
 
 def triangular_ring(base: FiniteRing, dim: int) -> FiniteRing:
     """Upper-triangular dim x dim matrices over the base ring, indexed
     lexicographically on their row-major entry tuples."""
-    if dim < 1:
-        raise ValueError("matrix dimension must be positive")
-    positions = [(i, j) for i in range(dim) for j in range(i, dim)]
     name = base.name if dim == 1 else f"T{dim}({base.name})"
-    return _matrix_ring(base, _supported_matrices(base, positions, dim, name), name)
+    return _matrix_ring(base, _supported_matrices(base, dim, True, name), name)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +339,16 @@ def structure_constants_algebra(
     const = np.asarray(mul_constants, dtype=np.int64) % m
     if const.shape != (rank, rank, rank):
         raise ValueError(f"constants must be {rank}x{rank}x{rank} coefficient vectors")
-    n_el = m**rank
-    _check_order(n_el, name or f"Z{m}-algebra(rank {rank})")
-    coeffs = np.array(
-        [[(v // m**i) % m for i in range(rank)] for v in range(n_el)], dtype=np.int64
-    )
+    _check_order(m, name or f"Z{m}-algebra(rank {rank})", rank)
     places = m ** np.arange(rank)
-    add = (((coeffs[:, None, :] + coeffs[None, :, :]) % m) * places).sum(axis=2)
-    # (sum ai ei)(sum bj ej) = sum_ij ai bj (ei ej)
-    pairwise = np.einsum("ui,vj,ijk->uvk", coeffs, coeffs, const) % m
-    mul = (pairwise * places).sum(axis=2)
+    coeffs = np.arange(m**rank)[:, None] // places % m
+    add = np.zeros((m**rank, m**rank), dtype=np.int64)
+    mul = np.zeros_like(add)
+    # (sum ai ei)(sum bj ej) = sum_ij ai bj (ei ej), filled one coordinate at
+    # a time, so no n x n x rank array is held
+    for k in range(rank):
+        add += (coeffs[:, None, k] + coeffs[None, :, k]) % m * places[k]
+        mul += coeffs @ const[:, :, k] @ coeffs.T % m * places[k]
     one = 1  # e0
     return validate_ring(add, mul, one, name=name or f"Z{m}-algebra(rank {rank})")
 
@@ -390,6 +397,8 @@ def matrix_subring_closure(
                 raise ValueError("generators must be square matrices of equal size")
     elif dim is None:
         dim = 1
+    if any(not 0 <= x < base.order for g in gens for row in g for x in row):
+        raise ValueError(f"generator entries must be element indices 0..{base.order - 1}")
     if base.order ** (dim * dim) >= 2**63:
         raise ClosureTooLarge(
             f"{dim}x{dim} matrices over {base.name} have codes outside the int64 range"
@@ -529,7 +538,14 @@ class RingRecipe:
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_CALL_ARITY = {"dual": 1, "skew": (1, 2), "mat": 2, "tri": 2, "prod": 2}
+# the argument kinds each constructor accepts
+_CALL_ARGS = {
+    "dual": [("ring",)],
+    "skew": [("ring",), ("ring", "integer")],
+    "mat": [("ring", "integer")],
+    "tri": [("ring", "integer")],
+    "prod": [("ring", "ring")],
+}
 
 
 def parse_recipe(text: str) -> RingRecipe:
@@ -562,7 +578,7 @@ def _parse_recipe_expr(s: str, depth: int = 0) -> tuple[RingRecipe, str]:
             return RingRecipe("algebra", (value,)), rest
         raise ValueError(f"unknown recipe atom {head!r}")
     if rest.startswith("("):
-        if head not in _CALL_ARITY:
+        if head not in _CALL_ARGS:
             raise ValueError(f"unknown recipe constructor {head!r}")
         rest = rest[1:]
         args: list = []
@@ -581,10 +597,10 @@ def _parse_recipe_expr(s: str, depth: int = 0) -> tuple[RingRecipe, str]:
                 rest = rest[1:]
             elif not rest.startswith(")"):
                 raise ValueError(f"expected ',' or ')' near {rest!r}")
-        arity = _CALL_ARITY[head]
-        ok = len(args) in arity if isinstance(arity, tuple) else len(args) == arity
-        if not ok:
-            raise ValueError(f"{head} takes {arity} argument(s), got {len(args)}")
+        got = tuple("ring" if isinstance(a, RingRecipe) else "integer" for a in args)
+        if got not in _CALL_ARGS[head]:
+            want = " or ".join(f"({', '.join(kinds)})" for kinds in _CALL_ARGS[head])
+            raise ValueError(f"{head} takes {want}, got ({', '.join(got)})")
         return RingRecipe(head, tuple(args)), rest
     raise ValueError(f"unknown recipe {head!r} (expected ':' or '(' after it)")
 

@@ -1,9 +1,26 @@
 """Exact maximum-clique search on small graphs.
 
-Branch and bound with a greedy-colouring bound (Tomita style) over bitmask
-adjacency. ``max_clique`` returns the lexicographically least maximum clique,
-so results are reproducible regardless of search order. The bitmasks are
-built from the matrix once per call and never leave this module.
+One branch and bound over bitmask adjacency finds the lexicographically least
+maximum clique, so results are reproducible. The bitmasks are built from the
+matrix once per call and never leave this module.
+
+Each node of the search holds the clique ``chosen`` so far and the set
+``cand`` of vertices adjacent to all of it. A greedy colouring splits
+``cand`` into colour classes, each an independent set, so a clique meets each
+class at most once and ``len(chosen)`` plus the number of classes still
+meeting ``cand`` bounds every clique below the node. The node takes the
+vertices of ``cand`` in ascending order, recurses on each one's neighbours
+in ``cand`` and then drops it, and is cut once the bound cannot beat the best
+clique recorded so far. A clique is recorded only when strictly larger than
+the best.
+
+Why the first maximum clique recorded is the least one: the search visits
+ascending vertex sequences in lexicographic order, so it reaches the least
+maximum clique C* before any other maximum clique. Until then the best
+recorded clique is smaller than omega. At every node on C*'s path the
+remaining members of C* are still in ``cand`` and lie in distinct colour
+classes, so the bound is at least omega, which exceeds the best so far, and
+that path is never cut.
 """
 
 from __future__ import annotations
@@ -17,106 +34,44 @@ def adjacency_masks(adjacency: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(packed)]
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _colour_order(nb: list[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy sequential colouring of the candidate set.
-
-    Returns (vertex, colour) pairs with colours ascending; the colour of a
-    vertex bounds the clique size reachable through it within ``cand``.
-    """
-    order = []
-    colour = 0
+def _colour_classes(nb: list[int], cand: int) -> list[int]:
+    """A greedy colouring of ``cand``, as one bitmask per colour class."""
+    classes = []
     rest = cand
     while rest:
-        colour += 1
+        cls = 0
         avail = rest
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            bit = 1 << v
-            avail &= ~(bit | nb[v])
-            rest ^= bit
-            order.append((v, colour))
-    return order
-
-
-def clique_number(nb: list[int], cand: int | None = None) -> int:
-    """Size of a maximum clique among the vertices of ``cand``."""
-    if cand is None:
-        cand = (1 << len(nb)) - 1
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        for v, c in reversed(_colour_order(nb, cand)):
-            if size + c <= best:
-                return
-            new = cand & nb[v]
-            if new:
-                expand(size + 1, new)
-            elif size + 1 > best:
-                best = size + 1
-            cand ^= 1 << v
-        return
-
-    if cand:
-        expand(0, cand)
-    return best
-
-
-def has_clique(nb: list[int], cand: int, k: int) -> bool:
-    """Decision variant: is there a clique of size >= k inside ``cand``?"""
-    if k <= 0:
-        return True
-    found = False
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal found
-        for v, c in reversed(_colour_order(nb, cand)):
-            if found or size + c < k:
-                return
-            if size + 1 >= k:
-                found = True
-                return
-            new = cand & nb[v]
-            if new:
-                expand(size + 1, new)
-                if found:
-                    return
-            cand ^= 1 << v
-
-    expand(0, cand)
-    return found
+            bit = avail & -avail
+            cls |= bit
+            avail &= ~(bit | nb[bit.bit_length() - 1])
+        classes.append(cls)
+        rest &= ~cls
+    return classes
 
 
 def max_clique(adjacency: np.ndarray) -> tuple[int, ...]:
     """Lexicographically least maximum clique of a symmetric boolean matrix."""
-    n = adjacency.shape[0]
-    if n == 0:
-        return ()
     nb = adjacency_masks(adjacency)
-    full = (1 << n) - 1
-    omega = clique_number(nb, full)
-    chosen: list[int] = []
-    cand = full
-    need = omega
-    while need > 0:
-        for v in _bits(cand):
-            rest = cand & nb[v]
-            if need == 1 or has_clique(nb, rest, need - 1):
-                chosen.append(v)
-                cand = rest
-                need -= 1
-                break
-        else:
-            raise AssertionError("clique reconstruction failed")
+    best: list[int] = []
+
+    def expand(chosen: list[int], cand: int) -> None:
+        nonlocal best
+        if not cand:
+            if len(chosen) > len(best):
+                best = chosen
+            return
+        classes = _colour_classes(nb, cand)
+        while cand:
+            if len(chosen) + sum(1 for cls in classes if cls & cand) <= len(best):
+                return
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            expand(chosen + [v], cand & nb[v])
+            cand ^= bit
+
+    expand([], (1 << len(nb)) - 1)
     # certificate: pairwise adjacent
-    if not (adjacency[np.ix_(chosen, chosen)] | np.eye(len(chosen), dtype=bool)).all():
+    if not (adjacency[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all():
         raise AssertionError("returned set is not a clique")
-    return tuple(chosen)
+    return tuple(best)

@@ -11,6 +11,14 @@ The neighbourhood columns are whole-matrix counts over the distant adjacency
 ``line.adjacency``: products of the neighbour matrix taken in float32, which
 is exact since no count reaches 2**24. Bitmasks of the distant graph live
 only in ringline.clique, behind the maximum-clique search.
+
+What the Jcb candidates show on the catalog. Candidate A is 0 on every line:
+each admissible pair completes to an invertible matrix, so every point has a
+distant point. Candidate B, |J| - 1, is also the number of twins of each
+point (other points with the same distant row, the fibre of P(R) -> P(R/J)),
+and matches the expected Jcb on 7 of the 10 rows, the 16/12 candidate among
+them. Of the other three, z3xt2f2 (expects 3) is matched only by candidate
+C, and no candidate matches gf4xz4 or gf4xdualf2 (both expect 5).
 """
 
 from __future__ import annotations

@@ -61,6 +61,31 @@ FUZZ_TOKEN = st.one_of(
     st.text(st.characters(exclude_categories=("Nd", "Cs")), min_size=1, max_size=4),
 )
 
+RECIPE_INTEGER = st.one_of(st.integers(0, 5), st.integers(2**62, 10**30)).map(str)
+RECIPE_ATOM = st.one_of(
+    st.sampled_from(["zn:", "gf:", "algebra:"]).flatmap(
+        lambda head: RECIPE_INTEGER.map(lambda n: head + n)
+    ),
+    st.sampled_from(["algebra:f2xy", "algebra:x", "x", "-1", "zn", "\u00b2", ""]),
+)
+RECIPE_CONSTRUCTOR = st.sampled_from(["dual", "skew", "mat", "tri", "prod", "frob"])
+# well-nested calls whose arguments may be of any kind, or a loose token string
+RECIPE_TEXT = st.one_of(
+    st.recursive(
+        st.one_of(RECIPE_ATOM, RECIPE_INTEGER),
+        lambda inner: st.builds(
+            lambda head, args: f"{head}({','.join(args)})",
+            RECIPE_CONSTRUCTOR,
+            st.lists(inner, max_size=3),
+        ),
+        max_leaves=5,
+    ),
+    st.lists(
+        st.one_of(RECIPE_ATOM, RECIPE_INTEGER, RECIPE_CONSTRUCTOR, st.sampled_from(",()")),
+        max_size=12,
+    ).map("".join),
+)
+
 
 @functools.lru_cache(maxsize=None)
 def ring_of_recipe(recipe: str):
@@ -312,6 +337,11 @@ class TestMatrixSubringClosure:
         with pytest.raises(ClosureTooLarge):
             matrix_subring_closure(gf16, gens, cap=64)
 
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_generator_entry_outside_base_refused(self, entry):
+        with pytest.raises(ValueError, match="element indices"):
+            matrix_subring_closure(ring_gf(2, 1), [((entry, 0), (0, 0))])
+
     def test_codes_beyond_int64_refused_before_allocation(self):
         shift = tuple(tuple(int(j == i + 1) for j in range(8)) for i in range(8))
         tracemalloc.start()
@@ -386,6 +416,19 @@ def test_tables_match_pinned_digests(recipe):
         "add": hashlib.sha256(ring.add.tobytes()).hexdigest(),
         "mul": hashlib.sha256(ring.mul.tobytes()).hexdigest(),
     } == TABLE_DIGESTS[recipe]
+
+
+def test_structure_constants_memory_bounded():
+    """Tables are filled one coordinate at a time: GF(1024), rank 10, holds no
+    n x n x rank array."""
+    tracemalloc.start()
+    try:
+        ring = build_recipe("gf:1024")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.order == 1024
+    assert peak < 96 * 2**20
 
 
 def test_matrix_construction_memory_bounded():
@@ -540,8 +583,10 @@ class TestRecipes:
             "prod(zn:40,zn:40)",
             "tri(zn:4,3)",
             "dual(" * 64 + "gf:2" + ")" * 64,
+            "mat(gf:2,3000)",
+            "mat(gf:2,20000)",
         ],
-        ids=["zn", "gf", "dual", "skew", "prod", "tri", "nested-dual"],
+        ids=["zn", "gf", "dual", "skew", "prod", "tri", "nested-dual", "mat", "huge-mat"],
     )
     def test_order_cap_before_allocation(self, recipe):
         tracemalloc.start()
@@ -552,6 +597,28 @@ class TestRecipes:
         finally:
             tracemalloc.stop()
         assert peak < 8 * ORDER_CAP**2  # less than one int64 table of a refused order
+
+    @pytest.mark.parametrize(
+        "bad", ["mat(2,2)", "dual(3)", "tri(3,gf:2)", "mat(gf:2,gf:2)", "skew(gf:4,gf:2)"]
+    )
+    def test_argument_kinds_checked(self, bad):
+        with pytest.raises(ValueError, match="takes"):
+            parse_recipe(bad)
+
+    @given(text=RECIPE_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_recipe_builds_or_raises(self, text):
+        """Any recipe text is a ring, a ValueError or a RinglineError."""
+        try:
+            ring = build_recipe(text)
+        except (ValueError, RinglineError):
+            return
+        assert 2 <= ring.order <= ORDER_CAP
+
+    def test_frobenius_power_reduced_along_its_cycle(self):
+        gf8 = ring_gf(2, 3)
+        assert frobenius_automorphism(gf8, 3 * 10**20 + 1) == frobenius_automorphism(gf8, 1)
+        assert frobenius_automorphism(gf8, 3) == identity_automorphism(gf8)
 
     def test_skew_identity_equals_dual(self):
         assert build_recipe("skew(gf:4,0)").same_tables(

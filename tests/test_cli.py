@@ -53,6 +53,11 @@ def _assert_input_error(*argv: str) -> None:
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
+def test_ring_show_wrong_argument_kind():
+    """An integer where a ring belongs is an input error, not an AttributeError."""
+    _assert_input_error("ring", "show", "mat(2,2)")
+
+
 def test_ring_show_deeply_nested_recipe():
     """A recipe nested 1,500 deep is an input error, not a RecursionError."""
     _assert_input_error("ring", "show", "dual(" * 1500 + "gf:2" + ")" * 1500)

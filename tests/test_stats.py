@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 from itertools import combinations
 
@@ -23,7 +24,8 @@ from ringline import (
     signature,
     triple_intersection_stat,
 )
-from ringline import clique
+from ringline import RightLineBreakdown, build_recipe, clique
+from ringline import line as line_module
 from ringline.line import Point, ProjectiveLine, build_line
 from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
 
@@ -191,6 +193,70 @@ class TestMaxDistantSet:
         chosen = max_distant_set(line)
         for u, v in combinations(chosen, 2):
             assert line.adjacency[u, v]
+
+
+# R/J as a product of matrix rings M_k(GF(q)), listed as (q, k) by hand: the
+# 14 rings of the lines32 benchmark, then two rings past LINE_ORDER_CAP.
+RADICAL_QUOTIENTS = {
+    "tri(gf:2,2)": [(2, 1), (2, 1)],
+    "tri(gf:3,2)": [(3, 1), (3, 1)],
+    "prod(zn:3,tri(gf:2,2))": [(3, 1), (2, 1), (2, 1)],
+    "mat(gf:2,2)": [(2, 2)],
+    "prod(zn:2,tri(gf:2,2))": [(2, 1), (2, 1), (2, 1)],
+    "prod(gf:4,zn:4)": [(4, 1), (2, 1)],
+    "prod(gf:4,dual(gf:2))": [(4, 1), (2, 1)],
+    "skew(gf:4)": [(4, 1)],
+    "algebra:f2xy": [(2, 1)],
+    "zn:32": [(2, 1)],
+    "gf:32": [(32, 1)],
+    "prod(zn:2,mat(gf:2,2))": [(2, 1), (2, 2)],
+    "prod(zn:2,prod(zn:2,tri(gf:2,2)))": [(2, 1)] * 4,
+    "prod(gf:2,prod(gf:2,prod(gf:2,dual(gf:2))))": [(2, 1)] * 4,
+    "tri(gf:4,2)": [(4, 1), (4, 1)],
+    "tri(gf:5,2)": [(5, 1), (5, 1)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _uncapped_lines(recipe: str) -> tuple[ProjectiveLine, ...]:
+    """Both lines of a recipe that exist (a right line may break down)."""
+    ring = build_recipe(recipe)
+    lines = []
+    for side in ("left", "right"):
+        try:
+            lines.append(build_line(ring, side))
+        except RightLineBreakdown:
+            pass
+    return tuple(lines)
+
+
+@pytest.fixture
+def lines_of(monkeypatch):
+    monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 125)
+    return _uncapped_lines
+
+
+class TestSecondRoutes:
+    @pytest.mark.parametrize("recipe", sorted(RADICAL_QUOTIENTS))
+    def test_md_is_least_factor_spread_bound(self, recipe, lines_of):
+        """A mutually distant set of P(M_k(GF(q))) is a partial spread of
+        k-spaces in GF(q)^2k, so MD(M_k(GF(q))) = q^k + 1. Distance is
+        decided mod J and factor by factor, so MD is the least over R/J's
+        factors."""
+        expected = min(q**k + 1 for q, k in RADICAL_QUOTIENTS[recipe])
+        for line in lines_of(recipe):
+            assert len(max_distant_set(line)) == expected, line.side
+
+    @pytest.mark.parametrize("recipe", sorted(RADICAL_QUOTIENTS))
+    def test_twin_count_is_candidate_b(self, recipe, lines_of):
+        """Points with identical distant rows form the fibres of
+        P(R) -> P(R/J), so each point has |J| - 1 twins besides itself."""
+        for line in lines_of(recipe):
+            _, cls, size = np.unique(
+                line.adjacency, axis=0, return_inverse=True, return_counts=True
+            )
+            twins = size[cls.ravel()] - 1
+            assert (twins == jacobson_stat(line, "B")).all(), line.side
 
 
 class TestJacobsonCandidates:
