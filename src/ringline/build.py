@@ -532,9 +532,6 @@ class RingRecipe:
             parts.append(a.to_string() if isinstance(a, RingRecipe) else str(a))
         return f"{self.kind}({','.join(parts)})"
 
-    def __str__(self) -> str:
-        return self.to_string()
-
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

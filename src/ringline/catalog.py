@@ -187,40 +187,6 @@ class EntryResult:
             "elapsedMs": self.elapsed_ms,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EntryResult":
-        left = None
-        if d["left"] is not None:
-            left = LineSignature.from_json_dict(d["left"], d["jacobsonCandidates"])
-        right_sig = None
-        if d["right"].get("signature") is not None:
-            right_sig = LineSignature.from_json_dict(
-                d["right"]["signature"], d["rightJacobsonCandidates"]
-            )
-        class_sizes = None
-        if d["right"].get("classSizes") is not None:
-            class_sizes = {int(k): v for k, v in d["right"]["classSizes"].items()}
-        return cls(
-            name=d["name"],
-            paper_row=d["paperRow"],
-            provenance=d["provenance"],
-            recipe=d["recipe"],
-            status=d["status"],
-            fingerprint=(
-                RingFingerprint.from_json_dict(d["fingerprint"]) if d["fingerprint"] else None
-            ),
-            label_ok=d["labelOk"],
-            left=left,
-            right_status=d["right"]["status"],
-            right=right_sig,
-            right_class_sizes=class_sizes,
-            right_ok=d["rightOk"],
-            comparison=(
-                SignatureComparison.from_json_dict(d["comparison"]) if d["comparison"] else None
-            ),
-            elapsed_ms=d["elapsedMs"],
-        )
-
 
 def evaluate_entry(entry: CatalogEntry) -> EntryResult:
     """Build the ring, both lines, the signature and its comparison."""
@@ -292,7 +258,10 @@ def evaluate_entry(entry: CatalogEntry) -> EntryResult:
 @dataclass(frozen=True)
 class RunReport:
     results: tuple[EntryResult, ...]  # sorted by entry name
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(r.status != "FAIL" for r in self.results)
 
     def result(self, name: str) -> EntryResult:
         for r in self.results:
@@ -316,13 +285,6 @@ class RunReport:
             "jcbMatrix": self.jcb_matrix(),
             "entries": [r.to_json_dict() for r in self.results],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            results=tuple(EntryResult.from_json_dict(e) for e in d["entries"]),
-            passed=d["passed"],
-        )
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -354,4 +316,4 @@ def run_catalog(entries: tuple[CatalogEntry, ...] | None = None) -> RunReport:
     if entries is None:
         entries = builtin_catalog()
     ordered = tuple(sorted(map(evaluate_entry, entries), key=lambda r: r.name))
-    return RunReport(results=ordered, passed=all(r.status != "FAIL" for r in ordered))
+    return RunReport(results=ordered)

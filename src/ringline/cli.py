@@ -90,30 +90,38 @@ def _cmd_line_compute(args) -> int:
         print(f"ring: {ring.name} (order {ring.order})")
         print(f"side: {args.side}")
         print("right line BREAKDOWN: admissible classes have unequal sizes")
-        for size, count in sorted(exc.class_sizes.items()):
+        sizes = sorted(exc.class_sizes.items())
+        for size, count in sizes:
             print(f"  {count} classes of size {size}")
-        return 0
-    sig = signature(line)
-    print(f"ring: {ring.name} (order {ring.order})")
-    print(f"side: {args.side}")
-    for text in _signature_lines(sig):
-        print(text)
-    if args.export:
         payload = {
             "ring": ring.name,
             "side": args.side,
-            "signature": sig.to_json_dict(),
-            "jacobsonCandidates": dict(sig.jcb),
-            "points": [
-                {
-                    "rep": list(p.rep),
-                    "members": sorted(list(m) for m in p.members),
-                    "type": point_type(line, i),
-                }
-                for i, p in enumerate(line.points)
-            ],
-            "distantAdjacency": line.adjacency.astype(int).tolist(),
+            "status": "breakdown",
+            "classSizes": {str(size): count for size, count in sizes},
         }
+    else:
+        sig = signature(line)
+        print(f"ring: {ring.name} (order {ring.order})")
+        print(f"side: {args.side}")
+        for text in _signature_lines(sig):
+            print(text)
+        if args.export:
+            payload = {
+                "ring": ring.name,
+                "side": args.side,
+                "signature": sig.to_json_dict(),
+                "jacobsonCandidates": dict(sig.jcb),
+                "points": [
+                    {
+                        "rep": list(p.rep),
+                        "members": sorted(list(m) for m in p.members),
+                        "type": point_type(line, i),
+                    }
+                    for i, p in enumerate(line.points)
+                ],
+                "distantAdjacency": line.adjacency.astype(int).tolist(),
+            }
+    if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"exported line to {args.export}")
@@ -151,14 +159,12 @@ def _report_exit_code(report: RunReport) -> int:
 def _cmd_catalog_run(args) -> int:
     entries = builtin_catalog()
     if args.entry:
-        chosen = []
+        by_name = {e.name: e for e in entries}
         for name in args.entry:
-            matches = [e for e in entries if e.name == name]
-            if not matches:
-                known = ", ".join(e.name for e in entries)
-                raise RinglineError(f"no catalog entry {name!r} (known: {known})")
-            chosen.extend(matches)
-        entries = tuple(chosen)
+            if name not in by_name:
+                raise RinglineError(f"no catalog entry {name!r} (known: {', '.join(by_name)})")
+        # a repeated name is evaluated once, at its first position
+        entries = tuple(by_name[name] for name in dict.fromkeys(args.entry))
     report = run_catalog(entries)
     for r in report.results:
         print(_format_entry_line(r))

@@ -8,7 +8,9 @@ associativity and distributivity on additive generators, in O(n^2) time per
 generator. Left ideals are boolean membership masks; all sums of one ideal
 with the cyclic left ideals come from one float32 matrix product. Right
 ideals are the left ideals of the opposite ring, whose multiplication table
-is ``mul.T``, and two-sided ideals are the sets that are both.
+is ``mul.T``, and two-sided ideals are the sets that are both. Subsets of a
+ring (units, radical, center, ideals) are plain ``frozenset``s of element
+indices; tables are read by indexing ``add``, ``mul`` and ``neg``.
 """
 
 from __future__ import annotations
@@ -55,23 +57,8 @@ class FiniteRing:
     def __repr__(self) -> str:
         return f"FiniteRing(name={self.name!r}, order={self.order})"
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def add_of(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
-
-    def mul_of(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def neg_of(self, a: int) -> int:
-        return int(self.neg[a])
-
-    def sub_of(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
-
     def is_unit(self, x: int) -> bool:
-        return x in _unit_set(self)
+        return x in units(self)
 
     def same_tables(self, other: "FiniteRing") -> bool:
         return (
@@ -80,23 +67,6 @@ class FiniteRing:
             and np.array_equal(self.add, other.add)
             and np.array_equal(self.mul, other.mul)
         )
-
-
-@dataclass(frozen=True)
-class ElementSubset:
-    """A tagged subset of a ring's element indices."""
-
-    members: frozenset[int]
-    kind: str
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 @dataclass(frozen=True)
@@ -138,20 +108,6 @@ class RingFingerprint:
             "maximalTwoSidedIdealCount": self.maximal_two_sided_ideal_count,
             "commutative": self.commutative,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RingFingerprint":
-        return cls(
-            order=d["order"],
-            unit_count=d["unitCount"],
-            zero_divisor_count=d["zeroDivisorCount"],
-            characteristic=d["characteristic"],
-            radical_size=d["radicalSize"],
-            maximal_left_ideal_count=d["maximalLeftIdealCount"],
-            maximal_right_ideal_count=d["maximalRightIdealCount"],
-            maximal_two_sided_ideal_count=d["maximalTwoSidedIdealCount"],
-            commutative=d["commutative"],
-        )
 
 
 def _as_table(table: Sequence[Sequence[int]] | np.ndarray, what: str) -> np.ndarray:
@@ -334,7 +290,8 @@ def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
 # element-level structure
 
 
-def _unit_set(ring: FiniteRing) -> frozenset[int]:
+def units(ring: FiniteRing) -> frozenset[int]:
+    """Elements with a two-sided multiplicative inverse."""
     if "units" not in ring._cache:
         mul, one = ring.mul, ring.one
         # x is a unit when some y has x*y == 1 == y*x
@@ -345,40 +302,27 @@ def _unit_set(ring: FiniteRing) -> frozenset[int]:
 
 def unit_elements(ring: FiniteRing) -> tuple[int, ...]:
     """Units in ascending index order."""
-    return tuple(sorted(_unit_set(ring)))
-
-
-def units(ring: FiniteRing) -> ElementSubset:
-    """Elements with a two-sided multiplicative inverse."""
-    return ElementSubset(members=_unit_set(ring), kind="units")
+    return tuple(sorted(units(ring)))
 
 
 def zero_divisor_count(ring: FiniteRing) -> int:
     """Number of non-units, zero included (order minus units)."""
-    return ring.order - len(_unit_set(ring))
+    return ring.order - len(units(ring))
 
 
-def zero_divisors(ring: FiniteRing) -> ElementSubset:
-    return ElementSubset(
-        members=frozenset(range(ring.order)) - _unit_set(ring), kind="zeroDivisors"
-    )
-
-
-def jacobson_radical(ring: FiniteRing) -> ElementSubset:
+def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
     """{x : 1 - r*x is a unit for every r}, verified to be a two-sided ideal."""
     if "radical" not in ring._cache:
         add, mul = ring.add, ring.mul
         one_minus = add[ring.one, ring.neg[mul]]  # (r, x) -> 1 - r*x
-        inside = np.isin(one_minus, list(_unit_set(ring))).all(axis=0)
+        inside = np.isin(one_minus, list(units(ring))).all(axis=0)
         members = np.flatnonzero(inside)
         # ideal axioms must hold; failure means corrupt tables
         if not (inside[mul[:, members]].all() and inside[mul[members]].all()):
             raise AssertionError("radical is not a two-sided ideal")
         if not inside[add[np.ix_(members, members)]].all():
             raise AssertionError("radical is not additively closed")
-        ring._cache["radical"] = ElementSubset(
-            members=frozenset(members.tolist()), kind="radical"
-        )
+        ring._cache["radical"] = frozenset(members.tolist())
     return ring._cache["radical"]
 
 
@@ -414,7 +358,7 @@ def _left_ideals(add: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:
     return {frozenset(np.flatnonzero(np.frombuffer(k, dtype=bool)).tolist()) for k in ideals}
 
 
-def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubset]:
+def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[int]]:
     """All ideals of the given side, {0} and the whole ring included.
 
     Left ideals come from :func:`_left_ideals`; right ideals are the left
@@ -430,15 +374,10 @@ def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubs
     key = ("ideals", side)
     if key not in ring._cache:
         if side == "two_sided":
-            left = {i.members for i in ideal_lattice(ring, "left")}
-            ideals = left.intersection(i.members for i in ideal_lattice(ring, "right"))
+            ideals = set(ideal_lattice(ring, "left")).intersection(ideal_lattice(ring, "right"))
         else:
             ideals = _left_ideals(ring.add, ring.mul if side == "left" else ring.mul.T)
-        kind = {"left": "leftIdeal", "right": "rightIdeal", "two_sided": "twoSidedIdeal"}[side]
-        ring._cache[key] = [
-            ElementSubset(members=m, kind=kind)
-            for m in sorted(ideals, key=lambda s: (len(s), sorted(s)))
-        ]
+        ring._cache[key] = sorted(ideals, key=lambda s: (len(s), sorted(s)))
     return ring._cache[key]
 
 
@@ -447,14 +386,9 @@ def maximal_ideal_count(ring: FiniteRing, side: str = "two_sided") -> int:
     return len(maximal_ideals(ring, side))
 
 
-def maximal_ideals(ring: FiniteRing, side: str = "two_sided") -> list[ElementSubset]:
-    lattice = ideal_lattice(ring, side)
-    proper = [i for i in lattice if len(i.members) < ring.order]
-    return [
-        i
-        for i in proper
-        if not any(i.members < j.members for j in proper)
-    ]
+def maximal_ideals(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[int]]:
+    proper = [i for i in ideal_lattice(ring, side) if len(i) < ring.order]
+    return [i for i in proper if not any(i < j for j in proper)]
 
 
 def characteristic(ring: FiniteRing) -> int:
@@ -471,16 +405,15 @@ def is_commutative(ring: FiniteRing) -> bool:
     return bool(np.array_equal(ring.mul, ring.mul.T))
 
 
-def center(ring: FiniteRing) -> ElementSubset:
+def center(ring: FiniteRing) -> frozenset[int]:
     """{x : x*r == r*x for all r}."""
-    members = np.flatnonzero((ring.mul == ring.mul.T).all(axis=1))
-    return ElementSubset(members=frozenset(members.tolist()), kind="center")
+    return frozenset(np.flatnonzero((ring.mul == ring.mul.T).all(axis=1)).tolist())
 
 
 def fingerprint(ring: FiniteRing) -> RingFingerprint:
     """Deterministic aggregation of the invariants above."""
     if "fingerprint" not in ring._cache:
-        ucount = len(_unit_set(ring))
+        ucount = len(units(ring))
         ring._cache["fingerprint"] = RingFingerprint(
             order=ring.order,
             unit_count=ucount,

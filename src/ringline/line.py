@@ -6,8 +6,7 @@ read off one boolean matrix: invertibility between every pair of left-orbit
 representatives, computed as one matrix product (_invertible). Orbit
 representatives suffice because multiplying one row of a 2x2 matrix on the
 left by a unit (or both coordinates of a pair on the right by the same unit)
-preserves invertibility. is_invertible_2x2 and is_admissible test single
-matrices and pairs without these shortcuts, as independent checks.
+preserves invertibility.
 """
 
 from __future__ import annotations
@@ -22,40 +21,6 @@ from .errors import OrderTooLarge, RightLineBreakdown
 LINE_ORDER_CAP = 32
 
 Pair = tuple[int, int]
-Mat2 = tuple[Pair, Pair]
-
-
-def is_invertible_2x2(ring: FiniteRing, matrix: Mat2) -> bool:
-    """True iff the matrix has a two-sided inverse over the ring.
-
-    Solves M*X = I column by column over all |R|^2 candidate columns. A right
-    inverse is two-sided: Y -> M*Y is onto (M*X*Z = Z), hence one-to-one on
-    the finite set M2(R), and M*(X*M) = M*I gives X*M = I.
-    """
-    (a, b), (c, d) = matrix
-    add, mul, one = ring.add, ring.mul, ring.one
-    fab = add[np.ix_(mul[a], mul[b])]  # (x, z) -> a*x + b*z
-    fcd = add[np.ix_(mul[c], mul[d])]
-    col1 = (fab == one) & (fcd == 0)
-    if not col1.any():
-        return False
-    col2 = (fab == 0) & (fcd == one)
-    return bool(col2.any())
-
-
-def is_admissible(ring: FiniteRing, pair: Pair) -> bool:
-    """True iff some second row completes the pair to an invertible matrix.
-
-    Plain search over all |R|^2 completions with early exit; kept free of the
-    orbit shortcuts used by build_line so the two routes can check each other.
-    """
-    a, b = int(pair[0]), int(pair[1])
-    n = ring.order
-    for c in range(n):
-        for d in range(n):
-            if is_invertible_2x2(ring, ((a, b), (c, d))):
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -64,7 +29,6 @@ class Point:
 
     rep: Pair
     members: frozenset[Pair]
-    side: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +124,7 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     by_point = members[np.argsort(labels[members], kind="stable")]
     groups = np.split(by_point, np.cumsum(sizes)[:-1])
     points = tuple(
-        Point(
-            rep=divmod(int(code), n),
-            members=frozenset(divmod(int(c), n) for c in group),
-            side=side,
-        )
+        Point(rep=divmod(int(code), n), members=frozenset(divmod(int(c), n) for c in group))
         for code, group in zip(point_codes, groups)
     )
     # scaling a row on the left by a unit preserves invertibility, so each

@@ -46,11 +46,17 @@ class StatValue:
     ``constant`` is False; consumers should then look at ``lo``/``hi``.
     """
 
-    value: int
-    constant: bool
     lo: int
     hi: int
     count: int
+
+    @property
+    def value(self) -> int:
+        return self.lo
+
+    @property
+    def constant(self) -> bool:
+        return self.lo == self.hi
 
     @property
     def vacuous(self) -> bool:
@@ -60,9 +66,8 @@ class StatValue:
     def of(cls, values: np.ndarray) -> "StatValue":
         """The spread of an array of counts, as plain ints (JSON-safe)."""
         if not values.size:
-            return cls(value=0, constant=True, lo=0, hi=0, count=0)
-        lo, hi = int(values.min()), int(values.max())
-        return cls(value=lo, constant=lo == hi, lo=lo, hi=hi, count=int(values.size))
+            return cls(lo=0, hi=0, count=0)
+        return cls(lo=int(values.min()), hi=int(values.max()), count=int(values.size))
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,13 +77,6 @@ class StatValue:
             "max": self.hi,
             "count": self.count,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StatValue":
-        return cls(
-            value=d["value"], constant=d["constant"], lo=d["min"], hi=d["max"],
-            count=d["count"],
-        )
 
 
 @dataclass(frozen=True)
@@ -123,19 +121,6 @@ class LineSignature:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict, jcb: Mapping[str, int]) -> "LineSignature":
-        detail = d["detail"]
-        return cls(
-            tot=d["tot"],
-            tpi=d["tpI"],
-            one_n=StatValue.from_json_dict(detail["oneN"]),
-            cap2n=StatValue.from_json_dict(detail["cap2N"]),
-            cap3n=StatValue.from_json_dict(detail["cap3N"]),
-            md=d["md"],
-            jcb=dict(jcb),
-        )
-
 
 @dataclass(frozen=True)
 class ExpectedSignature:
@@ -165,7 +150,10 @@ class ColumnCheck:
 class SignatureComparison:
     columns: tuple[ColumnCheck, ...]
     jcb_matches: Mapping[str, bool] | None
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.columns)
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,17 +164,6 @@ class SignatureComparison:
             "jcb": dict(self.jcb_matches) if self.jcb_matches is not None else None,
             "pass": self.passed,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SignatureComparison":
-        cols = tuple(
-            ColumnCheck(name=k, observed=v["observed"], expected=v["expected"],
-                        passed=v["pass"])
-            for k, v in d["perColumn"].items()
-        )
-        jcb = d.get("jcb")
-        return cls(columns=cols, jcb_matches=dict(jcb) if jcb is not None else None,
-                   passed=d["pass"])
 
 
 def _near(line: ProjectiveLine) -> np.ndarray:
@@ -249,7 +226,7 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":
         # J(R) is a two-sided ideal, so J x J is a union of left orbits
-        radical = np.array(sorted(jacobson_radical(ring).members))
+        radical = np.array(sorted(jacobson_radical(ring)))
         codes = (radical[:, None] * ring.order + radical[None, :]).ravel()
         return len(np.unique(_left_orbits(ring)[0][codes])) - 1
     raise UnknownCandidate(f"unknown Jacobson candidate {candidate!r}")
@@ -301,8 +278,4 @@ def compare_signature(
         if expected.jcb is not None
         else None
     )
-    return SignatureComparison(
-        columns=tuple(checks),
-        jcb_matches=jcb_matches,
-        passed=all(c.passed for c in checks),
-    )
+    return SignatureComparison(columns=tuple(checks), jcb_matches=jcb_matches)

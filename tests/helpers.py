@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: raw table scans,
 naive subset enumeration, determinant arithmetic for commutative rings,
-matrix arithmetic on tuples of tuples.
+matrix arithmetic on tuples of tuples, and a plain search over all
+completions of a pair for 2x2 invertibility and admissibility.
 """
 
 from __future__ import annotations
@@ -104,11 +105,48 @@ def cyclic_join_ideals(add, mul) -> set[frozenset[int]]:
     return ideals
 
 
-def det_is_unit(ring, matrix) -> bool:
+Pair = tuple[int, int]
+Mat2 = tuple[Pair, Pair]
+
+
+def is_invertible_2x2(ring, matrix: Mat2) -> bool:
+    """True iff the matrix has a two-sided inverse over the ring.
+
+    Solves M*X = I column by column over all |R|^2 candidate columns. A right
+    inverse is two-sided: Y -> M*Y is onto (M*X*Z = Z), hence one-to-one on
+    the finite set M2(R), and M*(X*M) = M*I gives X*M = I.
+    """
+    (a, b), (c, d) = matrix
+    add, mul, one = ring.add, ring.mul, ring.one
+    fab = add[np.ix_(mul[a], mul[b])]  # (x, z) -> a*x + b*z
+    fcd = add[np.ix_(mul[c], mul[d])]
+    col1 = (fab == one) & (fcd == 0)
+    if not col1.any():
+        return False
+    col2 = (fab == 0) & (fcd == one)
+    return bool(col2.any())
+
+
+def is_admissible(ring, pair: Pair) -> bool:
+    """True iff some second row completes the pair to an invertible matrix.
+
+    Plain search over all |R|^2 completions with early exit, free of the
+    orbit shortcuts used by build_line so the two routes check each other.
+    """
+    a, b = int(pair[0]), int(pair[1])
+    n = ring.order
+    for c in range(n):
+        for d in range(n):
+            if is_invertible_2x2(ring, ((a, b), (c, d))):
+                return True
+    return False
+
+
+def det_is_unit(ring, matrix: Mat2) -> bool:
     """Determinant-is-a-unit test; valid oracle for commutative rings only."""
     (a, b), (c, d) = matrix
-    det = ring.sub_of(ring.mul_of(a, d), ring.mul_of(c, b))
-    n, mul, one = ring.order, ring.mul, ring.one
+    n, add, mul, one = ring.order, ring.add, ring.mul, ring.one
+    det = add[mul[a, d], ring.neg[mul[c, b]]]
     return any(mul[det, y] == one for y in range(n))
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from conftest import catalog_report, line_of, ring_of
-from helpers import brute_has_clique, det_is_unit
+from helpers import brute_has_clique, det_is_unit, is_admissible, is_invertible_2x2
 
 from ringline import (
     RightLineBreakdown,
@@ -21,8 +21,6 @@ from ringline import (
     evaluate_entry,
     catalog_entry,
     ideal_lattice,
-    is_admissible,
-    is_invertible_2x2,
     max_distant_set,
     maximal_ideal_count,
     unit_elements,
@@ -113,7 +111,7 @@ def test_criterion_4_ideal_structure():
     if maximal_ideal_count(m2, "left") != 3:
         failures.append("m2f2 left maximal count != 3")
     proper_two_sided = [
-        i for i in ideal_lattice(m2, "two_sided") if 1 < len(i.members) < m2.order
+        i for i in ideal_lattice(m2, "two_sided") if 1 < len(i) < m2.order
     ]
     if proper_two_sided:
         failures.append("m2f2 has a proper nonzero two-sided ideal")

@@ -1,4 +1,4 @@
-"""Command-line interface end to end (in process, plus one subprocess check
+"""Command-line interface end to end (in process, plus subprocess checks
 under python -O)."""
 
 from __future__ import annotations
@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from ringline import builtin_catalog, emit_ring_file, ring_zn
+from ringline import (
+    builtin_catalog,
+    catalog_entry,
+    emit_ring_file,
+    evaluate_entry,
+    ring_zn,
+    run_catalog,
+)
 from ringline.cli import main
 from ringline.catalog import CatalogEntry
 from ringline.stats import ExpectedSignature
@@ -116,6 +123,24 @@ def test_line_compute_right_breakdown(capsys):
     assert "classes of size" in out
 
 
+def test_line_compute_right_breakdown_export(tmp_path, capsys):
+    """A broken-down right line still writes its export: the class sizes, in
+    the form the catalog report gives them."""
+    out_path = tmp_path / "right.json"
+    argv = ["line", "compute", "mat(gf:2,2)", "--side", "right", "--export", str(out_path)]
+    assert main(argv) == 0
+    assert f"exported line to {out_path}" in capsys.readouterr().out
+    payload = json.loads(out_path.read_text())
+    catalog_right = evaluate_entry(catalog_entry("m2f2")).to_json_dict()["right"]
+    assert payload == {
+        "ring": "M2(GF(2))",
+        "side": "right",
+        "status": "breakdown",
+        "classSizes": {"3": 6, "6": 32},
+    }
+    assert payload["classSizes"] == catalog_right["classSizes"]
+
+
 def test_line_compute_export(tmp_path, capsys):
     out_path = tmp_path / "line.json"
     assert main(["line", "compute", "tri(gf:2,2)", "--export", str(out_path)]) == 0
@@ -136,6 +161,29 @@ def test_catalog_run_single_entry(capsys):
 def test_catalog_run_unknown_entry(capsys):
     assert main(["catalog", "run", "--entry", "nope"]) == 1
     assert "no catalog entry" in capsys.readouterr().err
+
+
+def test_catalog_run_repeated_entry_evaluated_once(tmp_path, monkeypatch, capsys):
+    """A repeated --entry name is dropped; names keep their first order."""
+    evaluated = []
+    monkeypatch.setattr(
+        "ringline.cli.run_catalog",
+        lambda entries: evaluated.append([e.name for e in entries]) or run_catalog(entries),
+    )
+    json_path = tmp_path / "report.json"
+    argv = ["catalog", "run", "--entry", "t2f2", "--entry", "skewgf4", "--entry", "t2f2",
+            "--json", str(json_path)]
+    assert main(argv) == 0
+    assert evaluated == [["t2f2", "skewgf4"]]
+    out = capsys.readouterr().out
+    assert sum(line.startswith("t2f2 ") for line in out.splitlines()) == 1
+    payload = json.loads(json_path.read_text())
+    assert [e["name"] for e in payload["entries"]] == ["skewgf4", "t2f2"]
+
+
+def test_catalog_run_repeated_then_unknown_entry(capsys):
+    assert main(["catalog", "run", "--entry", "t2f2", "--entry", "t2f2", "--entry", "nope"]) == 1
+    assert "no catalog entry 'nope'" in capsys.readouterr().err
 
 
 def test_catalog_run_exports(tmp_path, capsys):
@@ -199,6 +247,18 @@ def test_catalog_table1_under_optimize():
     ]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_acceptance_under_optimize():
+    """The acceptance module passes under python -O. Pytest rewrites the
+    asserts of test modules into checks that -O keeps, so this shows that the
+    library's own invariants do not rest on assert statements."""
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "tests/test_acceptance.py"],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=_src_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 
 
 def test_full_catalog_names_unique():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import line_of, ring_of
-from helpers import det_is_unit
+from helpers import det_is_unit, is_admissible, is_invertible_2x2
 
 from ringline import (
     OrderTooLarge,
@@ -21,8 +21,6 @@ from ringline import (
     build_recipe,
     distant,
     fingerprint,
-    is_admissible,
-    is_invertible_2x2,
     point_type,
     ring_gf,
     signature,

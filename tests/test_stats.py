@@ -53,7 +53,7 @@ def synthetic_line(adjacency: np.ndarray) -> ProjectiveLine:
     ring = ring_of("z4")
     n = adjacency.shape[0]
     points = tuple(
-        Point(rep=(1, i), members=frozenset({(1, i), (3, (3 * i) % 4)}), side="left")
+        Point(rep=(1, i), members=frozenset({(1, i), (3, (3 * i) % 4)}))
         for i in range(n)
     )
     return ProjectiveLine(ring=ring, side="left", points=points, adjacency=adjacency)
@@ -145,6 +145,20 @@ def _spread(values) -> tuple[int, bool, int, int, int]:
 
 def _fields(stat: StatValue) -> tuple[int, bool, int, int, int]:
     return (stat.value, stat.constant, stat.lo, stat.hi, stat.count)
+
+
+def test_stat_value_derives_value_and_constancy():
+    """value is the minimum and constant is lo == hi, read from the spread."""
+    stat = StatValue(lo=9, hi=10, count=4)
+    assert stat.value == 9 and stat.constant is False and not stat.vacuous
+    assert _fields(StatValue.of(np.array([7, 7, 7]))) == (7, True, 7, 7, 3)
+
+
+def test_stat_value_of_nothing_is_vacuous_and_constant():
+    stat = StatValue.of(np.array([], dtype=int))
+    assert stat.vacuous and stat.constant is True
+    assert _fields(stat) == (0, True, 0, 0, 0)
+    assert stat.to_json_dict() == {"value": 0, "constant": True, "min": 0, "max": 0, "count": 0}
 
 
 @given(adj=symmetric_graphs)
@@ -317,13 +331,6 @@ class TestSignature:
         signature(build_line(ring_of("m2f2")))  # a fresh line: nothing cached on it
         assert len(calls) == 1
 
-    def test_json_round_trip(self):
-        sig = signature(line_of("t2f2"))
-        from ringline.stats import LineSignature
-
-        back = LineSignature.from_json_dict(sig.to_json_dict(), sig.jcb)
-        assert back == sig
-
 
 class TestCompareSignature:
     def test_pass(self):
@@ -342,7 +349,7 @@ class TestCompareSignature:
         assert cmp.jcb_matches is None
 
     def test_constancy_required(self):
-        stat = StatValue(value=9, constant=False, lo=9, hi=10, count=4)
+        stat = StatValue(lo=9, hi=10, count=4)
         sig = signature(line_of("t2f2"))
         from dataclasses import replace
 
