@@ -1,9 +1,12 @@
 """The projective line over a finite ring with unity.
 
-Points are unit-orbit classes of admissible coordinate pairs; two points are
-distant when representatives stack to an invertible 2x2 matrix. Both are
-read off one boolean matrix: invertibility between every pair of left-orbit
-representatives, computed as one matrix product (_invertible). Orbit
+Points are left unit-orbit classes of admissible pairs, the rows of
+invertible 2x2 matrices; two points are distant when representatives stack
+to an invertible matrix. A pair is admissible iff unimodular, aR + bR = R:
+an inverse's first column solves a*x + b*z = 1, and finite rings have stable
+rank 1. So one n x n product of principal right ideals finds the points, and
+one matrix product between them gives invertibility (_invertible) and checks
+the stable-rank step: each point must have a distant partner. Orbit
 representatives suffice because multiplying one row of a 2x2 matrix on the
 left by a unit (or both coordinates of a pair on the right by the same unit)
 preserves invertibility.
@@ -67,7 +70,8 @@ def _invertible(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     Row (a, b) sends the column (x, z) to a*x + b*z. The matrix has a right
     inverse iff some column goes to (1, 0) and another to (0, 1), and a right
     inverse is two-sided because M2(R) is finite. The column counts come
-    from a float32 matrix product, exact since no count exceeds n^2.
+    from a float32 matrix product, exact since no count exceeds n^2. Run on
+    the unimodular rows only; inv.any(axis=1) confirms that each completes.
     """
     n = ring.order
     a, b = np.divmod(codes, n)
@@ -78,13 +82,21 @@ def _invertible(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     return first & first.T
 
 
-def _left_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, reps, inv): the left orbit labels of all pairs, their sorted
-    distinct values and _invertible over them; computed once per ring."""
+def _left_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, admissible, reps, inv): the left orbit labels of all pairs,
+    the admissible mask over pair codes, the left points (sorted labels of
+    admissible pairs) and _invertible over them; computed once per ring."""
     if "left_orbits" not in ring._cache:
+        principal = np.zeros_like(ring.mul, np.float32)  # [a, x]: x in aR
+        np.put_along_axis(principal, ring.mul, 1, axis=1)
+        one_minus = principal[:, ring.add[ring.one, ring.neg]]  # [b, x]: 1 - x in bR
+        admissible = (principal @ one_minus.T > 0).ravel()  # [a*n + b]: 1 in aR + bR
         labels = orbit_labels(ring, "left")
-        reps = np.unique(labels)
-        ring._cache["left_orbits"] = (labels, reps, _invertible(ring, reps))
+        reps = np.unique(labels[admissible])
+        inv = _invertible(ring, reps)
+        if not inv.any(axis=1).all():
+            raise AssertionError("unimodular pair with no completion")
+        ring._cache["left_orbits"] = (labels, admissible, reps, inv)
     return ring._cache["left_orbits"]
 
 
@@ -102,8 +114,7 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
             f"line construction capped at order {LINE_ORDER_CAP}, got {ring.order}"
         )
     n = ring.order
-    left, reps, inv = _left_orbits(ring)
-    admissible = inv.any(axis=1)[np.searchsorted(reps, left)]
+    left, admissible, reps, inv = _left_orbits(ring)
     labels = left if side == "left" else orbit_labels(ring, "right")
     # admissibility is right-orbit invariant ((ar, br) completes with
     # (cr, dr) via M * diag(r, r)), so orbits never straddle the set

@@ -31,7 +31,7 @@ import numpy as np
 from . import clique
 from .core import jacobson_radical
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine, _left_orbits, point_type
+from .line import ProjectiveLine, orbit_labels, point_type
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 
@@ -228,7 +228,7 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
         # J(R) is a two-sided ideal, so J x J is a union of left orbits
         radical = np.array(sorted(jacobson_radical(ring)))
         codes = (radical[:, None] * ring.order + radical[None, :]).ravel()
-        return len(np.unique(_left_orbits(ring)[0][codes])) - 1
+        return len(np.unique(orbit_labels(ring, "left")[codes])) - 1
     raise UnknownCandidate(f"unknown Jacobson candidate {candidate!r}")
 
 

@@ -130,16 +130,21 @@ def is_invertible_2x2(ring, matrix: Mat2) -> bool:
 def is_admissible(ring, pair: Pair) -> bool:
     """True iff some second row completes the pair to an invertible matrix.
 
-    Plain search over all |R|^2 completions with early exit, free of the
-    orbit shortcuts used by build_line so the two routes check each other.
+    Plain search over all |R|^2 second rows (c, d) at once, free of the
+    orbit and ideal shortcuts used by build_line so the two routes check
+    each other. As in is_invertible_2x2, the matrix is invertible iff some
+    column (x, z) goes to (1, 0) and another to (0, 1); only the columns
+    with a*x + b*z in {0, 1} can, so only those are tried.
     """
     a, b = int(pair[0]), int(pair[1])
-    n = ring.order
-    for c in range(n):
-        for d in range(n):
-            if is_invertible_2x2(ring, ((a, b), (c, d))):
-                return True
-    return False
+    add, mul, one = ring.add, ring.mul, ring.one
+    fab = add[np.ix_(mul[a], mul[b])]  # (x, z) -> a*x + b*z
+    x1, z1 = np.nonzero(fab == one)
+    x0, z0 = np.nonzero(fab == 0)
+    # [c, d, k]: c*x + d*z over the k-th column tried
+    to_10 = (add[mul[:, x1][:, None, :], mul[:, z1][None, :, :]] == 0).any(axis=2)
+    to_01 = (add[mul[:, x0][:, None, :], mul[:, z0][None, :, :]] == one).any(axis=2)
+    return bool((to_10 & to_01).any())
 
 
 def det_is_unit(ring, matrix: Mat2) -> bool:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import line_of, ring_of
+from conftest import RECIPES, line_of, ring_of
 from helpers import det_is_unit, is_admissible, is_invertible_2x2
 
 from ringline import (
@@ -28,12 +31,30 @@ from ringline import (
     unit_elements,
     validate_ring,
 )
+from ringline import line as line_module
 
 NONCOMMUTATIVE = ["t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2", "skewgf4", "f2xy"]
 CATALOG_NAMES = NONCOMMUTATIVE + ["gf4xz4", "gf4xdualf2"]
 
 # read only: perfbench/capture_golden.py writes it from known-good sources
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+LINES32 = json.loads(GOLDEN_PATH.with_name("spec.json").read_text(encoding="utf-8"))[
+    "workloads"
+]["lines32"]["rings"]
+SMALL_RINGS = sorted(name for name in RECIPES if ring_of(name).order <= 16)
+SAMPLED_RINGS = [r for r in LINES32 if 24 <= build_recipe(r).order <= 32] + ["tri(gf:4,2)"]
+# the products among the lines32 rings, each with its two factors
+PRODUCT_FACTORS = {
+    "prod(zn:2,mat(gf:2,2))": ("zn:2", "mat(gf:2,2)"),
+    "prod(zn:3,tri(gf:2,2))": ("zn:3", "tri(gf:2,2)"),
+    "prod(gf:4,zn:4)": ("gf:4", "zn:4"),
+    "prod(gf:4,dual(gf:2))": ("gf:4", "dual(gf:2)"),
+    "prod(zn:2,tri(gf:2,2))": ("zn:2", "tri(gf:2,2)"),
+    "prod(zn:2,prod(zn:2,tri(gf:2,2)))": ("zn:2", "prod(zn:2,tri(gf:2,2))"),
+    "prod(gf:2,prod(gf:2,prod(gf:2,dual(gf:2))))": (
+        "gf:2", "prod(gf:2,prod(gf:2,dual(gf:2)))"
+    ),
+}
 
 
 def golden_lines() -> list:
@@ -96,6 +117,15 @@ class TestAdmissible:
         for r in range(ring.order):
             assert is_admissible(ring, (ring.one, r))
 
+    @pytest.mark.parametrize("name", ["z4", "dualf2", "t2f2"])
+    def test_oracle_matches_completion_loop(self, name):
+        """The vectorised search against is_invertible_2x2 on each completion."""
+        ring = ring_of(name)
+        rows = [(c, d) for c in range(ring.order) for d in range(ring.order)]
+        for pair in rows:
+            found = any(is_invertible_2x2(ring, (pair, row)) for row in rows)
+            assert is_admissible(ring, pair) == found
+
     def test_zero_pair(self):
         assert not is_admissible(ring_of("z4"), (0, 0))
         assert not is_admissible(ring_of("m2f2"), (0, 0))
@@ -133,8 +163,10 @@ class TestBuildLine:
             seen |= p.members
         assert len(seen) == len(line.points) * nunits
 
-    @pytest.mark.parametrize("name", ["z4", "gf4", "t2f2"])
+    @pytest.mark.parametrize("name", SMALL_RINGS)
     def test_points_agree_with_admissibility_scan(self, name):
+        """Every pair of every catalog ring of order <= 16 against the plain
+        completion search."""
         line = line_of(name)
         ring = line.ring
         member_union = set()
@@ -144,16 +176,48 @@ class TestBuildLine:
             for b in range(ring.order):
                 assert is_admissible(ring, (a, b)) == ((a, b) in member_union)
 
-    def test_m2f2_admissibility_spot_check(self):
-        line = line_of("m2f2")
-        ring = line.ring
-        member_union = set()
-        for p in line.points:
-            member_union |= p.members
-        rng = random.Random("m2f2-spot")
-        for _ in range(40):
-            pair = (rng.randrange(16), rng.randrange(16))
+    @pytest.mark.parametrize("recipe", SAMPLED_RINGS)
+    def test_admissibility_sampled(self, recipe, monkeypatch):
+        monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 64)
+        ring = build_recipe(recipe)
+        member_union = set().union(*(p.members for p in build_line(ring).points))
+        rng = random.Random(f"admissible-{recipe}")
+        for _ in range(200):
+            pair = (rng.randrange(ring.order), rng.randrange(ring.order))
             assert is_admissible(ring, pair) == (pair in member_union)
+
+    @pytest.mark.parametrize("recipe", sorted(set(RECIPES.values()) | set(LINES32)))
+    def test_invertibility_only_between_points(self, recipe):
+        """The invertibility kernel runs on the left points, not on every
+        left orbit of R^2."""
+        ring = build_recipe(recipe)
+        line = build_line(ring)
+        _, _, reps, inv = line_module._left_orbits(ring)
+        assert inv.shape == (len(line), len(line))
+        assert reps.tolist() == [a * ring.order + b for a, b in (p.rep for p in line.points)]
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_uncompletable_point_raises(self, flags):
+        """A point with no distant partner breaks the stable-rank step; the
+        check is no assert statement, so python -O keeps it."""
+        script = (
+            "from ringline import build_line, build_recipe, line\n"
+            "invertible = line._invertible\n"
+            "def no_partner_for_first(ring, codes):\n"
+            "    inv = invertible(ring, codes)\n"
+            "    inv[0] = False\n"
+            "    return inv\n"
+            "line._invertible = no_partner_for_first\n"
+            "build_line(build_recipe('zn:4'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert "AssertionError: unimodular pair with no completion" in run.stderr
 
     def test_adjacency_symmetric_irreflexive(self):
         for name in CATALOG_NAMES:
@@ -277,6 +341,22 @@ class TestPointType:
             }
             assert len(flags) == 1
             assert (point_type(line, i) == "TypeI") == flags.pop()
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCT_FACTORS))
+def test_left_line_product_law(product):
+    """P(S x T) is P(S) x P(T), distant exactly when both coordinates are:
+    point counts, degrees and edge counts multiply."""
+    line = build_line(build_recipe(product))
+    s, t = (build_line(build_recipe(factor)) for factor in PRODUCT_FACTORS[product])
+    assert len(line) == len(s) * len(t)
+    degrees = np.outer(s.adjacency.sum(axis=1), t.adjacency.sum(axis=1))
+    assert sorted(line.adjacency.sum(axis=1)) == sorted(degrees.ravel())
+    assert line.adjacency.sum() == s.adjacency.sum() * t.adjacency.sum()
+
+
+def test_product_law_covers_lines32_products():
+    assert set(PRODUCT_FACTORS) == {r for r in LINES32 if r.startswith("prod(")}
 
 
 @pytest.mark.parametrize("recipe,side,expected", golden_lines())
