@@ -4,12 +4,13 @@ Points are left unit-orbit classes of admissible pairs, the rows of
 invertible 2x2 matrices; two points are distant when representatives stack
 to an invertible matrix. A pair is admissible iff unimodular, aR + bR = R:
 an inverse's first column solves a*x + b*z = 1, and finite rings have stable
-rank 1. So one n x n product of principal right ideals finds the points, and
-one matrix product between them gives invertibility (_invertible) and checks
-the stable-rank step: each point must have a distant partner. Orbit
-representatives suffice because multiplying one row of a 2x2 matrix on the
-left by a unit (or both coordinates of a pair on the right by the same unit)
-preserves invertibility.
+rank 1. Two routes check each other. One n x n product of principal right
+ideals finds the unimodular pairs, and for each point a search for t with
+a + b*t a unit shows that it completes; that t gives the change of basis
+which reads distance off one unit test (_distant). Orbit representatives
+suffice because multiplying one row of a 2x2 matrix on the left by a unit
+(or both coordinates of a pair on the right by the same unit) preserves
+invertibility.
 """
 
 from __future__ import annotations
@@ -55,49 +56,49 @@ def orbit_labels(ring: FiniteRing, side: str) -> np.ndarray:
     """For each pair code a*n+b, the least code in its unit orbit on the side.
 
     The left orbit of (a, b) is {(ua, ub)}, the right orbit {(au, bu)}, over
-    the units u; the label is the minimum over a (units x n^2) image array.
+    the units u; the label is the running minimum of their images.
     """
     n = ring.order
-    us = np.array(unit_elements(ring))
-    images = ring.mul[us] if side == "left" else ring.mul[:, us].T  # (u, x) -> image of x
-    codes = images[:, :, None] * n + images[:, None, :]
-    return codes.reshape(len(us), n * n).min(axis=0)
+    labels = np.arange(n * n)
+    for u in unit_elements(ring):
+        image = ring.mul[u] if side == "left" else ring.mul[:, u]  # x -> image of x
+        np.minimum(labels, (image[:, None] * n + image[None, :]).ravel(), out=labels)
+    return labels
 
 
-def _invertible(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
-    """inv[i, j]: rows codes[i] over codes[j] stack to an invertible matrix.
-
-    Row (a, b) sends the column (x, z) to a*x + b*z. The matrix has a right
-    inverse iff some column goes to (1, 0) and another to (0, 1), and a right
-    inverse is two-sided because M2(R) is finite. The column counts come
-    from a float32 matrix product, exact since no count exceeds n^2. Run on
-    the unimodular rows only; inv.any(axis=1) confirms that each completes.
-    """
-    n = ring.order
-    a, b = np.divmod(codes, n)
-    f = ring.add[ring.mul[a][:, :, None], ring.mul[b][:, None, :]].reshape(len(codes), n * n)
-    ones = (f == ring.one).astype(np.float32)
-    zeros = (f == 0).astype(np.float32)
-    first = ones @ zeros.T > 0  # [i, j]: some column goes to (1, 0)
-    return first & first.T
-
-
-def _left_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, admissible, reps, inv): the left orbit labels of all pairs,
-    the admissible mask over pair codes, the left points (sorted labels of
-    admissible pairs) and _invertible over them; computed once per ring."""
-    if "left_orbits" not in ring._cache:
+def _admissible(ring: FiniteRing) -> np.ndarray:
+    """Mask over pair codes a*n+b: 1 in aR + bR; computed once per ring."""
+    if "admissible" not in ring._cache:
         principal = np.zeros_like(ring.mul, np.float32)  # [a, x]: x in aR
         np.put_along_axis(principal, ring.mul, 1, axis=1)
         one_minus = principal[:, ring.add[ring.one, ring.neg]]  # [b, x]: 1 - x in bR
-        admissible = (principal @ one_minus.T > 0).ravel()  # [a*n + b]: 1 in aR + bR
-        labels = orbit_labels(ring, "left")
-        reps = np.unique(labels[admissible])
-        inv = _invertible(ring, reps)
-        if not inv.any(axis=1).all():
-            raise AssertionError("unimodular pair with no completion")
-        ring._cache["left_orbits"] = (labels, admissible, reps, inv)
-    return ring._cache["left_orbits"]
+        ring._cache["admissible"] = (principal @ one_minus.T > 0).ravel()
+    return ring._cache["admissible"]
+
+
+def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
+    """adj[i, j]: rows codes[i] over codes[j] stack to an invertible matrix.
+
+    For p = (a, b), stable rank 1 gives a t with u = a + b*t a unit. Then
+    N_p = [[1,0],[t,1]] * [[u^-1, -u^-1*b],[0,1]] is invertible, p * N_p =
+    (1, 0), and its second column is (x, z) = (-u^-1*b, 1 - t*u^-1*b). So
+    [[a,b],[c,d]] * N_p = [[1,0],[*, c*x + d*z]], invertible iff c*x + d*z
+    is a unit. Raises when some unimodular row has no such t, which would
+    break the stable-rank step.
+    """
+    add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
+    unit = np.zeros(ring.order, bool)
+    unit[list(unit_elements(ring))] = True
+    a, b = np.divmod(codes, ring.order)
+    completes = unit[add[a[:, None], mul[b]]]  # [i, t]: a + b*t is a unit
+    if not completes.any(axis=1).all():
+        raise AssertionError("unimodular pair with no completion")
+    t = completes.argmax(axis=1)
+    u_inv = (mul[add[a, mul[b, t]]] == one).argmax(axis=1)
+    x = neg[mul[u_inv, b]]
+    z = add[one, mul[t, x]]
+    # [i, j]: (c, d) = codes[j] against (x, z) of p = codes[i]
+    return unit[add[mul[a[None, :], x[:, None]], mul[b[None, :], z[:, None]]]]
 
 
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
@@ -114,8 +115,8 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
             f"line construction capped at order {LINE_ORDER_CAP}, got {ring.order}"
         )
     n = ring.order
-    left, admissible, reps, inv = _left_orbits(ring)
-    labels = left if side == "left" else orbit_labels(ring, "right")
+    admissible = _admissible(ring)
+    labels = orbit_labels(ring, side)
     # admissibility is right-orbit invariant ((ar, br) completes with
     # (cr, dr) via M * diag(r, r)), so orbits never straddle the set
     if not (admissible[labels] == admissible).all():
@@ -138,10 +139,9 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
         Point(rep=divmod(int(code), n), members=frozenset(divmod(int(c), n) for c in group))
         for code, group in zip(point_codes, groups)
     )
-    # scaling a row on the left by a unit preserves invertibility, so each
-    # point is tested through the representative of its rep's left orbit
-    at = np.searchsorted(reps, left[point_codes])
-    adjacency = inv[np.ix_(at, at)]
+    adjacency = _distant(ring, point_codes)
+    if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():
+        raise AssertionError("distant relation not symmetric and irreflexive")
     adjacency.flags.writeable = False
     return ProjectiveLine(ring=ring, side=side, points=points, adjacency=adjacency)
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: raw table scans,
 naive subset enumeration, determinant arithmetic for commutative rings,
-matrix arithmetic on tuples of tuples, and a plain search over all
-completions of a pair for 2x2 invertibility and admissibility.
+matrix arithmetic on tuples of tuples, a plain search over all
+completions of a pair for 2x2 invertibility and admissibility, and a
+column count over all n^2 columns for invertibility between many rows.
 """
 
 from __future__ import annotations
@@ -125,6 +126,25 @@ def is_invertible_2x2(ring, matrix: Mat2) -> bool:
         return False
     col2 = (fab == 0) & (fcd == one)
     return bool(col2.any())
+
+
+def invertible_between(ring, codes) -> np.ndarray:
+    """inv[i, j]: rows codes[i] over codes[j] (pair codes a*n+b) stack to an
+    invertible matrix.
+
+    Row (a, b) sends the column (x, z) to a*x + b*z. The matrix has a right
+    inverse iff some column goes to (1, 0) and another to (0, 1), and a right
+    inverse is two-sided as in is_invertible_2x2. The column counts come from
+    a float32 matrix product over all n^2 columns, exact since no count
+    exceeds n^2.
+    """
+    n = ring.order
+    a, b = np.divmod(np.asarray(codes), n)
+    f = ring.add[ring.mul[a][:, :, None], ring.mul[b][:, None, :]].reshape(len(a), n * n)
+    ones = (f == ring.one).astype(np.float32)
+    zeros = (f == 0).astype(np.float32)
+    first = ones @ zeros.T > 0  # [i, j]: some column goes to (1, 0)
+    return first & first.T
 
 
 def is_admissible(ring, pair: Pair) -> bool:

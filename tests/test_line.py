@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import RECIPES, line_of, ring_of
-from helpers import det_is_unit, is_admissible, is_invertible_2x2
+from helpers import det_is_unit, invertible_between, is_admissible, is_invertible_2x2
 
 from ringline import (
     OrderTooLarge,
@@ -41,6 +42,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.jso
 LINES32 = json.loads(GOLDEN_PATH.with_name("spec.json").read_text(encoding="utf-8"))[
     "workloads"
 ]["lines32"]["rings"]
+LINE_RECIPES = sorted(set(RECIPES.values()) | set(LINES32))
 SMALL_RINGS = sorted(name for name in RECIPES if ring_of(name).order <= 16)
 SAMPLED_RINGS = [r for r in LINES32 if 24 <= build_recipe(r).order <= 32] + ["tri(gf:4,2)"]
 # the products among the lines32 rings, each with its two factors
@@ -65,6 +67,33 @@ def golden_lines() -> list:
         if "left" in record
         for side in ("left", "right")
     ]
+
+
+def lines_of(ring) -> list:
+    """Both lines of the ring, less a right line that breaks down."""
+    lines = [build_line(ring)]
+    try:
+        lines.append(build_line(ring, "right"))
+    except RightLineBreakdown:
+        pass
+    return lines
+
+
+def line_outcome(ring, side: str):
+    """The line's signature, or the class sizes of its breakdown."""
+    try:
+        return signature(build_line(ring, side))
+    except RightLineBreakdown as err:
+        return err.class_sizes
+
+
+def run_python(flags: list[str], script: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestInvertible2x2:
@@ -186,44 +215,87 @@ class TestBuildLine:
             pair = (rng.randrange(ring.order), rng.randrange(ring.order))
             assert is_admissible(ring, pair) == (pair in member_union)
 
-    @pytest.mark.parametrize("recipe", sorted(set(RECIPES.values()) | set(LINES32)))
-    def test_invertibility_only_between_points(self, recipe):
-        """The invertibility kernel runs on the left points, not on every
-        left orbit of R^2."""
+    @pytest.mark.parametrize("recipe", LINE_RECIPES + ["mat(gf:3,2)", "tri(gf:4,2)"])
+    def test_invertibility_only_between_points(self, recipe, monkeypatch):
+        """On each side, the distant adjacency between the points equals the
+        float32 column count over all n^2 columns."""
+        monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 81)
         ring = build_recipe(recipe)
-        line = build_line(ring)
-        _, _, reps, inv = line_module._left_orbits(ring)
-        assert inv.shape == (len(line), len(line))
-        assert reps.tolist() == [a * ring.order + b for a, b in (p.rep for p in line.points)]
+        for line in lines_of(ring):
+            codes = [a * ring.order + b for a, b in (p.rep for p in line.points)]
+            assert np.array_equal(line.adjacency, invertible_between(ring, codes))
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
     def test_uncompletable_point_raises(self, flags):
-        """A point with no distant partner breaks the stable-rank step; the
-        check is no assert statement, so python -O keeps it."""
+        """A planted non-unimodular pair has no t with a + b*t a unit, which
+        breaks the stable-rank step; over GF(2) x GF(2), |U| = 1 lets it pass
+        the orbit and class-size checks. The check is no assert statement, so
+        python -O keeps it."""
+        ring = build_recipe("prod(gf:2,gf:2)")
+        assert len(unit_elements(ring)) == 1 and not is_admissible(ring, (1, 1))
         script = (
             "from ringline import build_line, build_recipe, line\n"
-            "invertible = line._invertible\n"
-            "def no_partner_for_first(ring, codes):\n"
-            "    inv = invertible(ring, codes)\n"
-            "    inv[0] = False\n"
-            "    return inv\n"
-            "line._invertible = no_partner_for_first\n"
-            "build_line(build_recipe('zn:4'))\n"
+            "ring = build_recipe('prod(gf:2,gf:2)')\n"
+            "line._admissible(ring)[1 * 4 + 1] = True\n"
+            "build_line(ring)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, *flags, "-c", script],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-        )
+        run = run_python(flags, script)
         assert run.returncode == 1
         assert "AssertionError: unimodular pair with no completion" in run.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    @pytest.mark.parametrize("entry", ["0, 1", "0, 0"], ids=["asymmetric", "reflexive"])
+    def test_bad_adjacency_raises(self, flags, entry):
+        """A distant relation that is not symmetric or has a True diagonal
+        is rejected, also under python -O."""
+        script = (
+            "from ringline import build_line, build_recipe, line\n"
+            "distant = line._distant\n"
+            "def planted(ring, codes):\n"
+            "    adj = distant(ring, codes)\n"
+            f"    adj[{entry}] = not adj[{entry}]\n"
+            "    return adj\n"
+            "line._distant = planted\n"
+            "build_line(build_recipe('zn:4'))\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: distant relation not symmetric and irreflexive" in run.stderr
+
     def test_adjacency_symmetric_irreflexive(self):
-        for name in CATALOG_NAMES:
-            line = line_of(name)
-            assert np.array_equal(line.adjacency, line.adjacency.T)
-            assert not line.adjacency.diagonal().any()
+        for recipe in LINE_RECIPES:
+            for line in lines_of(build_recipe(recipe)):
+                assert np.array_equal(line.adjacency, line.adjacency.T)
+                assert not line.adjacency.diagonal().any()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_orbit_labels_match_plain_minimum(self, name):
+        ring = ring_of(name)
+        n, mul = ring.order, ring.mul.tolist()
+        us = unit_elements(ring)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        left = [min(mul[u][a] * n + mul[u][b] for u in us) for a, b in pairs]
+        right = [min(mul[a][u] * n + mul[b][u] for u in us) for a, b in pairs]
+        assert line_module.orbit_labels(ring, "left").tolist() == left
+        assert line_module.orbit_labels(ring, "right").tolist() == right
+
+    def test_memory_bounded_past_the_cap(self, monkeypatch):
+        """Orbit labels take O(n^2) bytes and the line O(points * (n +
+        points)); the units x n^2 and points x n^2 arrays they replace
+        peaked at 10.3 and 49.2 MB on this ring."""
+        monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 125)
+        ring = build_recipe("tri(gf:5,2)")
+        tracemalloc.start()
+        try:
+            line_module.orbit_labels(ring, "left")
+            labels_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            build_line(ring)
+            line_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels_peak < 1_000_000
+        assert line_peak < 8_000_000
 
     def test_order_cap(self):
         big = triangular_ring(ring_gf(2, 2), 2)  # order 64
@@ -258,6 +330,25 @@ class TestRightLine:
         with pytest.raises(RightLineBreakdown) as info:
             build_line(opposite, "right")
         assert info.value.class_sizes == {6: 32, 3: 6}
+
+    @pytest.mark.parametrize("recipe", LINES32)
+    def test_opposite_ring_swaps_sides(self, recipe):
+        """R^op's fingerprint swaps R's maximal left and right ideal counts,
+        while each line of R^op has the signature, or the breakdown, of R's
+        line on the same side. Transposing turns rows of invertible matrices
+        over R^op into columns over R; the first column of N goes to the
+        second row of N^-1, which keeps distance and maps unit orbits to
+        unit orbits of the same side. Both sides run their own kernel."""
+        ring = build_recipe(recipe)
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one)
+        fp = fingerprint(ring)
+        assert fingerprint(opposite) == replace(
+            fp,
+            maximal_left_ideal_count=fp.maximal_right_ideal_count,
+            maximal_right_ideal_count=fp.maximal_left_ideal_count,
+        )
+        for side in ("left", "right"):
+            assert line_outcome(opposite, side) == line_outcome(ring, side)
 
     @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "m2f2"])
     def test_right_line_exists_elsewhere(self, name):
