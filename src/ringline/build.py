@@ -54,11 +54,7 @@ def ring_zn(n: int) -> FiniteRing:
     """Integers mod n; element index equals residue value."""
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
-    _check_order(n, f"Z{n}")
-    idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
-    return validate_ring(add, mul, 1, name=f"Z{n}")
+    return structure_constants_algebra(n, 1, [[[1]]], name=f"Z{n}")
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -336,10 +332,11 @@ def structure_constants_algebra(
     """
     if m < 2 or rank < 1:
         raise ValueError("need modulus >= 2 and rank >= 1")
+    # before any numpy arithmetic with m, which may not fit in int64
+    _check_order(m, name or f"Z{m}-algebra(rank {rank})", rank)
     const = np.asarray(mul_constants, dtype=np.int64) % m
     if const.shape != (rank, rank, rank):
         raise ValueError(f"constants must be {rank}x{rank}x{rank} coefficient vectors")
-    _check_order(m, name or f"Z{m}-algebra(rank {rank})", rank)
     places = m ** np.arange(rank)
     coeffs = np.arange(m**rank)[:, None] // places % m
     add = np.zeros((m**rank, m**rank), dtype=np.int64)

@@ -20,6 +20,7 @@ from .core import RingFingerprint, fingerprint
 from .errors import RightLineBreakdown
 from .line import build_line
 from .stats import (
+    JACOBSON_CANDIDATES,
     ExpectedSignature,
     LineSignature,
     SignatureComparison,
@@ -50,12 +51,12 @@ class CatalogEntry:
     paper_row: str
     provenance: str  # paper-row | paper-brackets | candidate
     recipe: str | None
-    expected: ExpectedSignature | None
+    expected: ExpectedSignature
     right_breakdown_expected: bool = False
 
     def __post_init__(self):
-        if self.provenance in ("paper-row", "paper-brackets") and self.expected is None:
-            raise ValueError(f"entry {self.name}: confirmed rows need an expected signature")
+        if self.expected is None:
+            raise ValueError(f"entry {self.name}: every entry needs an expected signature")
 
 
 def builtin_catalog() -> tuple[CatalogEntry, ...]:
@@ -142,27 +143,71 @@ def catalog_entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def _label_matches(fp: RingFingerprint, paper_row: str) -> bool:
-    order_s, zdiv_s = paper_row.split("/")
-    return fp.order == int(order_s) and fp.zero_divisor_count == int(zdiv_s)
-
-
 @dataclass(frozen=True)
 class EntryResult:
-    name: str
-    paper_row: str
-    provenance: str
-    recipe: str | None
-    status: str  # PASS | FAIL | UNRESOLVED
+    """What evaluate_entry computed for one entry; every verdict is derived.
+
+    The ring's fields are None when the entry has no recipe. Of ``right`` and
+    ``right_class_sizes``, the first holds the right line's signature and the
+    second the class sizes of its breakdown.
+    """
+
+    entry: CatalogEntry
     fingerprint: RingFingerprint | None
-    label_ok: bool | None
     left: LineSignature | None
-    right_status: str  # ok | breakdown | skipped
     right: LineSignature | None
     right_class_sizes: dict[int, int] | None
-    right_ok: bool | None
-    comparison: SignatureComparison | None
     elapsed_ms: float
+
+    @property
+    def name(self) -> str:
+        return self.entry.name
+
+    @property
+    def paper_row(self) -> str:
+        return self.entry.paper_row
+
+    @property
+    def provenance(self) -> str:
+        return self.entry.provenance
+
+    @property
+    def label_ok(self) -> bool | None:
+        """The fingerprint's order and zero-divisor count match the row label."""
+        if self.fingerprint is None:
+            return None
+        order_s, zdiv_s = self.paper_row.split("/")
+        fp = self.fingerprint
+        return fp.order == int(order_s) and fp.zero_divisor_count == int(zdiv_s)
+
+    @property
+    def comparison(self) -> SignatureComparison | None:
+        return None if self.left is None else compare_signature(self.left, self.entry.expected)
+
+    @property
+    def right_status(self) -> str:
+        """ok | breakdown | skipped"""
+        if self.right is not None:
+            return "ok"
+        return "skipped" if self.right_class_sizes is None else "breakdown"
+
+    @property
+    def right_ok(self) -> bool | None:
+        """The right line breaks down when expected, and equals the left otherwise."""
+        if self.fingerprint is None:
+            return None
+        if self.entry.right_breakdown_expected:
+            return self.right is None
+        return self.right == self.left
+
+    @property
+    def status(self) -> str:
+        """PASS | FAIL | UNRESOLVED; a failing candidate is UNRESOLVED."""
+        if self.fingerprint is None:
+            return "UNRESOLVED"
+        if self.label_ok and self.right_ok and self.comparison.passed:
+            return "PASS"
+        return "UNRESOLVED" if self.provenance == "candidate" else "FAIL"
 
     def to_json_dict(self) -> dict:
         right: dict = {"status": self.right_status}
@@ -174,7 +219,7 @@ class EntryResult:
             "name": self.name,
             "paperRow": self.paper_row,
             "provenance": self.provenance,
-            "recipe": self.recipe,
+            "recipe": self.entry.recipe,
             "status": self.status,
             "fingerprint": self.fingerprint.to_json_dict() if self.fingerprint else None,
             "labelOk": self.label_ok,
@@ -189,70 +234,19 @@ class EntryResult:
 
 
 def evaluate_entry(entry: CatalogEntry) -> EntryResult:
-    """Build the ring, both lines, the signature and its comparison."""
+    """Build the ring, its fingerprint and the signatures of both lines."""
     start = time.perf_counter()
-    if entry.recipe is None:
-        return EntryResult(
-            name=entry.name,
-            paper_row=entry.paper_row,
-            provenance=entry.provenance,
-            recipe=None,
-            status="UNRESOLVED",
-            fingerprint=None,
-            label_ok=None,
-            left=None,
-            right_status="skipped",
-            right=None,
-            right_class_sizes=None,
-            right_ok=None,
-            comparison=None,
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        )
-
-    ring = build_recipe(entry.recipe)
-    fp = fingerprint(ring)
-    label_ok = _label_matches(fp, entry.paper_row)
-    left_line = build_line(ring, "left")
-    left_sig = signature(left_line)
-    comparison = (
-        compare_signature(left_sig, entry.expected) if entry.expected is not None else None
-    )
-
-    right_sig = None
-    right_class_sizes = None
-    try:
-        right_line = build_line(ring, "right")
-        right_sig = signature(right_line)
-        right_status = "ok"
-        right_ok = (not entry.right_breakdown_expected) and right_sig == left_sig
-    except RightLineBreakdown as exc:
-        right_status = "breakdown"
-        right_class_sizes = exc.class_sizes
-        right_ok = entry.right_breakdown_expected
-
-    core_ok = label_ok and right_ok and (comparison is None or comparison.passed)
-    if core_ok:
-        status = "PASS"
-    elif entry.provenance == "candidate":
-        status = "UNRESOLVED"
-    else:
-        status = "FAIL"
-    return EntryResult(
-        name=entry.name,
-        paper_row=entry.paper_row,
-        provenance=entry.provenance,
-        recipe=entry.recipe,
-        status=status,
-        fingerprint=fp,
-        label_ok=label_ok,
-        left=left_sig,
-        right_status=right_status,
-        right=right_sig,
-        right_class_sizes=right_class_sizes,
-        right_ok=right_ok,
-        comparison=comparison,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    fp = left = right = right_class_sizes = None
+    if entry.recipe is not None:
+        ring = build_recipe(entry.recipe)
+        fp = fingerprint(ring)
+        left = signature(build_line(ring, "left"))
+        try:
+            right = signature(build_line(ring, "right"))
+        except RightLineBreakdown as exc:
+            right_class_sizes = exc.class_sizes
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return EntryResult(entry, fp, left, right, right_class_sizes, elapsed_ms)
 
 
 @dataclass(frozen=True)
@@ -294,19 +288,8 @@ class RunReport:
             if r.left is None:
                 row = [r.paper_row] + [""] * 9 + [r.right_status]
             else:
-                row = [
-                    r.paper_row,
-                    r.left.tot,
-                    r.left.tpi,
-                    r.left.one_n.value,
-                    r.left.cap2n.value,
-                    r.left.cap3n.value,
-                    r.left.md,
-                    r.left.jcb["A"],
-                    r.left.jcb["B"],
-                    r.left.jcb["C"],
-                    r.right_status,
-                ]
+                jcb = [r.left.jcb[c] for c in JACOBSON_CANDIDATES]
+                row = [r.paper_row, *r.left.as_row(), *jcb, r.right_status]
             writer.writerow(row)
         return buf.getvalue()
 

@@ -132,18 +132,10 @@ def _format_entry_line(r: EntryResult) -> str:
     if r.left is None:
         return f"{r.name:<12} {r.paper_row:<6} {r.status:<10} (no construction shipped)"
     cols = []
-    if r.comparison is not None:
-        for c in r.comparison.columns:
-            mark = "ok" if c.passed else f"FAIL(exp {c.expected})"
-            cols.append(f"{c.name} {c.observed} {mark}")
-    else:
-        row = r.left.as_row()
-        cols.append(
-            f"Tot {row[0]} TpI {row[1]} 1N {row[2]} cap2N {row[3]} cap3N {row[4]} MD {row[5]}"
-        )
-    right = {"ok": "right=left", "breakdown": "right BREAKDOWN", "skipped": "right skipped"}[
-        r.right_status
-    ]
+    for c in r.comparison.columns:
+        mark = "ok" if c.passed else f"FAIL(exp {c.expected})"
+        cols.append(f"{c.name} {c.observed} {mark}")
+    right = "right=left" if r.right_status == "ok" else "right BREAKDOWN"
     right_mark = "" if r.right_ok else " (unexpected)"
     return (
         f"{r.name:<12} {r.paper_row:<6} {r.status:<10} "

@@ -15,7 +15,8 @@ indices; tables are read by indexing ``add``, ``mul`` and ``neg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -84,29 +85,13 @@ class RingFingerprint:
     commutative: bool
 
     def as_tuple(self) -> tuple:
-        return (
-            self.order,
-            self.unit_count,
-            self.zero_divisor_count,
-            self.characteristic,
-            self.radical_size,
-            self.maximal_left_ideal_count,
-            self.maximal_right_ideal_count,
-            self.maximal_two_sided_ideal_count,
-            self.commutative,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def to_json_dict(self) -> dict:
+        """Fields in declaration order, keys in camelCase."""
         return {
-            "order": self.order,
-            "unitCount": self.unit_count,
-            "zeroDivisorCount": self.zero_divisor_count,
-            "characteristic": self.characteristic,
-            "radicalSize": self.radical_size,
-            "maximalLeftIdealCount": self.maximal_left_ideal_count,
-            "maximalRightIdealCount": self.maximal_right_ideal_count,
-            "maximalTwoSidedIdealCount": self.maximal_two_sided_ideal_count,
-            "commutative": self.commutative,
+            re.sub(r"_(.)", lambda m: m.group(1).upper(), f.name): getattr(self, f.name)
+            for f in fields(self)
         }
 
 

@@ -34,6 +34,8 @@ from .errors import NoDistantPair, UnknownCandidate
 from .line import ProjectiveLine, orbit_labels, point_type
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
+# the six signature columns, in row order
+COLUMNS = ("tot", "tpI", "oneN", "cap2N", "cap3N", "md")
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class LineSignature:
     jcb: Mapping[str, int]
 
     def as_row(self) -> tuple[int, int, int, int, int, int]:
-        """(Tot, TpI, 1N, cap2N, cap3N, MD)."""
+        """The values of COLUMNS, in order."""
         return (
             self.tot,
             self.tpi,
@@ -100,25 +102,19 @@ class LineSignature:
             self.md,
         )
 
+    def stats(self) -> dict[str, StatValue]:
+        """The neighbourhood columns by name, with their spread."""
+        return {"oneN": self.one_n, "cap2N": self.cap2n, "cap3N": self.cap3n}
+
     def to_json_dict(self) -> dict:
+        stats = self.stats()
         return {
-            "tot": self.tot,
-            "tpI": self.tpi,
-            "oneN": self.one_n.value,
-            "cap2N": self.cap2n.value,
-            "cap3N": self.cap3n.value,
-            "md": self.md,
+            **dict(zip(COLUMNS, self.as_row())),
             "constancy": {
-                "oneN": self.one_n.constant,
-                "cap2N": self.cap2n.constant,
-                "cap3N": self.cap3n.constant,
+                **{name: stat.constant for name, stat in stats.items()},
                 "noTriple": self.cap3n.vacuous,
             },
-            "detail": {
-                "oneN": self.one_n.to_json_dict(),
-                "cap2N": self.cap2n.to_json_dict(),
-                "cap3N": self.cap3n.to_json_dict(),
-            },
+            "detail": {name: stat.to_json_dict() for name, stat in stats.items()},
         }
 
 
@@ -250,32 +246,14 @@ def compare_signature(
 ) -> SignatureComparison:
     """Per-column PASS/FAIL; the three neighbourhood columns also require the
     constancy flag. Jcb is informational and never affects the verdict."""
-    checks = [
-        ColumnCheck("tot", sig.tot, expected.tot, sig.tot == expected.tot),
-        ColumnCheck("tpI", sig.tpi, expected.tpi, sig.tpi == expected.tpi),
-        ColumnCheck(
-            "oneN",
-            sig.one_n.value,
-            expected.one_n,
-            sig.one_n.value == expected.one_n and sig.one_n.constant,
-        ),
-        ColumnCheck(
-            "cap2N",
-            sig.cap2n.value,
-            expected.cap2n,
-            sig.cap2n.value == expected.cap2n and sig.cap2n.constant,
-        ),
-        ColumnCheck(
-            "cap3N",
-            sig.cap3n.value,
-            expected.cap3n,
-            sig.cap3n.value == expected.cap3n and sig.cap3n.constant,
-        ),
-        ColumnCheck("md", sig.md, expected.md, sig.md == expected.md),
-    ]
+    constant = {name: stat.constant for name, stat in sig.stats().items()}
+    checks = tuple(
+        ColumnCheck(name, observed, want, observed == want and constant.get(name, True))
+        for name, observed, want in zip(COLUMNS, sig.as_row(), expected.as_row())
+    )
     jcb_matches = (
         {c: sig.jcb[c] == expected.jcb for c in sig.jcb}
         if expected.jcb is not None
         else None
     )
-    return SignatureComparison(columns=tuple(checks), jcb_matches=jcb_matches)
+    return SignatureComparison(columns=checks, jcb_matches=jcb_matches)

@@ -107,6 +107,11 @@ class TestZn:
         with pytest.raises(ValueError):
             ring_zn(1)
 
+    def test_modulus_past_int64_refused_by_cap(self):
+        """The order cap refuses the modulus before numpy arithmetic sees it."""
+        with pytest.raises(OrderTooLarge):
+            ring_zn(2**63)
+
 
 class TestGf:
     def test_gf4_default_poly(self):

@@ -106,9 +106,10 @@ class TestBuiltinCatalog:
         with pytest.raises(KeyError):
             catalog_entry("nope")
 
-    def test_confirmed_rows_need_expected(self):
+    @pytest.mark.parametrize("provenance", ["paper-row", "paper-brackets", "candidate"])
+    def test_confirmed_rows_need_expected(self, provenance):
         with pytest.raises(ValueError):
-            CatalogEntry("x", "8/6", "paper-row", "tri(gf:2,2)", None)
+            CatalogEntry("x", "8/6", provenance, "tri(gf:2,2)", None)
 
 
 class TestRunReport:
@@ -120,7 +121,12 @@ class TestRunReport:
 
     def test_one_fail_fails_the_report(self, report):
         """passed is read from the results, so one FAIL entry turns it off."""
-        failing = replace(report.result("t2f2"), status="FAIL")
+        failing = evaluate_entry(
+            replace(
+                catalog_entry("t2f2"),
+                expected=ExpectedSignature(18, 14, 9, 4, 0, 4, jcb=1),  # wrong MD
+            )
+        )
         doctored = RunReport(results=(report.result("m2f2"), failing))
         assert doctored.passed is False
         assert doctored.to_json_dict()["passed"] is False
