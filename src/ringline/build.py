@@ -339,13 +339,10 @@ def structure_constants_algebra(
         raise ValueError(f"constants must be {rank}x{rank}x{rank} coefficient vectors")
     places = m ** np.arange(rank)
     coeffs = np.arange(m**rank)[:, None] // places % m
-    add = np.zeros((m**rank, m**rank), dtype=np.int64)
-    mul = np.zeros_like(add)
-    # (sum ai ei)(sum bj ej) = sum_ij ai bj (ei ej), filled one coordinate at
+    # (sum ai ei)(sum bj ej) = sum_ij ai bj (ei ej), summed one coordinate at
     # a time, so no n x n x rank array is held
-    for k in range(rank):
-        add += (coeffs[:, None, k] + coeffs[None, :, k]) % m * places[k]
-        mul += coeffs @ const[:, :, k] @ coeffs.T % m * places[k]
+    add = sum((coeffs[:, None, k] + coeffs[None, :, k]) % m * places[k] for k in range(rank))
+    mul = sum(coeffs @ const[:, :, k] @ coeffs.T % m * places[k] for k in range(rank))
     one = 1  # e0
     return validate_ring(add, mul, one, name=name or f"Z{m}-algebra(rank {rank})")
 
@@ -512,6 +509,44 @@ def parse_ring_file(text: str) -> FiniteRing:
 # recipes
 
 
+def _gf_of_order(q: int) -> FiniteRing:
+    """GF(q) for a prime power q = p^k; p is q's least factor above 1."""
+    _check_order(q, f"GF({q})")
+    p = next((d for d in range(2, q + 1) if q % d == 0), 2)
+    for k in range(1, q.bit_length()):
+        if p**k == q:
+            return ring_gf(p, k)
+    raise NotPrime(f"{q} is not a prime power")
+
+
+def _named_algebra(name: str) -> FiniteRing:
+    try:
+        return NAMED_ALGEBRAS[name]()
+    except KeyError:
+        raise ValueError(f"unknown named algebra {name!r}") from None
+
+
+def _skew(f: FiniteRing, power: int = 1) -> FiniteRing:
+    """Skew dual numbers over f twisted by x -> x^(p^power); power 0 is the identity."""
+    sigma = identity_automorphism(f) if power == 0 else frobenius_automorphism(f, power)
+    return skew_dual_numbers(f, sigma)
+
+
+# recipe head -> (the argument kinds it accepts, its constructor); an atom
+# takes one integer or name after ':', a call rings and integers in parentheses
+_RECIPE_HEADS = {
+    "zn": ((("integer",),), ring_zn),
+    "gf": ((("integer",),), _gf_of_order),
+    "algebra": ((("name",),), _named_algebra),
+    "dual": ((("ring",),), quotient_dual_numbers),
+    "skew": ((("ring",), ("ring", "integer")), _skew),
+    "mat": ((("ring", "integer"),), matrix_ring),
+    "tri": ((("ring", "integer"),), triangular_ring),
+    "prod": ((("ring", "ring"),), direct_product),
+}
+_ATOMS = frozenset(h for h, (kinds, _) in _RECIPE_HEADS.items() if "ring" not in kinds[0])
+
+
 @dataclass(frozen=True)
 class RingRecipe:
     """Serializable constructor call; same recipe, same tables."""
@@ -520,26 +555,13 @@ class RingRecipe:
     args: tuple
 
     def to_string(self) -> str:
-        if self.kind in ("zn", "gf"):
+        if self.kind in _ATOMS:
             return f"{self.kind}:{self.args[0]}"
-        if self.kind == "algebra":
-            return f"algebra:{self.args[0]}"
-        parts = []
-        for a in self.args:
-            parts.append(a.to_string() if isinstance(a, RingRecipe) else str(a))
+        parts = [a.to_string() if isinstance(a, RingRecipe) else str(a) for a in self.args]
         return f"{self.kind}({','.join(parts)})"
 
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-# the argument kinds each constructor accepts
-_CALL_ARGS = {
-    "dual": [("ring",)],
-    "skew": [("ring",), ("ring", "integer")],
-    "mat": [("ring", "integer")],
-    "tri": [("ring", "integer")],
-    "prod": [("ring", "ring")],
-}
 
 
 def parse_recipe(text: str) -> RingRecipe:
@@ -564,15 +586,15 @@ def _parse_recipe_expr(s: str, depth: int = 0) -> tuple[RingRecipe, str]:
             raise ValueError(f"missing argument after '{head}:'")
         value = m2.group(0)
         rest = rest[m2.end() :]
-        if head in ("zn", "gf"):
+        if head not in _ATOMS:
+            raise ValueError(f"unknown recipe atom {head!r}")
+        if _RECIPE_HEADS[head][0] == (("integer",),):
             if not value.isdigit():
                 raise ValueError(f"'{head}:' needs an integer, got {value!r}")
-            return RingRecipe(head, (int(value),)), rest
-        if head == "algebra":
-            return RingRecipe("algebra", (value,)), rest
-        raise ValueError(f"unknown recipe atom {head!r}")
+            value = int(value)
+        return RingRecipe(head, (value,)), rest
     if rest.startswith("("):
-        if head not in _CALL_ARGS:
+        if head not in _RECIPE_HEADS or head in _ATOMS:
             raise ValueError(f"unknown recipe constructor {head!r}")
         rest = rest[1:]
         args: list = []
@@ -592,8 +614,9 @@ def _parse_recipe_expr(s: str, depth: int = 0) -> tuple[RingRecipe, str]:
             elif not rest.startswith(")"):
                 raise ValueError(f"expected ',' or ')' near {rest!r}")
         got = tuple("ring" if isinstance(a, RingRecipe) else "integer" for a in args)
-        if got not in _CALL_ARGS[head]:
-            want = " or ".join(f"({', '.join(kinds)})" for kinds in _CALL_ARGS[head])
+        kinds = _RECIPE_HEADS[head][0]
+        if got not in kinds:
+            want = " or ".join(f"({', '.join(k)})" for k in kinds)
             raise ValueError(f"{head} takes {want}, got ({', '.join(got)})")
         return RingRecipe(head, tuple(args)), rest
     raise ValueError(f"unknown recipe {head!r} (expected ':' or '(' after it)")
@@ -603,44 +626,10 @@ def build_recipe(recipe: RingRecipe | str) -> FiniteRing:
     """Evaluate a recipe to a validated ring."""
     if isinstance(recipe, str):
         recipe = parse_recipe(recipe)
-    kind, args = recipe.kind, recipe.args
-    if kind == "zn":
-        return ring_zn(args[0])
-    if kind == "gf":
-        q = args[0]
-        _check_order(q, f"GF({q})")
-        for p in range(2, q + 1):
-            if _is_prime(p) and q % p == 0:
-                k = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                if m != 1:
-                    raise NotPrime(f"{q} is not a prime power")
-                return ring_gf(p, k)
-        raise NotPrime(f"{q} is not a prime power")
-    if kind == "algebra":
-        try:
-            return NAMED_ALGEBRAS[args[0]]()
-        except KeyError:
-            raise ValueError(f"unknown named algebra {args[0]!r}") from None
-    if kind == "dual":
-        return quotient_dual_numbers(build_recipe(args[0]))
-    if kind == "skew":
-        f = build_recipe(args[0])
-        power = args[1] if len(args) > 1 else 1
-        sigma = (
-            identity_automorphism(f) if power == 0 else frobenius_automorphism(f, power)
-        )
-        return skew_dual_numbers(f, sigma)
-    if kind == "mat":
-        return matrix_ring(build_recipe(args[0]), args[1])
-    if kind == "tri":
-        return triangular_ring(build_recipe(args[0]), args[1])
-    if kind == "prod":
-        return direct_product(build_recipe(args[0]), build_recipe(args[1]))
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    if recipe.kind not in _RECIPE_HEADS:
+        raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+    construct = _RECIPE_HEADS[recipe.kind][1]
+    return construct(*(build_recipe(a) if isinstance(a, RingRecipe) else a for a in recipe.args))
 
 
 def ring_from_spec(spec: str) -> FiniteRing:

@@ -20,30 +20,25 @@ from .build import emit_ring_file, parse_ring_file, ring_from_spec
 from .catalog import (
     TABLE1_ROW_ORDER,
     EntryResult,
-    RunReport,
     builtin_catalog,
     run_catalog,
 )
-from .core import fingerprint
+from .core import characteristic, fingerprint, is_commutative, zero_divisor_count
 from .errors import OrderTooLarge, RightLineBreakdown, RinglineError
 from .line import build_line, point_type
 from .stats import signature
 
 
 def _print_fingerprint_comments(ring) -> None:
+    zd = zero_divisor_count(ring)
+    print(f"# order/zero-divisors: {ring.order}/{zd}")
+    print(f"# units: {ring.order - zd}  characteristic: {characteristic(ring)}")
     try:
         fp = fingerprint(ring)
     except OrderTooLarge:
-        # ideal enumeration is capped; report the cheap invariants only
-        from .core import characteristic, is_commutative, zero_divisor_count
-
-        zd = zero_divisor_count(ring)
-        print(f"# order/zero-divisors: {ring.order}/{zd}")
-        print(f"# units: {ring.order - zd}  characteristic: {characteristic(ring)}")
+        # ideal enumeration is capped: no radical or ideal counts
         print(f"# commutative: {is_commutative(ring)}  (ideal counts skipped: order too large)")
         return
-    print(f"# order/zero-divisors: {fp.order}/{fp.zero_divisor_count}")
-    print(f"# units: {fp.unit_count}  characteristic: {fp.characteristic}")
     print(f"# radical size: {fp.radical_size}  commutative: {fp.commutative}")
     print(
         "# maximal ideals (left/right/two-sided): "
@@ -87,31 +82,25 @@ def _cmd_line_compute(args) -> int:
     try:
         line = build_line(ring, args.side)
     except RightLineBreakdown as exc:
-        print(f"ring: {ring.name} (order {ring.order})")
-        print(f"side: {args.side}")
+        line, sizes = None, sorted(exc.class_sizes.items())
+    print(f"ring: {ring.name} (order {ring.order})")
+    print(f"side: {args.side}")
+    payload = {"ring": ring.name, "side": args.side}
+    if line is None:
         print("right line BREAKDOWN: admissible classes have unequal sizes")
-        sizes = sorted(exc.class_sizes.items())
         for size, count in sizes:
             print(f"  {count} classes of size {size}")
-        payload = {
-            "ring": ring.name,
-            "side": args.side,
-            "status": "breakdown",
-            "classSizes": {str(size): count for size, count in sizes},
-        }
+        payload["status"] = "breakdown"
+        payload["classSizes"] = {str(size): count for size, count in sizes}
     else:
         sig = signature(line)
-        print(f"ring: {ring.name} (order {ring.order})")
-        print(f"side: {args.side}")
         for text in _signature_lines(sig):
             print(text)
         if args.export:
-            payload = {
-                "ring": ring.name,
-                "side": args.side,
-                "signature": sig.to_json_dict(),
-                "jacobsonCandidates": dict(sig.jcb),
-                "points": [
+            payload.update(
+                signature=sig.to_json_dict(),
+                jacobsonCandidates=dict(sig.jcb),
+                points=[
                     {
                         "rep": list(p.rep),
                         "members": sorted(list(m) for m in p.members),
@@ -119,8 +108,8 @@ def _cmd_line_compute(args) -> int:
                     }
                     for i, p in enumerate(line.points)
                 ],
-                "distantAdjacency": line.adjacency.astype(int).tolist(),
-            }
+                distantAdjacency=line.adjacency.astype(int).tolist(),
+            )
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -142,10 +131,6 @@ def _format_entry_line(r: EntryResult) -> str:
         + "  ".join(cols)
         + f"  [{right}{right_mark}]"
     )
-
-
-def _report_exit_code(report: RunReport) -> int:
-    return 0 if report.passed else 2
 
 
 def _cmd_catalog_run(args) -> int:
@@ -177,7 +162,7 @@ def _cmd_catalog_run(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv_text())
         print(f"wrote CSV report to {args.csv}")
-    return _report_exit_code(report)
+    return 0 if report.passed else 2
 
 
 def _cmd_catalog_table1(args) -> int:
@@ -221,7 +206,7 @@ def _cmd_catalog_table1(args) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(rows_json, fh, indent=2)
         print(f"wrote Table-1 JSON to {args.json}")
-    return _report_exit_code(report)
+    return 0 if report.passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

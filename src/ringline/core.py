@@ -3,14 +3,16 @@
 Elements are the indices 0..order-1; index 0 is always the additive zero.
 All structure (units, radical, ideal lattices, fingerprints) is computed
 exactly from whole tables, which is cheap at the desk-scale orders this
-package targets (ideal enumeration is capped at order 64). Validation checks
-associativity and distributivity on additive generators, in O(n^2) time per
-generator. Left ideals are boolean membership masks; all sums of one ideal
-with the cyclic left ideals come from one float32 matrix product. Right
-ideals are the left ideals of the opposite ring, whose multiplication table
-is ``mul.T``, and two-sided ideals are the sets that are both. Subsets of a
-ring (units, radical, center, ideals) are plain ``frozenset``s of element
-indices; tables are read by indexing ``add``, ``mul`` and ``neg``.
+package targets: a table holds at most 1,024 elements, and ideal lattices
+and projective lines are enumerated only up to order ENUMERATION_CAP = 64
+(:func:`check_enumerable`). Validation checks associativity and
+distributivity on additive generators, in O(n^2) time per generator. Left
+ideals are boolean membership masks; all sums of one ideal with the cyclic
+left ideals come from one float32 matrix product. Right ideals are the left
+ideals of the opposite ring, whose multiplication table is ``mul.T``, and
+two-sided ideals are the sets that are both. Subsets of a ring (units,
+radical, center, ideals) are plain ``frozenset``s of element indices; tables
+are read by indexing ``add``, ``mul`` and ``neg``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     ZeroIndexNotZero,
 )
 
-IDEAL_ENUMERATION_CAP = 64
+ENUMERATION_CAP = 64
 
 
 class FiniteRing:
@@ -271,6 +273,13 @@ def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
     return np.array_equal(mul[prod[:, :, None], g], mul[g[:, None, None], prod])
 
 
+def check_enumerable(ring: FiniteRing, what: str) -> None:
+    """Refuse to enumerate ``what`` over a ring past ENUMERATION_CAP, before
+    anything of size n^2 is allocated; the cap is read at call time."""
+    if ring.order > ENUMERATION_CAP:
+        raise OrderTooLarge(f"{what} capped at order {ENUMERATION_CAP}, got {ring.order}")
+
+
 # ---------------------------------------------------------------------------
 # element-level structure
 
@@ -352,10 +361,7 @@ def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[i
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError(f"unknown side {side!r}; expected left, right or two_sided")
-    if ring.order > IDEAL_ENUMERATION_CAP:
-        raise OrderTooLarge(
-            f"ideal enumeration capped at order {IDEAL_ENUMERATION_CAP}, got {ring.order}"
-        )
+    check_enumerable(ring, "ideal enumeration")
     key = ("ideals", side)
     if key not in ring._cache:
         if side == "two_sided":

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteRing, unit_elements
-from .errors import OrderTooLarge, RightLineBreakdown
-
-LINE_ORDER_CAP = 32
+from .core import FiniteRing, check_enumerable, unit_elements
+from .errors import RightLineBreakdown
 
 Pair = tuple[int, int]
 
@@ -110,10 +108,7 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if ring.order > LINE_ORDER_CAP:
-        raise OrderTooLarge(
-            f"line construction capped at order {LINE_ORDER_CAP}, got {ring.order}"
-        )
+    check_enumerable(ring, "line construction")
     n = ring.order
     admissible = _admissible(ring)
     labels = orbit_labels(ring, side)

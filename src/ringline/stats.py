@@ -12,6 +12,11 @@ The neighbourhood columns are whole-matrix counts over the distant adjacency
 is exact since no count reaches 2**24. Bitmasks of the distant graph live
 only in ringline.clique, behind the maximum-clique search.
 
+GL2(R) preserves distance and is transitive on pairwise-distant triples
+(each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so
+every neighbourhood column is constant and a False constancy flag can only
+mean a defect.
+
 What the Jcb candidates show on the catalog. Candidate A is 0 on every line:
 each admissible pair completes to an invertible matrix, so every point has a
 distant point. Candidate B, |J| - 1, is also the number of twins of each

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: raw table scans,
 naive subset enumeration, determinant arithmetic for commutative rings,
 matrix arithmetic on tuples of tuples, a plain search over all
-completions of a pair for 2x2 invertibility and admissibility, and a
-column count over all n^2 columns for invertibility between many rows.
+completions of a pair for 2x2 invertibility and admissibility, a column
+count over all n^2 columns for invertibility between many rows, and closed
+forms for the first five signature columns.
 """
 
 from __future__ import annotations
@@ -165,6 +166,38 @@ def is_admissible(ring, pair: Pair) -> bool:
     to_10 = (add[mul[:, x1][:, None, :], mul[:, z1][None, :, :]] == 0).any(axis=2)
     to_01 = (add[mul[:, x0][:, None, :], mul[:, z0][None, :, :]] == one).any(axis=2)
     return bool((to_10 & to_01).any())
+
+
+def closed_form_row(ring) -> tuple[int, int, int, int, int]:
+    """(Tot, TpI, 1N, cap2N, cap3N) of either line over the ring, without
+    building it.
+
+    GL2(R) moves any pairwise-distant triple to (1,0), (0,1), (1,1), so each
+    column is a count at those points. A point is a unit orbit of |U|
+    admissible pairs, and (a, b) is admissible when a + b*t is a unit for
+    some t (plain loops over t). Then Tot = |admissible| / |U|; the Type I
+    points are (1, b) and (a, 1) with a a non-unit, 2n - |U| of them; (1,0)
+    is distant from exactly the n points (c, 1); the common neighbours of
+    (1,0) and (0,1) are the Type II points; and (a, b) is near all three of
+    the triple when a, b and b - a are non-units.
+    """
+    n, add, mul = ring.order, ring.add.tolist(), ring.mul.tolist()
+    units = brute_units(ring)
+    unit = [x in units for x in range(n)]
+    neg = [row.index(0) for row in add]
+    admissible = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if any(unit[add[a][mul[b][t]]] for t in range(n))
+    ]
+    nunits = sum(unit)
+    tot = len(admissible) // nunits
+    tpi = 2 * n - nunits
+    near_triple = sum(
+        not (unit[a] or unit[b] or unit[add[b][neg[a]]]) for a, b in admissible
+    )
+    return tot, tpi, tot - 1 - n, tot - tpi, near_triple // nunits
 
 
 def det_is_unit(ring, matrix: Mat2) -> bool:

@@ -50,14 +50,16 @@ def test_ring_show_bad_recipe(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _assert_input_error(*argv: str) -> None:
-    """The CLI in a subprocess exits 1 with an error line, no traceback."""
+def _assert_input_error(*argv: str) -> str:
+    """The CLI in a subprocess exits 1 with an error line, no traceback;
+    returns its stderr."""
     run = subprocess.run(
         [sys.executable, "-m", "ringline", *argv],
         env=_src_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 1
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+    return run.stderr
 
 
 def test_ring_show_wrong_argument_kind():
@@ -121,6 +123,17 @@ def test_line_compute_right_breakdown(capsys):
     out = capsys.readouterr().out
     assert "BREAKDOWN" in out
     assert "classes of size" in out
+
+
+def test_line_compute_at_the_cap(capsys):
+    """Lines are enumerated up to the same order 64 as ideal lattices."""
+    assert main(["line", "compute", "tri(gf:4,2)"]) == 0
+    assert "Tot 100" in capsys.readouterr().out
+
+
+def test_line_compute_past_the_cap():
+    stderr = _assert_input_error("line", "compute", "prod(tri(gf:4,2),zn:2)")  # order 128
+    assert "capped at order 64" in stderr
 
 
 def test_line_compute_right_breakdown_export(tmp_path, capsys):

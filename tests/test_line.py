@@ -26,12 +26,11 @@ from ringline import (
     distant,
     fingerprint,
     point_type,
-    ring_gf,
     signature,
-    triangular_ring,
     unit_elements,
     validate_ring,
 )
+from ringline import core as core_module
 from ringline import line as line_module
 
 NONCOMMUTATIVE = ["t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2", "skewgf4", "f2xy"]
@@ -206,8 +205,7 @@ class TestBuildLine:
                 assert is_admissible(ring, (a, b)) == ((a, b) in member_union)
 
     @pytest.mark.parametrize("recipe", SAMPLED_RINGS)
-    def test_admissibility_sampled(self, recipe, monkeypatch):
-        monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 64)
+    def test_admissibility_sampled(self, recipe):
         ring = build_recipe(recipe)
         member_union = set().union(*(p.members for p in build_line(ring).points))
         rng = random.Random(f"admissible-{recipe}")
@@ -219,7 +217,7 @@ class TestBuildLine:
     def test_invertibility_only_between_points(self, recipe, monkeypatch):
         """On each side, the distant adjacency between the points equals the
         float32 column count over all n^2 columns."""
-        monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 81)
+        monkeypatch.setattr(core_module, "ENUMERATION_CAP", 81)
         ring = build_recipe(recipe)
         for line in lines_of(ring):
             codes = [a * ring.order + b for a, b in (p.rep for p in line.points)]
@@ -283,7 +281,7 @@ class TestBuildLine:
         """Orbit labels take O(n^2) bytes and the line O(points * (n +
         points)); the units x n^2 and points x n^2 arrays they replace
         peaked at 10.3 and 49.2 MB on this ring."""
-        monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 125)
+        monkeypatch.setattr(core_module, "ENUMERATION_CAP", 125)
         ring = build_recipe("tri(gf:5,2)")
         tracemalloc.start()
         try:
@@ -297,8 +295,22 @@ class TestBuildLine:
         assert labels_peak < 1_000_000
         assert line_peak < 8_000_000
 
+    def test_largest_line_memory_bounded(self):
+        """The line over (F2)^6, order 64, has 3^6 = 729 points; with its
+        signature it peaked at 133 MB, most of it the (distant pairs x
+        points) array behind cap3N."""
+        ring = build_recipe("prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,gf:2)))))")
+        tracemalloc.start()
+        try:
+            sig = signature(build_line(ring))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.tot == 729
+        assert peak < 200 * 2**20
+
     def test_order_cap(self):
-        big = triangular_ring(ring_gf(2, 2), 2)  # order 64
+        big = build_recipe("prod(tri(gf:4,2),zn:2)")  # order 128
         with pytest.raises(OrderTooLarge):
             build_line(big)
 

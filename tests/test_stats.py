@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import functools
+import json
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import line_of, ring_of
+from helpers import closed_form_row
 
 from ringline import (
     NoDistantPair,
@@ -24,8 +27,8 @@ from ringline import (
     signature,
     triple_intersection_stat,
 )
-from ringline import RightLineBreakdown, build_recipe, clique
-from ringline import line as line_module
+from ringline import RightLineBreakdown, build_recipe, builtin_catalog, clique
+from ringline import core as core_module
 from ringline.line import Point, ProjectiveLine, build_line
 from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
 
@@ -210,7 +213,7 @@ class TestMaxDistantSet:
 
 
 # R/J as a product of matrix rings M_k(GF(q)), listed as (q, k) by hand: the
-# 14 rings of the lines32 benchmark, then two rings past LINE_ORDER_CAP.
+# 14 rings of the lines32 benchmark, then two rings of order 64 and 125.
 RADICAL_QUOTIENTS = {
     "tri(gf:2,2)": [(2, 1), (2, 1)],
     "tri(gf:3,2)": [(3, 1), (3, 1)],
@@ -231,6 +234,16 @@ RADICAL_QUOTIENTS = {
 }
 
 
+_SPEC_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
+_WORKLOADS = json.loads(_SPEC_PATH.read_text(encoding="utf-8"))["workloads"]
+# every catalog recipe and every ring of the lines32 and structure64 benchmarks
+CLOSED_FORM_RECIPES = sorted(
+    {e.recipe for e in builtin_catalog() if e.recipe is not None}
+    | set(_WORKLOADS["lines32"]["rings"])
+    | set(_WORKLOADS["structure64"]["rings"])
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _uncapped_lines(recipe: str) -> tuple[ProjectiveLine, ...]:
     """Both lines of a recipe that exist (a right line may break down)."""
@@ -246,7 +259,7 @@ def _uncapped_lines(recipe: str) -> tuple[ProjectiveLine, ...]:
 
 @pytest.fixture
 def lines_of(monkeypatch):
-    monkeypatch.setattr(line_module, "LINE_ORDER_CAP", 125)
+    monkeypatch.setattr(core_module, "ENUMERATION_CAP", 125)
     return _uncapped_lines
 
 
@@ -271,6 +284,21 @@ class TestSecondRoutes:
             )
             twins = size[cls.ravel()] - 1
             assert (twins == jacobson_stat(line, "B")).all(), line.side
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
+    def test_closed_forms_match(self, recipe):
+        """Tot, TpI, 1N, cap2N and cap3N from closed forms at (1,0), (0,1)
+        and (1,1), on each side whose line exists; GL2(R) is transitive on
+        pairwise-distant triples, so every constancy flag is set."""
+        row = closed_form_row(build_recipe(recipe))
+        lines = _uncapped_lines(recipe)
+        assert lines and lines[0].side == "left"
+        for line in lines:
+            sig = signature(line)
+            assert sig.as_row()[:5] == row, line.side
+            assert all(stat.constant for stat in sig.stats().values()), line.side
 
 
 class TestJacobsonCandidates:
