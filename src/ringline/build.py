@@ -429,9 +429,10 @@ def matrix_subring_closure(
 def emit_ring_file(ring: FiniteRing) -> str:
     """Canonical plain-text form; bit-exact round trip with parse_ring_file."""
     lines = [f"ring {ring.name}", f"order {ring.order}", f"one {ring.one}", "add"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in ring.add)
+    # one row at a time: a whole-table tolist() holds n^2 Python ints at once
+    lines.extend(" ".join(map(str, row.tolist())) for row in ring.add)
     lines.append("mul")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in ring.mul)
+    lines.extend(" ".join(map(str, row.tolist())) for row in ring.mul)
     return "\n".join(lines) + "\n"
 
 

@@ -103,7 +103,7 @@ def _cmd_line_compute(args) -> int:
                 points=[
                     {
                         "rep": list(p.rep),
-                        "members": sorted(list(m) for m in p.members),
+                        "members": [list(divmod(c, ring.order)) for c in p.members.tolist()],
                         "type": point_type(line, i),
                     }
                     for i, p in enumerate(line.points)

@@ -21,6 +21,13 @@ recorded clique is smaller than omega. At every node on C*'s path the
 remaining members of C* are still in ``cand`` and lie in distinct colour
 classes, so the bound is at least omega, which exceeds the best so far, and
 that path is never cut.
+
+A caller that knows an upper bound on omega passes it as ``stop``; the
+search then returns as soon as it records a clique of that size. If the bound
+is omega, that clique is C* by the argument above, so the result is the same
+tuple the full search returns. The clique is the witness and the bound its
+certificate: a search that ends at any other size (it finishes below
+``stop``, or it records a larger clique) raises AssertionError.
 """
 
 from __future__ import annotations
@@ -50,9 +57,11 @@ def _colour_classes(nb: list[int], cand: int) -> list[int]:
     return classes
 
 
-def max_clique(adjacency: np.ndarray) -> tuple[int, ...]:
-    """Lexicographically least maximum clique of a symmetric boolean matrix."""
+def max_clique(adjacency: np.ndarray, stop: int | None = None) -> tuple[int, ...]:
+    """Lexicographically least maximum clique of a symmetric boolean matrix,
+    searched until a clique of size ``stop`` (default: every vertex) is found."""
     nb = adjacency_masks(adjacency)
+    limit = len(nb) if stop is None else stop
     best: list[int] = []
 
     def expand(chosen: list[int], cand: int) -> None:
@@ -62,7 +71,7 @@ def max_clique(adjacency: np.ndarray) -> tuple[int, ...]:
                 best = chosen
             return
         classes = _colour_classes(nb, cand)
-        while cand:
+        while cand and len(best) < limit:
             if len(chosen) + sum(1 for cls in classes if cls & cand) <= len(best):
                 return
             bit = cand & -cand
@@ -71,6 +80,8 @@ def max_clique(adjacency: np.ndarray) -> tuple[int, ...]:
             cand ^= bit
 
     expand([], (1 << len(nb)) - 1)
+    if stop is not None and len(best) != stop:
+        raise AssertionError(f"clique search ended at size {len(best)}, not at the bound {stop}")
     # certificate: pairwise adjacent
     if not (adjacency[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all():
         raise AssertionError("returned set is not a clique")

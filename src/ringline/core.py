@@ -1,22 +1,23 @@
 """Finite associative unital rings as explicit Cayley tables.
 
 Elements are the indices 0..order-1; index 0 is always the additive zero.
-All structure (units, radical, ideal lattices, fingerprints) is computed
-exactly from whole tables, which is cheap at the desk-scale orders this
-package targets: a table holds at most 1,024 elements, and ideal lattices
-and projective lines are enumerated only up to order ENUMERATION_CAP = 64
-(:func:`check_enumerable`). Validation checks associativity and
-distributivity on additive generators, in O(n^2) time per generator. Left
-ideals are boolean membership masks; all sums of one ideal with the cyclic
-left ideals come from one float32 matrix product. Right ideals are the left
-ideals of the opposite ring, whose multiplication table is ``mul.T``, and
-two-sided ideals are the sets that are both. Subsets of a ring (units,
-radical, center, ideals) are plain ``frozenset``s of element indices; tables
-are read by indexing ``add``, ``mul`` and ``neg``.
+All structure (units, radical, the blocks of R/J, ideal lattices,
+fingerprints) is computed exactly from whole tables, which is cheap at the
+desk-scale orders this package targets: a table holds at most 1,024
+elements, and ideal lattices and projective lines are enumerated only up to
+order ENUMERATION_CAP = 64 (:func:`check_enumerable`). Validation checks
+associativity and distributivity on additive generators, in O(n^2) time per
+generator. Left ideals are boolean membership masks; all sums of one ideal
+with the cyclic left ideals come from one float32 matrix product. Right
+ideals are the left ideals of the opposite ring, whose multiplication table
+is ``mul.T``, and two-sided ideals are the sets that are both. Subsets of a
+ring (units, radical, center, ideals) are plain ``frozenset``s of element
+indices; tables are read by indexing ``add``, ``mul`` and ``neg``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -318,6 +319,36 @@ def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
             raise AssertionError("radical is not additively closed")
         ring._cache["radical"] = frozenset(members.tolist())
     return ring._cache["radical"]
+
+
+def semisimple_blocks(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
+    """(q, k) for each block M_k(GF(q)) of R/J(R), in ascending order.
+
+    Each coset of J is labelled by its least member, which gives R/J's
+    multiplication table. The blocks are e*(R/J) for the primitive central
+    idempotents e, the minimal nonzero ones under f <= e iff f*e = f. A
+    block is simple, so its centre e*Z(R/J) is a field GF(q) with identity
+    e, and the block has q^(k^2) elements. Raises AssertionError when a
+    block is not such a full matrix ring.
+    """
+    if "blocks" not in ring._cache:
+        radical = np.array(sorted(jacobson_radical(ring)))
+        label = ring.add[:, radical].min(axis=1)  # x -> least member of x + J
+        reps, coset = np.unique(label, return_inverse=True)  # coset 0 is J
+        mul = coset[ring.mul[np.ix_(reps, reps)]]
+        centre = np.flatnonzero((mul == mul.T).all(axis=1))
+        idem = centre[(mul[centre, centre] == centre) & (centre != 0)]
+        below = mul[np.ix_(idem, idem)] == idem[:, None]  # [f, e]: f <= e
+        blocks = []
+        for e in idem[below.sum(axis=0) == 1]:
+            field = np.flatnonzero(np.bincount(mul[e, centre]))[1:]  # e*Z less 0
+            q, size = len(field) + 1, np.count_nonzero(np.bincount(mul[e]))
+            k = math.isqrt(round(math.log(size, q)))
+            if q ** (k * k) != size or not (mul[np.ix_(field, field)] == e).any(axis=1).all():
+                raise AssertionError("block of R/J is not a full matrix ring")
+            blocks.append((q, k))
+        ring._cache["blocks"] = tuple(sorted(blocks))
+    return ring._cache["blocks"]
 
 
 def _left_ideals(add: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:

@@ -10,7 +10,8 @@ a + b*t a unit shows that it completes; that t gives the change of basis
 which reads distance off one unit test (_distant). Orbit representatives
 suffice because multiplying one row of a 2x2 matrix on the left by a unit
 (or both coordinates of a pair on the right by the same unit) preserves
-invertibility.
+invertibility. Every class has |U| members, so the members of all points are
+the rows of one read-only (points x |U|) array of pair codes a*n+b.
 """
 
 from __future__ import annotations
@@ -25,12 +26,16 @@ from .errors import RightLineBreakdown
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
-    """A unit-orbit class of admissible pairs with its least representative."""
+    """A unit-orbit class of admissible pairs with its least representative.
+
+    ``members`` is the point's row of the line's one read-only (points x
+    |U|) array of pair codes a*n+b, ascending, so ``rep`` is its first code.
+    """
 
     rep: Pair
-    members: frozenset[Pair]
+    members: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +134,11 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
         )
 
     by_point = members[np.argsort(labels[members], kind="stable")]
-    groups = np.split(by_point, np.cumsum(sizes)[:-1])
+    by_point.flags.writeable = False
+    # every class has |U| members, so the classes are rows of one array
+    rows = by_point.reshape(-1, nunits)
     points = tuple(
-        Point(rep=divmod(int(code), n), members=frozenset(divmod(int(c), n) for c in group))
-        for code, group in zip(point_codes, groups)
+        Point(rep=divmod(code, n), members=row) for code, row in zip(point_codes.tolist(), rows)
     )
     adjacency = _distant(ring, point_codes)
     if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():

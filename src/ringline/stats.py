@@ -7,10 +7,19 @@ distant points, and a family of candidate "Jacobson point" statistics (the
 literature's definition is not pinned down here, so candidates are reported
 side by side and never asserted).
 
-The neighbourhood columns are whole-matrix counts over the distant adjacency
-``line.adjacency``: products of the neighbour matrix taken in float32, which
-is exact since no count reaches 2**24. Bitmasks of the distant graph live
-only in ringline.clique, behind the maximum-clique search.
+1N counts the rows of the neighbour matrix of ``line.adjacency``. cap2N and
+cap3N are counted on twin classes, the points with equal distant rows (on a
+ring line, the fibres of P(R) -> P(R/J)), grouped from the adjacency alone,
+so the counts hold on any symmetric irreflexive graph. Twins are never
+distant, so the common neighbourhood of distant points depends only on
+their classes: it is the total size of the classes near all of them, and a
+class pair or triple stands for the product of its class sizes in point
+pairs or triples. Both gather the class rows of their pairs and triples
+in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
+one point, and weigh them by class size in float32, exact since no count
+reaches 2**24. MD is the maximum clique, searched only up to the bound
+from R/J's blocks. Bitmasks of the distant graph live only in
+ringline.clique, behind the maximum-clique search.
 
 GL2(R) preserves distance and is transitive on pairwise-distant triples
 (each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so
@@ -29,18 +38,20 @@ C, and no candidate matches gf4xz4 or gf4xdualf2 (both expect 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import clique
-from .core import jacobson_radical
+from .core import jacobson_radical, semisimple_blocks
 from .errors import NoDistantPair, UnknownCandidate
 from .line import ProjectiveLine, orbit_labels, point_type
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 # the six signature columns, in row order
 COLUMNS = ("tot", "tpI", "oneN", "cap2N", "cap3N", "md")
+# cells of one block of cap2N and cap3N: bool (pair x class) or (triple x class)
+BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,11 +81,23 @@ class StatValue:
         return self.count == 0
 
     @classmethod
-    def of(cls, values: np.ndarray) -> "StatValue":
-        """The spread of an array of counts, as plain ints (JSON-safe)."""
+    def of(cls, values: np.ndarray, multiplicity: np.ndarray | None = None) -> "StatValue":
+        """The spread of an array of counts, as plain ints (JSON-safe); with
+        ``multiplicity``, entry k stands for multiplicity[k] observations."""
         if not values.size:
             return cls(lo=0, hi=0, count=0)
-        return cls(lo=int(values.min()), hi=int(values.max()), count=int(values.size))
+        count = values.size if multiplicity is None else multiplicity.sum()
+        return cls(lo=int(values.min()), hi=int(values.max()), count=int(count))
+
+    @classmethod
+    def union(cls, parts: Iterable["StatValue"]) -> "StatValue":
+        """The spread of the observations of all the parts."""
+        seen = [p for p in parts if not p.vacuous]
+        if not seen:
+            return cls(lo=0, hi=0, count=0)
+        return cls(
+            lo=min(p.lo for p in seen), hi=max(p.hi for p in seen), count=sum(p.count for p in seen)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,34 +205,84 @@ def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
     return StatValue.of(_near(line).sum(axis=1))
 
 
+def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distant graph on twin classes (points with equal distant rows), and
+    each class's size.
+
+    Twins are never distant: in an irreflexive graph, twins i, j would have
+    adj[i, j] = adj[j, j] = False. Rows are grouped by their packed bytes.
+    """
+    packed = np.packbits(adjacency, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, sizes = np.unique(rows, return_index=True, return_counts=True)
+    return adjacency[np.ix_(first, first)], sizes
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of consecutive rows, each of at most BLOCK_CELLS cells of the width."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each True cell, row-major (flat indices are far
+    cheaper to find than np.nonzero's pair of index arrays)."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def pair_intersection_stat(line: ProjectiveLine) -> StatValue:
-    """|N(P) ∩ N(Q)| over all unordered distant pairs."""
-    i, j = np.nonzero(np.triu(line.adjacency))
-    if not len(i):
+    """|N(P) ∩ N(Q)| over all unordered distant pairs, from twin classes.
+
+    For each distant class pair a < b, in blocks of BLOCK_CELLS (pair,
+    class) cells, the count is the total size of the classes near both; the
+    pair stands for |a| * |b| point pairs.
+    """
+    adj, sizes = _twin_classes(line.adjacency)
+    a, b = _cells(np.triu(adj))
+    if not len(a):
         raise NoDistantPair(f"line over {line.ring.name} has no distant pair")
-    near = _near(line).astype(np.float32)
-    return StatValue.of((near @ near.T)[i, j])  # [i, j]: common neighbours
+    near, weights = ~adj, sizes.astype(np.float32)
+    return StatValue.union(
+        StatValue.of((near[a[s]] & near[b[s]]) @ weights, sizes[a[s]] * sizes[b[s]])
+        for s in _row_blocks(len(a), len(adj))
+    )
 
 
 def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
-    """|N(P) ∩ N(Q) ∩ N(S)| over all pairwise-distant triples.
+    """|N(P) ∩ N(Q) ∩ N(S)| over all pairwise-distant triples, from twin classes.
 
-    Row p of the product counts, for the p-th distant pair (i, j) and every
-    point k, the common neighbours of all three; a triple is kept when k is
-    distant from both and k > j, so each is counted once. A line without
-    such a triple yields the vacuous StatValue (count 0).
+    Distant class pairs a < b are taken in blocks of BLOCK_CELLS (pair,
+    class) cells; a class c > b distant from both completes a triple, whose
+    count is the total size of the classes near all three and which stands
+    for |a| * |b| * |c| point triples. The triples are gathered in blocks of
+    the same size, and only each block's spread is kept. A line without such
+    a triple yields the vacuous StatValue (count 0).
     """
-    adj = line.adjacency
-    near = _near(line)
-    i, j = np.nonzero(np.triu(adj))
-    counts = (near[i] & near[j]).astype(np.float32) @ near.T.astype(np.float32)
-    later = adj[i] & adj[j] & (np.arange(len(adj)) > j[:, None])
-    return StatValue.of(counts[later])
+    adj, sizes = _twin_classes(line.adjacency)
+    later = np.triu(adj)  # [a, c]: c > a and distant from a
+    near, weights = ~adj, sizes.astype(np.float32)
+    a, b = _cells(later)
+    parts = []
+    for rows in _row_blocks(len(a), len(adj)):
+        pa, pb = a[rows], b[rows]
+        p, c = _cells(later[pa] & later[pb])
+        for s in _row_blocks(len(c), len(adj)):
+            i, j, k = pa[p[s]], pb[p[s]], c[s]
+            common = (near[i] & near[j] & near[k]) @ weights
+            parts.append(StatValue.of(common, sizes[i] * sizes[j] * sizes[k]))
+    return StatValue.union(parts)
 
 
 def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
-    """An exact maximum clique of the distant graph (lexicographically least)."""
-    return clique.max_clique(line.adjacency)
+    """An exact maximum clique of the distant graph (lexicographically least).
+
+    A mutually distant set of P(M_k(GF(q))) is a partial spread of k-spaces
+    in GF(q)^2k, so it has at most q^k + 1 points; distance is decided mod J
+    and block by block, so MD is at most the least q^k + 1 over the blocks
+    of R/J. The search stops at that bound and fails if it cannot reach it.
+    """
+    stop = min(q**k + 1 for q, k in semisimple_blocks(line.ring))
+    return clique.max_clique(line.adjacency, stop)
 
 
 def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:

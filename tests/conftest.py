@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,16 @@ RECIPES.update(
         "dualf2": "dual(gf:2)",
     }
 )
+
+
+def run_python(flags: list[str], script: str) -> subprocess.CompletedProcess:
+    """Run a script with the interpreter flags, on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: raw table scans,
 naive subset enumeration, determinant arithmetic for commutative rings,
 matrix arithmetic on tuples of tuples, a plain search over all
 completions of a pair for 2x2 invertibility and admissibility, a column
-count over all n^2 columns for invertibility between many rows, and closed
-forms for the first five signature columns.
+count over all n^2 columns for invertibility between many rows, closed
+forms for the first five signature columns, and whole-matrix neighbourhood
+intersections over the points, without the twin classes.
 """
 
 from __future__ import annotations
@@ -198,6 +199,43 @@ def closed_form_row(ring) -> tuple[int, int, int, int, int]:
         not (unit[a] or unit[b] or unit[add[b][neg[a]]]) for a, b in admissible
     )
     return tot, tpi, tot - 1 - n, tot - tpi, near_triple // nunits
+
+
+def member_pairs(line, i: int) -> list[Pair]:
+    """The admissible pairs of the line's i-th point, ascending, decoded from
+    its member codes a*n+b."""
+    return [divmod(c, line.ring.order) for c in line.points[i].members.tolist()]
+
+
+def _spread(values: np.ndarray) -> tuple[int, int, int]:
+    """(lo, hi, count) of the values; (0, 0, 0) when there are none."""
+    if not values.size:
+        return (0, 0, 0)
+    return (int(values.min()), int(values.max()), int(values.size))
+
+
+def _near(adjacency) -> np.ndarray:
+    return ~adjacency & ~np.eye(len(adjacency), dtype=bool)
+
+
+def pair_intersection_oracle(adjacency) -> tuple[int, int, int]:
+    """(lo, hi, count) of |N(P) & N(Q)| over the distant pairs, read off one
+    (points x points) product of the neighbour matrix, exact in float32."""
+    near = _near(adjacency).astype(np.float32)
+    i, j = np.nonzero(np.triu(adjacency))
+    return _spread((near @ near.T)[i, j])
+
+
+def triple_intersection_oracle(adjacency) -> tuple[int, int, int]:
+    """(lo, hi, count) of |N(P) & N(Q) & N(S)| over the pairwise-distant
+    triples: row p of a (distant pairs x points) product counts the common
+    neighbours of the p-th pair (i, j) and each point k, kept when k is
+    distant from both and k > j."""
+    near = _near(adjacency)
+    i, j = np.nonzero(np.triu(adjacency))
+    counts = (near[i] & near[j]).astype(np.float32) @ near.T.astype(np.float32)
+    later = adjacency[i] & adjacency[j] & (np.arange(len(adjacency)) > j[:, None])
+    return _spread(counts[later])
 
 
 def det_is_unit(ring, matrix: Mat2) -> bool:

@@ -66,3 +66,17 @@ def test_returned_set_is_clique(seed):
         assert adj[u, v]
     assert brute_has_clique(adj, len(chosen))
     assert not brute_has_clique(adj, len(chosen) + 1)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_stop_at_clique_number_keeps_least_clique(seed):
+    adj = random_graph(7 + seed % 4, 0.5, f"lex-{seed}")
+    full = max_clique(adj)
+    assert max_clique(adj, stop=len(full)) == full == brute_lex_least_max_clique(adj)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stop_past_clique_number_raises(seed):
+    adj = random_graph(10, 0.5, f"stop-{seed}")
+    with pytest.raises(AssertionError, match="not at the bound"):
+        max_clique(adj, stop=len(max_clique(adj)) + 1)

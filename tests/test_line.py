@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
@@ -15,8 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RECIPES, line_of, ring_of
-from helpers import det_is_unit, invertible_between, is_admissible, is_invertible_2x2
+from conftest import RECIPES, line_of, ring_of, run_python
+from helpers import (
+    det_is_unit,
+    invertible_between,
+    is_admissible,
+    is_invertible_2x2,
+    member_pairs,
+)
 
 from ringline import (
     OrderTooLarge,
@@ -84,15 +87,6 @@ def line_outcome(ring, side: str):
         return signature(build_line(ring, side))
     except RightLineBreakdown as err:
         return err.class_sizes
-
-
-def run_python(flags: list[str], script: str) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-    )
 
 
 class TestInvertible2x2:
@@ -184,11 +178,15 @@ class TestBuildLine:
         ring = line.ring
         nunits = len(unit_elements(ring))
         seen = set()
-        for p in line.points:
-            assert len(p.members) == nunits
-            assert p.rep == min(p.members)
-            assert not (seen & p.members)
-            seen |= p.members
+        store = line.points[0].members.base  # one read-only array of all members
+        assert not store.flags.writeable
+        for i, p in enumerate(line.points):
+            assert p.members.base is store and not p.members.flags.writeable
+            pairs = set(member_pairs(line, i))
+            assert len(p.members) == len(pairs) == nunits
+            assert p.rep == min(pairs)
+            assert not (seen & pairs)
+            seen |= pairs
         assert len(seen) == len(line.points) * nunits
 
     @pytest.mark.parametrize("name", SMALL_RINGS)
@@ -198,8 +196,8 @@ class TestBuildLine:
         line = line_of(name)
         ring = line.ring
         member_union = set()
-        for p in line.points:
-            member_union |= p.members
+        for i in range(len(line.points)):
+            member_union |= set(member_pairs(line, i))
         for a in range(ring.order):
             for b in range(ring.order):
                 assert is_admissible(ring, (a, b)) == ((a, b) in member_union)
@@ -207,7 +205,8 @@ class TestBuildLine:
     @pytest.mark.parametrize("recipe", SAMPLED_RINGS)
     def test_admissibility_sampled(self, recipe):
         ring = build_recipe(recipe)
-        member_union = set().union(*(p.members for p in build_line(ring).points))
+        line = build_line(ring)
+        member_union = set().union(*(member_pairs(line, i) for i in range(len(line.points))))
         rng = random.Random(f"admissible-{recipe}")
         for _ in range(200):
             pair = (rng.randrange(ring.order), rng.randrange(ring.order))
@@ -414,8 +413,8 @@ class TestDistant:
         points = line.points
         for _ in range(50):
             i, j = rng.sample(range(len(points)), 2)
-            row1 = rng.choice(sorted(points[i].members))
-            row2 = rng.choice(sorted(points[j].members))
+            row1 = rng.choice(member_pairs(line, i))
+            row2 = rng.choice(member_pairs(line, j))
             assert is_invertible_2x2(ring, (row1, row2)) == distant(line, i, j)
 
 
@@ -438,9 +437,9 @@ class TestPointType:
     def test_class_invariance(self):
         line = line_of("t2f2")
         ring = line.ring
-        for i, p in enumerate(line.points):
+        for i in range(len(line.points)):
             flags = {
-                ring.is_unit(a) or ring.is_unit(b) for a, b in p.members
+                ring.is_unit(a) or ring.is_unit(b) for a, b in member_pairs(line, i)
             }
             assert len(flags) == 1
             assert (point_type(line, i) == "TypeI") == flags.pop()

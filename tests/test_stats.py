@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import line_of, ring_of
-from helpers import closed_form_row
+from conftest import line_of, ring_of, run_python
+from helpers import closed_form_row, pair_intersection_oracle, triple_intersection_oracle
 
 from ringline import (
     NoDistantPair,
@@ -22,8 +23,10 @@ from ringline import (
     jacobson_radical,
     jacobson_stat,
     max_distant_set,
+    maximal_ideal_count,
     neighbourhood,
     pair_intersection_stat,
+    semisimple_blocks,
     signature,
     triple_intersection_stat,
 )
@@ -56,7 +59,7 @@ def synthetic_line(adjacency: np.ndarray) -> ProjectiveLine:
     ring = ring_of("z4")
     n = adjacency.shape[0]
     points = tuple(
-        Point(rep=(1, i), members=frozenset({(1, i), (3, (3 * i) % 4)}))
+        Point(rep=(1, i), members=np.array([4 + i, 12 + (3 * i) % 4]))
         for i in range(n)
     )
     return ProjectiveLine(ring=ring, side="left", points=points, adjacency=adjacency)
@@ -157,6 +160,13 @@ def test_stat_value_derives_value_and_constancy():
     assert _fields(StatValue.of(np.array([7, 7, 7]))) == (7, True, 7, 7, 3)
 
 
+def test_stat_value_union_skips_vacuous_parts():
+    """Blocks merge into one spread; a weighted entry counts its multiplicity."""
+    parts = [StatValue.of(np.array([5, 3])), StatValue(0, 0, 0), StatValue.of(np.array([4]), np.array([6]))]
+    assert _fields(StatValue.union(parts)) == (3, False, 3, 5, 8)
+    assert StatValue.union([StatValue(0, 0, 0)]).vacuous
+
+
 def test_stat_value_of_nothing_is_vacuous_and_constant():
     stat = StatValue.of(np.array([], dtype=int))
     assert stat.vacuous and stat.constant is True
@@ -190,6 +200,54 @@ def test_stats_match_matrix_counts(adj):
     expected = _spread(len(nbhd[u] & nbhd[v] & nbhd[w]) for u, v, w in triples)
     assert _fields(triple_intersection_stat(line)) == expected
     assert jacobson_stat(line, "A") == sum(len(s) == n - 1 for s in nbhd)
+
+
+def _blow_up(base: np.ndarray, sizes: list[int], order: list[int]) -> np.ndarray:
+    """The points of each base vertex v made sizes[v] twins (equal distant
+    rows, never distant from each other), then listed in the given order."""
+    cls = np.repeat(np.arange(len(base)), sizes)[order]
+    return base[np.ix_(cls, cls)]
+
+
+@st.composite
+def twin_graphs(draw) -> np.ndarray:
+    """A random irreflexive graph on up to 8 vertices with 1-3 twins each."""
+    base = draw(symmetric_graphs.filter(lambda adj: len(adj) <= 8))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
+    order = draw(st.permutations(range(sum(sizes))))
+    return _blow_up(base, sizes, list(order))
+
+
+# triangles 012 and 234, vertex 5 distant from none, vertex 6 only from 0
+PLANTED = _blow_up(
+    _graph(7, [e in {(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (0, 6)}
+               for e in combinations(range(7), 2)]),
+    [1, 2, 1, 3, 1, 2, 3],
+    list(range(12, -1, -1)),
+)
+
+
+def _lo_hi_count(stat: StatValue) -> tuple[int, int, int]:
+    return (stat.lo, stat.hi, stat.count)
+
+
+def test_planted_twins_vary():
+    """The planted example has twins and non-constant cap2N and cap3N."""
+    line = synthetic_line(PLANTED)
+    assert len(np.unique(PLANTED, axis=0)) < len(PLANTED)
+    assert not pair_intersection_stat(line).constant
+    assert not triple_intersection_stat(line).constant
+
+
+@given(adj=twin_graphs())
+@example(adj=PLANTED)
+@settings(max_examples=80, deadline=None)
+def test_twin_quotient_matches_point_oracles(adj):
+    """cap2N and cap3N from twin classes against the per-point products."""
+    line = synthetic_line(adj)
+    if adj.any():
+        assert _lo_hi_count(pair_intersection_stat(line)) == pair_intersection_oracle(adj)
+    assert _lo_hi_count(triple_intersection_stat(line)) == triple_intersection_oracle(adj)
 
 
 class TestMaxDistantSet:
@@ -284,6 +342,107 @@ class TestSecondRoutes:
             )
             twins = size[cls.ravel()] - 1
             assert (twins == jacobson_stat(line, "B")).all(), line.side
+
+
+class TestTwinQuotientOnLines:
+    @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
+    def test_matches_point_oracles(self, recipe):
+        for line in _uncapped_lines(recipe):
+            adj = line.adjacency
+            assert _lo_hi_count(pair_intersection_stat(line)) == pair_intersection_oracle(adj)
+            assert _lo_hi_count(triple_intersection_stat(line)) == triple_intersection_oracle(adj)
+
+    def test_matches_point_oracles_past_the_cap(self, monkeypatch):
+        """448 points in 64 twin classes of 7; the point oracle's cap3N
+        product is (76,832 distant pairs x 448 points)."""
+        monkeypatch.setattr(core_module, "ENUMERATION_CAP", 343)
+        line = build_line(build_recipe("tri(gf:7,2)"))
+        adj = line.adjacency
+        cap3n = triple_intersection_stat(line)
+        assert cap3n.count == 6_453_888
+        assert _lo_hi_count(cap3n) == triple_intersection_oracle(adj)
+        assert _lo_hi_count(pair_intersection_stat(line)) == pair_intersection_oracle(adj)
+
+    def test_cap3n_memory_bounded(self):
+        """On the 729-point line over (F2)^6 every twin class is one point;
+        the (distant pairs x points) product this replaces peaked at 133 MB."""
+        ring = build_recipe("prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,gf:2)))))")
+        line = build_line(ring)
+        tracemalloc.start()
+        try:
+            cap3n = triple_intersection_stat(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cap3n.value, cap3n.constant, cap3n.count) == (540, True, 7776)
+        assert peak < 32 * 2**20
+
+
+class TestSemisimpleBlocks:
+    @pytest.mark.parametrize("recipe", sorted(RADICAL_QUOTIENTS))
+    def test_hand_listed_factors(self, recipe):
+        blocks = semisimple_blocks(build_recipe(recipe))
+        assert blocks == tuple(sorted(RADICAL_QUOTIENTS[recipe]))
+
+    @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
+    def test_maximal_ideal_counts(self, recipe):
+        """Every maximal ideal contains J. M_k(GF(q)) has one maximal left
+        and one maximal right ideal per hyperplane of GF(q)^k, and is
+        simple; a maximal ideal of a product is one of a factor times the
+        others."""
+        ring = build_recipe(recipe)
+        blocks = semisimple_blocks(ring)
+        one_sided = sum((q**k - 1) // (q - 1) for q, k in blocks)
+        assert maximal_ideal_count(ring, "left") == one_sided
+        assert maximal_ideal_count(ring, "right") == one_sided
+        assert maximal_ideal_count(ring, "two_sided") == len(blocks)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    @pytest.mark.parametrize("recipe", ["zn:4", "tri(gf:2,2)"])
+    def test_not_a_matrix_ring_raises(self, flags, recipe):
+        """With a planted radical of {0}, R itself is taken for R/J: Z4's
+        centre Z4 is no field, and T2(GF(2)) has 8 elements over a centre of
+        2. The check is no assert statement, so python -O keeps it."""
+        script = (
+            "from ringline import build_recipe, semisimple_blocks\n"
+            f"ring = build_recipe({recipe!r})\n"
+            "ring._cache['radical'] = frozenset({0})\n"
+            "semisimple_blocks(ring)\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: block of R/J is not a full matrix ring" in run.stderr
+
+
+class TestCliqueStop:
+    @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
+    def test_stopped_search_is_the_full_search(self, recipe, monkeypatch):
+        """Same tuple; and the first descent reaches the bound, so the
+        stopped search colours only the MD nodes above its leaf."""
+        colourings = []
+        colour = clique._colour_classes
+        monkeypatch.setattr(
+            clique, "_colour_classes", lambda nb, cand: colourings.append(1) or colour(nb, cand)
+        )
+        for line in _uncapped_lines(recipe):
+            colourings.clear()
+            chosen = max_distant_set(line)
+            assert len(colourings) == len(chosen), line.side
+            assert chosen == clique.max_clique(line.adjacency), line.side
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_unreachable_stop_raises(self, flags):
+        """Planted blocks GF(4) put MD's bound at 5 on T2(GF(2)), whose MD
+        is 3; the finished search raises, also under python -O."""
+        script = (
+            "from ringline import build_line, build_recipe, max_distant_set\n"
+            "ring = build_recipe('tri(gf:2,2)')\n"
+            "ring._cache['blocks'] = ((4, 1),)\n"
+            "max_distant_set(build_line(ring))\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: clique search ended at size 3, not at the bound 5" in run.stderr
 
 
 class TestClosedForms:
