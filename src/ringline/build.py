@@ -462,20 +462,20 @@ def parse_ring_file(text: str) -> FiniteRing:
         raise RingSyntaxError("missing ring name", lineno)
     name = " ".join(rest)
 
-    lineno, rest = take("order")
-    try:
-        order = int(rest[0])
-    except (IndexError, ValueError):
-        raise RingSyntaxError("order must be an integer", lineno) from None
+    def integer(tag: str) -> tuple[int, int]:
+        """Line number and value of a line holding the tag and one integer."""
+        lineno, rest = take(tag)
+        try:
+            (value,) = (int(tok) for tok in rest)  # a token too many or few: ValueError
+        except ValueError:
+            raise RingSyntaxError(f"{tag!r} must be followed by one integer", lineno) from None
+        return lineno, value
+
+    lineno, order = integer("order")
     if order < 2:
         raise RingSyntaxError(f"order must be at least 2, got {order}", lineno)
     _check_order(order, name)
-
-    lineno, rest = take("one")
-    try:
-        one = int(rest[0])
-    except (IndexError, ValueError):
-        raise RingSyntaxError("one must be an integer", lineno) from None
+    _, one = integer("one")
 
     def table(tag: str) -> list[list[int]]:
         nonlocal pos

@@ -23,22 +23,16 @@ from .catalog import (
     builtin_catalog,
     run_catalog,
 )
-from .core import characteristic, fingerprint, is_commutative, zero_divisor_count
-from .errors import OrderTooLarge, RightLineBreakdown, RinglineError
+from .core import fingerprint
+from .errors import RightLineBreakdown, RinglineError
 from .line import build_line, point_type
 from .stats import signature
 
 
 def _print_fingerprint_comments(ring) -> None:
-    zd = zero_divisor_count(ring)
-    print(f"# order/zero-divisors: {ring.order}/{zd}")
-    print(f"# units: {ring.order - zd}  characteristic: {characteristic(ring)}")
-    try:
-        fp = fingerprint(ring)
-    except OrderTooLarge:
-        # ideal enumeration is capped: no radical or ideal counts
-        print(f"# commutative: {is_commutative(ring)}  (ideal counts skipped: order too large)")
-        return
+    fp = fingerprint(ring)
+    print(f"# order/zero-divisors: {fp.order}/{fp.zero_divisor_count}")
+    print(f"# units: {fp.unit_count}  characteristic: {fp.characteristic}")
     print(f"# radical size: {fp.radical_size}  commutative: {fp.commutative}")
     print(
         "# maximal ideals (left/right/two-sided): "

@@ -4,8 +4,9 @@ Elements are the indices 0..order-1; index 0 is always the additive zero.
 All structure (units, radical, the blocks of R/J, ideal lattices,
 fingerprints) is computed exactly from whole tables, which is cheap at the
 desk-scale orders this package targets: a table holds at most 1,024
-elements, and ideal lattices and projective lines are enumerated only up to
-order ENUMERATION_CAP = 64 (:func:`check_enumerable`). Validation checks
+elements. Fingerprints read maximal ideal counts off the blocks of R/J;
+ideal lattices and projective lines are enumerated only up to order
+ENUMERATION_CAP = 64 (:func:`check_enumerable`). Validation checks
 associativity and distributivity on additive generators, in O(n^2) time per
 generator. Left ideals are boolean membership masks; all sums of one ideal
 with the cyclic left ideals come from one float32 matrix product. Right
@@ -404,13 +405,20 @@ def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[i
 
 
 def maximal_ideal_count(ring: FiniteRing, side: str = "two_sided") -> int:
-    """Number of proper ideals maximal under inclusion among proper ideals."""
-    return len(maximal_ideals(ring, side))
+    """Number of maximal proper ideals of the side, read off the blocks
+    M_k(GF(q)) of R/J (:func:`semisimple_blocks`) without enumerating any.
 
-
-def maximal_ideals(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[int]]:
-    proper = [i for i in ideal_lattice(ring, side) if len(i) < ring.order]
-    return [i for i in proper if not any(i < j for j in proper)]
+    Every maximal ideal contains J; one of a product is a maximal ideal of one
+    factor times the others. M_k(GF(q)) is simple and has (q^k - 1)/(q - 1)
+    maximal left ideals (lines of GF(q)^k) and as many right ones
+    (hyperplanes), so the left and right counts are always equal.
+    """
+    if side not in ("left", "right", "two_sided"):
+        raise ValueError(f"unknown side {side!r}; expected left, right or two_sided")
+    blocks = semisimple_blocks(ring)
+    if side == "two_sided":
+        return len(blocks)
+    return sum((q**k - 1) // (q - 1) for q, k in blocks)
 
 
 def characteristic(ring: FiniteRing) -> int:
@@ -434,20 +442,17 @@ def center(ring: FiniteRing) -> frozenset[int]:
 
 def fingerprint(ring: FiniteRing) -> RingFingerprint:
     """Deterministic aggregation of the invariants above."""
-    if "fingerprint" not in ring._cache:
-        ucount = len(units(ring))
-        ring._cache["fingerprint"] = RingFingerprint(
-            order=ring.order,
-            unit_count=ucount,
-            zero_divisor_count=ring.order - ucount,
-            characteristic=characteristic(ring),
-            radical_size=len(jacobson_radical(ring)),
-            maximal_left_ideal_count=maximal_ideal_count(ring, "left"),
-            maximal_right_ideal_count=maximal_ideal_count(ring, "right"),
-            maximal_two_sided_ideal_count=maximal_ideal_count(ring, "two_sided"),
-            commutative=is_commutative(ring),
-        )
-    return ring._cache["fingerprint"]
+    return RingFingerprint(
+        order=ring.order,
+        unit_count=len(units(ring)),
+        zero_divisor_count=zero_divisor_count(ring),
+        characteristic=characteristic(ring),
+        radical_size=len(jacobson_radical(ring)),
+        maximal_left_ideal_count=maximal_ideal_count(ring, "left"),
+        maximal_right_ideal_count=maximal_ideal_count(ring, "right"),
+        maximal_two_sided_ideal_count=maximal_ideal_count(ring, "two_sided"),
+        commutative=is_commutative(ring),
+    )
 
 
 def relabel(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:

@@ -6,7 +6,10 @@ matrix arithmetic on tuples of tuples, a plain search over all
 completions of a pair for 2x2 invertibility and admissibility, a column
 count over all n^2 columns for invertibility between many rows, closed
 forms for the first five signature columns, and whole-matrix neighbourhood
-intersections over the points, without the twin classes.
+intersections over the points, without the twin classes. The maximal
+ideals are filtered from the library's enumerated ideal lattices, a route
+that shares no code with the maximal counts the fingerprint reads off the
+blocks of R/J.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ringline import ClosureTooLarge, NotAutomorphism, validate_ring
+from ringline import ClosureTooLarge, NotAutomorphism, ideal_lattice, validate_ring
 
 
 def brute_units(ring) -> set[int]:
@@ -85,6 +88,14 @@ def brute_ideals(ring, side: str) -> set[frozenset[int]]:
         return {"left": left, "right": right, "two_sided": left and right}[side]
 
     return {s for s in subgroups if closed(s)}
+
+
+def maximal_ideals(ring, side: str) -> list[frozenset[int]]:
+    """The proper ideals of the side that no other proper ideal contains,
+    filtered from the enumerated :func:`ringline.ideal_lattice`, the route
+    that shares no code with the block counts of R/J."""
+    proper = [i for i in ideal_lattice(ring, side) if len(i) < ring.order]
+    return [i for i in proper if not any(i < j for j in proper)]
 
 
 def cyclic_join_ideals(add, mul) -> set[frozenset[int]]:

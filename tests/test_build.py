@@ -494,6 +494,20 @@ class TestRingFiles:
             parse_ring_file(f"ring x\norder {order}\none 1\nadd\n0\nmul\n0\n")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line,bad", [(2, "order 4 9"), (3, "one 1 3"), (2, "order"), (3, "one x")]
+    )
+    def test_header_takes_one_integer(self, line, bad):
+        """A token too many or too few on the order or one line is refused,
+        not ignored; a ring name may still hold spaces."""
+        text = emit_ring_file(ring_zn(4)).splitlines()
+        text[line - 1] = bad
+        with pytest.raises(RingSyntaxError, match="must be followed by one integer") as info:
+            parse_ring_file("\n".join(text))
+        assert info.value.line == line
+        text = emit_ring_file(ring_zn(4)).replace("ring Z4", "ring Z mod 4", 1)
+        assert parse_ring_file(text).name == "Z mod 4"
+
     @given(recipe=st.sampled_from(FUZZ_RECIPES), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_file_parses_or_raises_ringline_error(self, recipe, data):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ringline import (
+    build_recipe,
     builtin_catalog,
     catalog_entry,
     emit_ring_file,
@@ -78,11 +79,13 @@ def test_ring_show_oversized_recipe():
 
 
 def test_ring_show_beyond_ideal_cap(capsys):
-    # order 256: tables print fine, ideal counts are skipped gracefully
+    """Order 256, past the ideal enumeration cap: the full fingerprint prints,
+    its maximal ideal counts read off the blocks of R/J."""
     assert main(["ring", "show", "mat(zn:4,2)"]) == 0
     out = capsys.readouterr().out
     assert "# order/zero-divisors: 256/160" in out
-    assert "ideal counts skipped" in out
+    assert "# radical size: 16  commutative: False" in out
+    assert "# maximal ideals (left/right/two-sided): 3/3/1" in out
 
 
 def test_ring_validate(tmp_path, capsys):
@@ -90,6 +93,15 @@ def test_ring_validate(tmp_path, capsys):
     path.write_text(emit_ring_file(ring_zn(4)))
     assert main(["ring", "validate", str(path)]) == 0
     assert "valid ring of order 4" in capsys.readouterr().out
+
+
+def test_ring_validate_beyond_ideal_cap(tmp_path, capsys):
+    path = tmp_path / "t2f7.ring"
+    path.write_text(emit_ring_file(build_recipe("tri(gf:7,2)")))
+    assert main(["ring", "validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "valid ring of order 343" in out
+    assert "# maximal ideals (left/right/two-sided): 2/2/2" in out
 
 
 def test_ring_validate_rejects_corrupt_file(tmp_path, capsys):

@@ -29,6 +29,10 @@ CASES = {
     "catalog table1": ["catalog", "table1", "--json", PATH],
     "catalog run": ["catalog", "run"],
     **{
+        f"ring show {spec}": ["ring", "show", spec]
+        for spec in ("zn:4", "tri(gf:3,2)", "mat(gf:2,2)")
+    },
+    **{
         f"line compute {spec} {side}": ["line", "compute", spec, "--side", side, "--export", PATH]
         for spec in ("zn:4", "tri(gf:3,2)", "mat(gf:2,2)")
         for side in ("left", "right")

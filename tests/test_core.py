@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ring_of
-from helpers import brute_ideals, brute_radical, brute_units, cyclic_join_ideals
+from helpers import (
+    brute_ideals,
+    brute_radical,
+    brute_units,
+    cyclic_join_ideals,
+    maximal_ideals,
+)
 
 from ringline import (
     NoUnity,
@@ -33,7 +40,6 @@ from ringline import (
     is_commutative,
     jacobson_radical,
     maximal_ideal_count,
-    maximal_ideals,
     relabel,
     ring_gf,
     ring_zn,
@@ -428,6 +434,30 @@ class TestFingerprint:
             perm = [0] + rng.sample(range(1, ring.order), ring.order - 1)
             assert fingerprint(relabel(ring, perm)) == base
 
+    @pytest.mark.parametrize(
+        "recipe,expected",
+        [
+            ("mat(zn:4,2)", (256, 96, 160, 4, 16, 3, 3, 1, False)),
+            ("tri(gf:7,2)", (343, 252, 91, 7, 7, 2, 2, 2, False)),
+            ("mat(gf:2,3)", (512, 168, 344, 2, 1, 7, 7, 1, False)),
+            ("gf:1024", (1024, 1023, 1, 2, 1, 1, 1, 1, True)),
+            ("zn:1024", (1024, 512, 512, 1024, 512, 1, 1, 1, True)),
+        ],
+    )
+    def test_past_the_enumeration_cap(self, recipe, expected):
+        """Past ENUMERATION_CAP the fingerprint still runs, in bounded memory:
+        its maximal counts come from the blocks of R/J."""
+        ring = build_recipe(recipe)
+        assert ring.order > core.ENUMERATION_CAP
+        tracemalloc.start()
+        try:
+            fp = fingerprint(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fp.as_tuple() == expected
+        assert peak < 64 * 2**20
+
     def test_relabel_requires_fixed_zero(self):
         with pytest.raises(ValueError):
             relabel(ring_of("z4"), [1, 0, 2, 3])
@@ -455,6 +485,21 @@ class TestMaximalIdealHelpers:
         for m in top:
             assert len(m) < ring.order
             assert not any(m < other for other in proper)
+
+
+@pytest.mark.parametrize("recipe,expected", golden_structure())
+def test_fingerprint_enumerates_no_ideal(recipe, expected, monkeypatch):
+    """The golden fingerprints, plain and relabelled, with ideal enumeration
+    switched off."""
+
+    def refuse(add, mul):
+        raise AssertionError("fingerprint enumerated ideals")
+
+    monkeypatch.setattr(core, "_left_ideals", refuse)
+    ring = build_recipe(recipe)
+    perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+    for r in (ring, relabel(ring, perm)):
+        assert list(fingerprint(r).as_tuple()) == expected["fingerprint"]
 
 
 @pytest.mark.parametrize("recipe,expected", golden_structure())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import random
 import sys
 import tracemalloc
 from itertools import combinations
@@ -14,7 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import line_of, ring_of, run_python
-from helpers import closed_form_row, pair_intersection_oracle, triple_intersection_oracle
+from helpers import (
+    closed_form_row,
+    maximal_ideals,
+    pair_intersection_oracle,
+    triple_intersection_oracle,
+)
 
 from ringline import (
     NoDistantPair,
@@ -31,6 +38,7 @@ from ringline import (
     triple_intersection_stat,
 )
 from ringline import RightLineBreakdown, build_recipe, builtin_catalog, clique
+from ringline import relabel, validate_ring
 from ringline import core as core_module
 from ringline.line import Point, ProjectiveLine, build_line
 from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
@@ -386,16 +394,22 @@ class TestSemisimpleBlocks:
 
     @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
     def test_maximal_ideal_counts(self, recipe):
-        """Every maximal ideal contains J. M_k(GF(q)) has one maximal left
-        and one maximal right ideal per hyperplane of GF(q)^k, and is
-        simple; a maximal ideal of a product is one of a factor times the
-        others."""
+        """The block counts against the maximal members of the enumerated
+        ideal lattices, on the plain, a relabelled and the opposite tables.
+        Every maximal ideal contains J. M_k(GF(q)) has one maximal left
+        ideal per line and one maximal right ideal per hyperplane of
+        GF(q)^k, and is simple; a maximal ideal of a product is one of a
+        factor times the others."""
         ring = build_recipe(recipe)
-        blocks = semisimple_blocks(ring)
-        one_sided = sum((q**k - 1) // (q - 1) for q, k in blocks)
-        assert maximal_ideal_count(ring, "left") == one_sided
-        assert maximal_ideal_count(ring, "right") == one_sided
-        assert maximal_ideal_count(ring, "two_sided") == len(blocks)
+        perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one, name=f"{ring.name}^op")
+        for r in (ring, relabel(ring, perm), opposite):
+            blocks = semisimple_blocks(r)
+            one_sided = sum((q**k - 1) // (q - 1) for q, k in blocks)
+            for side, count in (("left", one_sided), ("right", one_sided),
+                                ("two_sided", len(blocks))):
+                assert len(maximal_ideals(r, side)) == count, (r.name, side)
+                assert maximal_ideal_count(r, side) == count, (r.name, side)
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
     @pytest.mark.parametrize("recipe", ["zn:4", "tri(gf:2,2)"])
@@ -458,6 +472,21 @@ class TestClosedForms:
             sig = signature(line)
             assert sig.as_row()[:5] == row, line.side
             assert all(stat.constant for stat in sig.stats().values()), line.side
+
+    @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
+    def test_tot_from_blocks(self, recipe):
+        """Tot = |J| * prod [2k, k]_q over the blocks M_k(GF(q)) of R/J.
+        Admissibility is decided mod J, so |adm(R)| = |adm(R/J)| * |J|^2 and
+        |U(R)| = |U(R/J)| * |J|. The line of a product is the product of the
+        lines, and the points of the line over M_k(GF(q)) are the k-spaces
+        of GF(q)^2k, counted by the Gaussian binomial."""
+        ring = build_recipe(recipe)
+        tot = len(jacobson_radical(ring))
+        for q, k in semisimple_blocks(ring):
+            tot *= math.prod(q ** (2 * k - i) - 1 for i in range(k))
+            tot //= math.prod(q ** (i + 1) - 1 for i in range(k))
+        for line in _uncapped_lines(recipe):
+            assert len(line.points) == tot, line.side
 
 
 class TestJacobsonCandidates:
