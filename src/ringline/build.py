@@ -479,7 +479,9 @@ def parse_ring_file(text: str) -> FiniteRing:
 
     def table(tag: str) -> list[list[int]]:
         nonlocal pos
-        take(tag)
+        lineno, rest = take(tag)
+        if rest:
+            raise RingSyntaxError(f"{tag!r} must be alone on its line", lineno)
         out = []
         for _ in range(order):
             if pos >= len(rows):

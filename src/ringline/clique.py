@@ -9,10 +9,11 @@ Each node of the search holds the clique ``chosen`` so far and the set
 ``cand`` into colour classes, each an independent set, so a clique meets each
 class at most once and ``len(chosen)`` plus the number of classes still
 meeting ``cand`` bounds every clique below the node. The node takes the
-vertices of ``cand`` in ascending order, recurses on each one's neighbours
-in ``cand`` and then drops it, and is cut once the bound cannot beat the best
-clique recorded so far. A clique is recorded only when strictly larger than
-the best.
+vertices of ``cand`` in ascending order, opens a child node on each one's
+neighbours in ``cand`` and then drops it, and is cut once the bound cannot
+beat the best clique recorded so far. A clique is recorded only when
+strictly larger than the best. Open nodes wait on an explicit stack, so the
+depth of the search is not bounded by Python's recursion limit.
 
 Why the first maximum clique recorded is the least one: the search visits
 ascending vertex sequences in lexicographic order, so it reaches the least
@@ -63,23 +64,28 @@ def max_clique(adjacency: np.ndarray, stop: int | None = None) -> tuple[int, ...
     nb = adjacency_masks(adjacency)
     limit = len(nb) if stop is None else stop
     best: list[int] = []
+    nodes: list[list] = []  # open nodes, deepest last: [chosen, cand, colour classes]
 
-    def expand(chosen: list[int], cand: int) -> None:
+    def enter(chosen: list[int], cand: int) -> None:
         nonlocal best
-        if not cand:
-            if len(chosen) > len(best):
-                best = chosen
-            return
-        classes = _colour_classes(nb, cand)
-        while cand and len(best) < limit:
-            if len(chosen) + sum(1 for cls in classes if cls & cand) <= len(best):
-                return
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            expand(chosen + [v], cand & nb[v])
-            cand ^= bit
+        if cand:
+            nodes.append([chosen, cand, _colour_classes(nb, cand)])
+        elif len(chosen) > len(best):
+            best = chosen
 
-    expand([], (1 << len(nb)) - 1)
+    enter([], (1 << len(nb)) - 1)
+    while nodes:
+        node = nodes[-1]
+        chosen, cand, classes = node
+        if not cand or len(best) >= limit or (
+            len(chosen) + sum(1 for cls in classes if cls & cand) <= len(best)
+        ):
+            nodes.pop()
+            continue
+        bit = cand & -cand
+        node[1] = cand ^ bit
+        v = bit.bit_length() - 1
+        enter(chosen + [v], cand & nb[v])
     if stop is not None and len(best) != stop:
         raise AssertionError(f"clique search ended at size {len(best)}, not at the bound {stop}")
     # certificate: pairwise adjacent

@@ -7,19 +7,20 @@ distant points, and a family of candidate "Jacobson point" statistics (the
 literature's definition is not pinned down here, so candidates are reported
 side by side and never asserted).
 
-1N counts the rows of the neighbour matrix of ``line.adjacency``. cap2N and
-cap3N are counted on twin classes, the points with equal distant rows (on a
-ring line, the fibres of P(R) -> P(R/J)), grouped from the adjacency alone,
-so the counts hold on any symmetric irreflexive graph. Twins are never
-distant, so the common neighbourhood of distant points depends only on
-their classes: it is the total size of the classes near all of them, and a
-class pair or triple stands for the product of its class sizes in point
-pairs or triples. Both gather the class rows of their pairs and triples
+1N counts, in each row of ``line.adjacency``, the other points not
+distant. cap2N and cap3N come from one pass over twin classes, the points
+with equal distant rows (on a ring line, the fibres of P(R) -> P(R/J)),
+grouped from the adjacency alone, so the counts hold on any symmetric
+irreflexive graph. Twins are never distant, so the common neighbourhood of
+distant points depends only on their classes: it is the total size of the
+classes near all of them, and a class pair or triple stands for the product
+of its class sizes in point pairs or triples. The pass gathers class rows
 in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
-one point, and weigh them by class size in float32, exact since no count
-reaches 2**24. MD is the maximum clique, searched only up to the bound
-from R/J's blocks. Bitmasks of the distant graph live only in
-ringline.clique, behind the maximum-clique search.
+one point, and weighs them by class size in float32, exact since no count
+reaches 2**24. MD is the maximum clique, searched only up to the bound from
+R/J's blocks. Bitmasks of the distant graph live only in ringline.clique,
+behind the maximum-clique search. Jcb candidate C counts orbits by
+Burnside's lemma, reading only the units' rows of the multiplication table.
 
 GL2(R) preserves distance and is transitive on pairwise-distant triples
 (each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so
@@ -43,9 +44,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import clique
-from .core import jacobson_radical, semisimple_blocks
+from .core import jacobson_radical, semisimple_blocks, unit_elements
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine, orbit_labels, point_type
+from .line import ProjectiveLine, point_type
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 # the six signature columns, in row order
@@ -190,19 +191,13 @@ class SignatureComparison:
         }
 
 
-def _near(line: ProjectiveLine) -> np.ndarray:
-    """near[i, j]: points i != j that are not distant (neighbours)."""
-    adj = line.adjacency
-    return ~adj & ~np.eye(len(adj), dtype=bool)
-
-
 def neighbourhood(line: ProjectiveLine, i: int) -> frozenset[int]:
     """{ j != i : j not distant from i }."""
-    return frozenset(np.flatnonzero(_near(line)[i]).tolist())
+    return frozenset(np.flatnonzero(~line.adjacency[i]).tolist()) - {i}
 
 
 def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
-    return StatValue.of(_near(line).sum(axis=1))
+    return StatValue.of(len(line) - 1 - line.adjacency.sum(axis=1))
 
 
 def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,47 +225,44 @@ def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def pair_intersection_stat(line: ProjectiveLine) -> StatValue:
-    """|N(P) ∩ N(Q)| over all unordered distant pairs, from twin classes.
-
-    For each distant class pair a < b, in blocks of BLOCK_CELLS (pair,
-    class) cells, the count is the total size of the classes near both; the
-    pair stands for |a| * |b| point pairs.
-    """
-    adj, sizes = _twin_classes(line.adjacency)
-    a, b = _cells(np.triu(adj))
-    if not len(a):
-        raise NoDistantPair(f"line over {line.ring.name} has no distant pair")
-    near, weights = ~adj, sizes.astype(np.float32)
-    return StatValue.union(
-        StatValue.of((near[a[s]] & near[b[s]]) @ weights, sizes[a[s]] * sizes[b[s]])
-        for s in _row_blocks(len(a), len(adj))
-    )
-
-
-def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
-    """|N(P) ∩ N(Q) ∩ N(S)| over all pairwise-distant triples, from twin classes.
+def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
+    """cap2N and cap3N in one pass over the twin classes.
 
     Distant class pairs a < b are taken in blocks of BLOCK_CELLS (pair,
-    class) cells; a class c > b distant from both completes a triple, whose
-    count is the total size of the classes near all three and which stands
-    for |a| * |b| * |c| point triples. The triples are gathered in blocks of
-    the same size, and only each block's spread is kept. A line without such
-    a triple yields the vacuous StatValue (count 0).
+    class) cells. Row p of ``both`` marks the classes near both classes of
+    pair p, and the pair stands for |a| * |b| point pairs. A class c > b
+    distant from both completes a triple, whose common neighbourhood is
+    both[p] & near[c], and which stands for |a| * |b| * |c| point triples.
+    The triples are gathered in blocks of the same size, and only each
+    block's spread is kept.
     """
     adj, sizes = _twin_classes(line.adjacency)
     later = np.triu(adj)  # [a, c]: c > a and distant from a
     near, weights = ~adj, sizes.astype(np.float32)
     a, b = _cells(later)
-    parts = []
+    if not len(a):
+        raise NoDistantPair(f"line over {line.ring.name} has no distant pair")
+    pairs, triples = [], []
     for rows in _row_blocks(len(a), len(adj)):
         pa, pb = a[rows], b[rows]
+        both, pair_sizes = near[pa] & near[pb], sizes[pa] * sizes[pb]
+        pairs.append(StatValue.of(both @ weights, pair_sizes))
         p, c = _cells(later[pa] & later[pb])
         for s in _row_blocks(len(c), len(adj)):
-            i, j, k = pa[p[s]], pb[p[s]], c[s]
-            common = (near[i] & near[j] & near[k]) @ weights
-            parts.append(StatValue.of(common, sizes[i] * sizes[j] * sizes[k]))
-    return StatValue.union(parts)
+            common = (both[p[s]] & near[c[s]]) @ weights
+            triples.append(StatValue.of(common, pair_sizes[p[s]] * sizes[c[s]]))
+    return StatValue.union(pairs), StatValue.union(triples)
+
+
+def pair_intersection_stat(line: ProjectiveLine) -> StatValue:
+    """|N(P) ∩ N(Q)| over all unordered distant pairs (see _intersections)."""
+    return _intersections(line)[0]
+
+
+def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
+    """|N(P) ∩ N(Q) ∩ N(S)| over all pairwise-distant triples (see
+    _intersections); vacuous (count 0) on a line without one."""
+    return _intersections(line)[1] if line.adjacency.any() else StatValue.union(())
 
 
 def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
@@ -291,7 +283,9 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     A: points neighbouring every other point.
     B: |J(R)| - 1.
     C: nonzero left unit-orbits of pairs with both coordinates in J(R).
-    None of these is asserted to be the literature's definition.
+    None of these is asserted to be the literature's definition. J x J is
+    a union of left orbits (J is an ideal), so by Burnside's lemma it has
+    (1/|U|) * sum over units u of |{a in J : u*a = a}|**2 of them.
     """
     ring = line.ring
     if candidate == "A":
@@ -299,21 +293,25 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     if candidate == "B":
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":
-        # J(R) is a two-sided ideal, so J x J is a union of left orbits
-        radical = np.array(sorted(jacobson_radical(ring)))
-        codes = (radical[:, None] * ring.order + radical[None, :]).ravel()
-        return len(np.unique(orbit_labels(ring, "left")[codes])) - 1
+        radical = sorted(jacobson_radical(ring))
+        units = unit_elements(ring)
+        fixed = (ring.mul[np.ix_(units, radical)] == radical).sum(axis=1)
+        orbits, rest = divmod(int((fixed**2).sum()), len(units))
+        if rest:
+            raise AssertionError("Burnside count of the orbits on J x J is not whole")
+        return orbits - 1
     raise UnknownCandidate(f"unknown Jacobson candidate {candidate!r}")
 
 
 def signature(line: ProjectiveLine) -> LineSignature:
     """Aggregate all Table-1 statistics of the line."""
+    cap2n, cap3n = _intersections(line)
     return LineSignature(
         tot=len(line.points),
         tpi=sum(point_type(line, i) == "TypeI" for i in range(len(line.points))),
         one_n=one_neighbourhood_stat(line),
-        cap2n=pair_intersection_stat(line),
-        cap3n=triple_intersection_stat(line),
+        cap2n=cap2n,
+        cap3n=cap3n,
         md=len(max_distant_set(line)),
         jcb={c: jacobson_stat(line, c) for c in JACOBSON_CANDIDATES},
     )

@@ -9,7 +9,8 @@ forms for the first five signature columns, and whole-matrix neighbourhood
 intersections over the points, without the twin classes. The maximal
 ideals are filtered from the library's enumerated ideal lattices, a route
 that shares no code with the maximal counts the fingerprint reads off the
-blocks of R/J.
+blocks of R/J. Jacobson candidate C is counted by labelling the unit orbits
+of pairs, the route the library's lines take, not by Burnside's lemma.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from itertools import combinations
 
 import numpy as np
 
-from ringline import ClosureTooLarge, NotAutomorphism, ideal_lattice, validate_ring
+from ringline import (
+    ClosureTooLarge,
+    NotAutomorphism,
+    ideal_lattice,
+    jacobson_radical,
+    validate_ring,
+)
+from ringline.line import orbit_labels
 
 
 def brute_units(ring) -> set[int]:
@@ -117,6 +125,14 @@ def cyclic_join_ideals(add, mul) -> set[frozenset[int]]:
                 ideals.add(total)
                 worklist.append(total)
     return ideals
+
+
+def jacobson_c_oracle(ring) -> int:
+    """Nonzero left unit-orbits on J x J: the distinct orbit labels of the
+    pair codes a*n+b with a, b in J, less the orbit of (0, 0)."""
+    radical = np.array(sorted(jacobson_radical(ring)))
+    codes = (radical[:, None] * ring.order + radical[None, :]).ravel()
+    return len(np.unique(orbit_labels(ring, "left")[codes])) - 1
 
 
 Pair = tuple[int, int]

@@ -508,6 +508,16 @@ class TestRingFiles:
         text = emit_ring_file(ring_zn(4)).replace("ring Z4", "ring Z mod 4", 1)
         assert parse_ring_file(text).name == "Z mod 4"
 
+    @pytest.mark.parametrize("line,bad", [(4, "add 7"), (9, "mul x y")])
+    def test_table_tag_stands_alone(self, line, bad):
+        """A token after the add or mul tag is refused, not ignored; a
+        comment after the tag stays legal (test_comments_and_blank_lines)."""
+        text = emit_ring_file(ring_zn(4)).splitlines()
+        text[line - 1] = bad
+        with pytest.raises(RingSyntaxError, match="must be alone on its line") as info:
+            parse_ring_file("\n".join(text))
+        assert info.value.line == line
+
     @given(recipe=st.sampled_from(FUZZ_RECIPES), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_file_parses_or_raises_ringline_error(self, recipe, data):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +36,16 @@ def test_complete_graph():
     adj = np.ones((6, 6), dtype=bool)
     np.fill_diagonal(adj, False)
     assert max_clique(adj) == (0, 1, 2, 3, 4, 5)
+
+
+def test_deep_clique_without_recursion():
+    """A clique of 1,100 vertices, far deeper than the default recursion
+    limit: the search keeps its open nodes on a stack."""
+    assert sys.getrecursionlimit() < 1100
+    adj = ~np.eye(1100, dtype=bool)
+    assert max_clique(adj) == tuple(range(1100))
+    adj[0, 1] = adj[1, 0] = False
+    assert max_clique(adj) == (0, *range(2, 1100))
 
 
 def test_path_graph():

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import line_of, ring_of, run_python
 from helpers import (
     closed_form_row,
+    jacobson_c_oracle,
     maximal_ideals,
     pair_intersection_oracle,
     triple_intersection_oracle,
@@ -40,7 +41,8 @@ from ringline import (
 from ringline import RightLineBreakdown, build_recipe, builtin_catalog, clique
 from ringline import relabel, validate_ring
 from ringline import core as core_module
-from ringline.line import Point, ProjectiveLine, build_line
+from ringline import stats as stats_module
+from ringline.line import Point, ProjectiveLine, build_line, orbit_labels
 from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
 
 CATALOG_NAMES = [
@@ -506,6 +508,37 @@ class TestJacobsonCandidates:
     def test_candidate_c_m2f2(self):
         assert jacobson_stat(line_of("m2f2"), "C") == 0
 
+    def test_candidate_c_z4(self):
+        """J(Z4) = {0, 2}, and both units 1 and 3 fix 0 and 2: (4 + 4) / 2
+        orbits on J x J by Burnside's lemma, less the orbit of (0, 0)."""
+        assert jacobson_stat(line_of("z4"), "C") == 3
+
+    @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
+    def test_candidate_c_is_orbit_label_count(self, recipe):
+        """Burnside's count against the orbit labels of J x J, on the plain,
+        a relabelled and the opposite tables. C reads only the line's ring."""
+        ring = build_recipe(recipe)
+        perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one, name=f"{ring.name}^op")
+        for r in (ring, relabel(ring, perm), opposite):
+            bare = ProjectiveLine(r, "left", (), np.zeros((0, 0), dtype=bool))
+            assert jacobson_stat(bare, "C") == jacobson_c_oracle(r), r.name
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_candidate_c_fractional_count_raises(self, flags):
+        """A planted radical {0, 1} of Z4 is no ideal: unit 3 fixes only 0, so
+        Burnside's sum is 4 + 1 over 2 units; the check survives python -O."""
+        script = (
+            "from ringline import build_line, build_recipe, jacobson_stat\n"
+            "ring = build_recipe('zn:4')\n"
+            "line = build_line(ring)\n"
+            "ring._cache['radical'] = frozenset({0, 1})\n"
+            "jacobson_stat(line, 'C')\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: Burnside count of the orbits on J x J is not whole" in run.stderr
+
     def test_unknown_candidate(self):
         with pytest.raises(UnknownCandidate):
             jacobson_stat(line_of("z4"), "D")
@@ -545,6 +578,25 @@ class TestSignature:
                     module, "adjacency_masks", lambda adj: calls.append(1) or build(adj)
                 )
         signature(build_line(ring_of("m2f2")))  # a fresh line: nothing cached on it
+        assert len(calls) == 1
+
+    def test_one_twin_grouping_no_orbit_labelling(self, monkeypatch):
+        """cap2N and cap3N come from one pass over the twin classes, and Jcb C
+        from Burnside's lemma, without relabelling pairs by the units."""
+        line = build_line(ring_of("m2f2"))  # the line labels its own orbits
+        calls = []
+        group = stats_module._twin_classes
+        monkeypatch.setattr(
+            stats_module, "_twin_classes", lambda adj: calls.append(1) or group(adj)
+        )
+
+        def refuse(ring, side):
+            raise AssertionError("orbit labelling in signature")
+
+        for name, module in list(sys.modules.items()):  # wherever the labelling is bound
+            if name.startswith("ringline") and getattr(module, "orbit_labels", None) is orbit_labels:
+                monkeypatch.setattr(module, "orbit_labels", refuse)
+        signature(line)
         assert len(calls) == 1
 
 
