@@ -2,11 +2,13 @@
 
 Every constructor returns a ring that has been through the full validator.
 Element indexing is canonical per constructor (documented on each one), so a
-recipe always reproduces identical tables.
+recipe always reproduces identical tables. A recipe is read from one list of
+tokens, a ring file from its lines that hold tokens, each part at a fixed index.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -21,6 +23,7 @@ from .errors import (
     NotIrreducible,
     NotPrime,
     OrderTooLarge,
+    RecipeError,
     RingSyntaxError,
 )
 
@@ -437,75 +440,63 @@ def emit_ring_file(ring: FiniteRing) -> str:
 
 
 def parse_ring_file(text: str) -> FiniteRing:
-    """Parse the ring file format; '#' starts a comment anywhere on a line."""
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((lineno, stripped))
-    pos = 0
+    """Parse the ring file format; '#' starts a comment anywhere on a line.
 
-    def take(expected: str) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(rows):
-            raise RingSyntaxError(f"unexpected end of file, expected {expected!r}",
-                                  rows[-1][0] + 1 if rows else 1)
-        lineno, line = rows[pos]
-        pos += 1
-        parts = line.split()
-        if parts[0] != expected:
-            raise RingSyntaxError(f"expected {expected!r}, found {parts[0]!r}", lineno)
-        return lineno, parts[1:]
+    Among the lines that hold tokens, each part sits at a fixed index: 0
+    ``ring``, 1 ``order``, 2 ``one``, 3 ``add`` and its n rows, 4 + n ``mul``
+    and its n rows. Anything after them is trailing content.
+    """
+    # a line is split where it is read: all n^2 entries as strings at once
+    # would double the peak memory of an order-1,024 file
+    lines = enumerate(text.splitlines(), start=1)
+    kept = [(lineno, line) for lineno, raw in lines if (line := raw.split("#", 1)[0].strip())]
+    end = kept[-1][0] + 1 if kept else 1  # where a missing line is reported
 
-    lineno, rest = take("ring")
-    if not rest:
-        raise RingSyntaxError("missing ring name", lineno)
-    name = " ".join(rest)
+    def tagged(i: int, tag: str) -> tuple[int, list[str]]:
+        """Line number of kept line i, and its tokens after the tag it starts with."""
+        if i >= len(kept):
+            raise RingSyntaxError(f"unexpected end of file, expected {tag!r}", end)
+        lineno, tokens = kept[i][0], kept[i][1].split()
+        if tokens[0] != tag:
+            raise RingSyntaxError(f"expected {tag!r}, found {tokens[0]!r}", lineno)
+        return lineno, tokens[1:]
 
-    def integer(tag: str) -> tuple[int, int]:
-        """Line number and value of a line holding the tag and one integer."""
-        lineno, rest = take(tag)
+    def integer(i: int, tag: str) -> tuple[int, int]:
+        """Line number and value of kept line i, which holds the tag and one integer."""
+        lineno, rest = tagged(i, tag)
         try:
             (value,) = (int(tok) for tok in rest)  # a token too many or few: ValueError
         except ValueError:
             raise RingSyntaxError(f"{tag!r} must be followed by one integer", lineno) from None
         return lineno, value
 
-    lineno, order = integer("order")
+    lineno, rest = tagged(0, "ring")
+    if not rest:
+        raise RingSyntaxError("missing ring name", lineno)
+    name = " ".join(rest)
+    lineno, order = integer(1, "order")
     if order < 2:
         raise RingSyntaxError(f"order must be at least 2, got {order}", lineno)
     _check_order(order, name)
-    _, one = integer("one")
-
-    def table(tag: str) -> list[list[int]]:
-        nonlocal pos
-        lineno, rest = take(tag)
+    _, one = integer(2, "one")
+    tables = {}
+    for i, tag in ((3, "add"), (4 + order, "mul")):
+        lineno, rest = tagged(i, tag)
         if rest:
             raise RingSyntaxError(f"{tag!r} must be alone on its line", lineno)
-        out = []
-        for _ in range(order):
-            if pos >= len(rows):
-                raise RingSyntaxError(
-                    f"{tag} table ends early: expected {order} rows", rows[-1][0] + 1
-                )
-            lineno, line = rows[pos]
-            pos += 1
+        rows = tables[tag] = []
+        for lineno, line in kept[i + 1 : i + 1 + order]:
             try:
-                row = [int(tok) for tok in line.split()]
+                rows.append(row := [int(tok) for tok in line.split()])
             except ValueError:
                 raise RingSyntaxError(f"non-integer entry in {tag} table", lineno) from None
             if len(row) != order:
-                raise RingSyntaxError(
-                    f"{tag} row has {len(row)} entries, expected {order}", lineno
-                )
-            out.append(row)
-        return out
-
-    add = table("add")
-    mul = table("mul")
-    if pos != len(rows):
-        raise RingSyntaxError("trailing content after tables", rows[pos][0])
-    return validate_ring(add, mul, one, name=name)
+                raise RingSyntaxError(f"{tag} row has {len(row)} entries, expected {order}", lineno)
+        if len(rows) < order:
+            raise RingSyntaxError(f"{tag} table ends early: expected {order} rows", end)
+    if len(kept) > 5 + 2 * order:
+        raise RingSyntaxError("trailing content after tables", kept[5 + 2 * order][0])
+    return validate_ring(tables["add"], tables["mul"], one, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +514,9 @@ def _gf_of_order(q: int) -> FiniteRing:
 
 
 def _named_algebra(name: str) -> FiniteRing:
-    try:
-        return NAMED_ALGEBRAS[name]()
-    except KeyError:
-        raise ValueError(f"unknown named algebra {name!r}") from None
+    if name not in NAMED_ALGEBRAS:
+        raise RecipeError(f"unknown named algebra {name!r}")
+    return NAMED_ALGEBRAS[name]()
 
 
 def _skew(f: FiniteRing, power: int = 1) -> FiniteRing:
@@ -564,65 +554,57 @@ class RingRecipe:
         return f"{self.kind}({','.join(parts)})"
 
 
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a recipe token: a head with its ':value', an integer, any other character or
+# the empty token at the end; ASCII only, so a non-ASCII digit is no integer
+_RECIPE_TOKEN = re.compile(
+    r"(?P<head>[A-Za-z_]\w*)(?::(?P<value>\w*))?|(?P<int>\d+)|.|\Z", re.ASCII | re.DOTALL
+)
 
 
 def parse_recipe(text: str) -> RingRecipe:
-    recipe, rest = _parse_recipe_expr(text.strip())
-    if rest:
-        raise ValueError(f"trailing characters in recipe: {rest!r}")
-    return recipe
+    """Parse ``head:value`` atoms and ``head(arg,...)`` calls whose arguments
+    are integers or recipes; no spaces inside, no trailing comma."""
+    text = text.strip()
+    tokens = list(_RECIPE_TOKEN.finditer(text))
 
+    def near(i: int) -> str:
+        return text[tokens[i].start() :]
 
-def _parse_recipe_expr(s: str, depth: int = 0) -> tuple[RingRecipe, str]:
-    if depth > RECIPE_DEPTH_CAP:
-        raise ValueError(f"recipe nests constructors deeper than {RECIPE_DEPTH_CAP} levels")
-    m = _ATOM_RE.match(s)
-    if not m:
-        raise ValueError(f"bad recipe syntax near {s!r}")
-    head = m.group(0)
-    rest = s[m.end() :]
-    if rest.startswith(":"):
-        rest = rest[1:]
-        m2 = re.match(r"[A-Za-z0-9_]+", rest)
-        if not m2:
-            raise ValueError(f"missing argument after '{head}:'")
-        value = m2.group(0)
-        rest = rest[m2.end() :]
-        if head not in _ATOMS:
-            raise ValueError(f"unknown recipe atom {head!r}")
-        if _RECIPE_HEADS[head][0] == (("integer",),):
-            if not value.isdigit():
-                raise ValueError(f"'{head}:' needs an integer, got {value!r}")
-            value = int(value)
-        return RingRecipe(head, (value,)), rest
-    if rest.startswith("("):
-        if head not in _RECIPE_HEADS or head in _ATOMS:
-            raise ValueError(f"unknown recipe constructor {head!r}")
-        rest = rest[1:]
+    def recipe(i: int, depth: int) -> tuple[RingRecipe, int]:
+        """The recipe at token i, and the index of the token after it."""
+        if depth > RECIPE_DEPTH_CAP:
+            raise RecipeError(f"recipe nests constructors deeper than {RECIPE_DEPTH_CAP} levels")
+        head, value = tokens[i]["head"], tokens[i]["value"]
+        if head in _ATOMS and value:
+            if _RECIPE_HEADS[head][0] == (("integer",),):
+                if not value.isdigit():
+                    raise RecipeError(f"'{head}:' needs an integer, got {value!r}")
+                value = int(value)
+            return RingRecipe(head, (value,)), i + 1
+        if (head in _ATOMS or head not in _RECIPE_HEADS or value is not None
+                or tokens[i + 1][0] != "("):
+            raise RecipeError(f"bad recipe syntax near {near(i)!r}")
         args: list = []
-        while True:
-            if rest.startswith(")"):
-                rest = rest[1:]
-                break
-            m3 = re.match(r"\d+", rest)
-            if m3 and rest[m3.end() : m3.end() + 1] in (",", ")"):
-                args.append(int(m3.group(0)))
-                rest = rest[m3.end() :]
+        i += 2 if tokens[i + 2][0] == ")" else 1  # at ')' if there are no arguments
+        while tokens[i][0] != ")":  # at '(' or ',', and an argument follows
+            if tokens[i + 1]["int"]:
+                arg, i = int(tokens[i + 1]["int"]), i + 2
             else:
-                sub, rest = _parse_recipe_expr(rest, depth + 1)
-                args.append(sub)
-            if rest.startswith(","):
-                rest = rest[1:]
-            elif not rest.startswith(")"):
-                raise ValueError(f"expected ',' or ')' near {rest!r}")
+                arg, i = recipe(i + 1, depth + 1)
+            args.append(arg)
+            if tokens[i][0] not in (",", ")"):
+                raise RecipeError(f"expected ',' or ')' near {near(i)!r}")
         got = tuple("ring" if isinstance(a, RingRecipe) else "integer" for a in args)
         kinds = _RECIPE_HEADS[head][0]
         if got not in kinds:
             want = " or ".join(f"({', '.join(k)})" for k in kinds)
-            raise ValueError(f"{head} takes {want}, got ({', '.join(got)})")
-        return RingRecipe(head, tuple(args)), rest
-    raise ValueError(f"unknown recipe {head!r} (expected ':' or '(' after it)")
+            raise RecipeError(f"{head} takes {want}, got ({', '.join(got)})")
+        return RingRecipe(head, tuple(args)), i + 1
+
+    parsed, i = recipe(0, 0)
+    if i < len(tokens) - 1:
+        raise RecipeError(f"trailing characters in recipe: {near(i)!r}")
+    return parsed
 
 
 def build_recipe(recipe: RingRecipe | str) -> FiniteRing:
@@ -630,15 +612,13 @@ def build_recipe(recipe: RingRecipe | str) -> FiniteRing:
     if isinstance(recipe, str):
         recipe = parse_recipe(recipe)
     if recipe.kind not in _RECIPE_HEADS:
-        raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+        raise RecipeError(f"unknown recipe kind {recipe.kind!r}")
     construct = _RECIPE_HEADS[recipe.kind][1]
     return construct(*(build_recipe(a) if isinstance(a, RingRecipe) else a for a in recipe.args))
 
 
 def ring_from_spec(spec: str) -> FiniteRing:
     """Build from a recipe string, or parse a ring file if ``spec`` is a path."""
-    import os
-
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return parse_ring_file(fh.read())

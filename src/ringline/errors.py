@@ -71,6 +71,10 @@ class RingSyntaxError(RinglineError):
         self.line = line
 
 
+class RecipeError(RinglineError, ValueError):
+    """Malformed recipe text, or a recipe naming no known constructor or algebra."""
+
+
 class RightLineBreakdown(RinglineError):
     """Right equivalence classes of admissible pairs are not all the same size.
 

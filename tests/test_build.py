@@ -17,9 +17,12 @@ from helpers import brute_units, check_automorphism_per_pair, tuple_subring_clos
 from ringline import (
     ClosureTooLarge,
     NotAutomorphism,
+    NotClosed,
     NotIrreducible,
     NotPrime,
     OrderTooLarge,
+    RecipeError,
+    RingRecipe,
     RingSyntaxError,
     RinglineError,
     build_recipe,
@@ -51,6 +54,9 @@ from ringline.build import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_RECIPES = sorted(
+    json.loads((DATA.parent.parent / "perfbench" / "golden.json").read_text())["rings"]
+)
 
 FUZZ_RECIPES = ["zn:4", "dual(gf:2)", "tri(gf:2,2)", "skew(gf:4)"]
 FUZZ_TOKEN = st.one_of(
@@ -85,6 +91,61 @@ RECIPE_TEXT = st.one_of(
         max_size=12,
     ).map("".join),
 )
+
+
+# Malformed edits of the emitted zn:4 file (13 lines: ring, order, one, add,
+# 4 rows, mul, 4 rows): the slice lines[start:stop] is replaced, and the
+# exception class, its line (None when it has none) and its message pinned.
+RING_FILE_CORPUS = {
+    "empty": ((0, 13, []), RingSyntaxError, 1, "line 1: unexpected end of file, expected 'ring'"),
+    "comments-only": (
+        (0, 13, ["# nothing here", ""]),
+        RingSyntaxError, 1, "line 1: unexpected end of file, expected 'ring'",
+    ),
+    "bad-ring-tag": ((0, 1, ["rng Z4"]), RingSyntaxError, 1, "line 1: expected 'ring', found 'rng'"),
+    "no-ring-name": ((0, 1, ["ring"]), RingSyntaxError, 1, "line 1: missing ring name"),
+    "one-missing": ((2, 3, []), RingSyntaxError, 3, "line 3: expected 'one', found 'add'"),
+    "ends-after-order": (
+        (2, 13, ["# comment", ""]),
+        RingSyntaxError, 3, "line 3: unexpected end of file, expected 'one'",
+    ),
+    "ends-after-one": (
+        (3, 13, []), RingSyntaxError, 4, "line 4: unexpected end of file, expected 'add'"
+    ),
+    "add-ends-early": (
+        (6, 13, []), RingSyntaxError, 7, "line 7: add table ends early: expected 4 rows"
+    ),
+    "mul-ends-early": (
+        (11, 13, []), RingSyntaxError, 12, "line 12: mul table ends early: expected 4 rows"
+    ),
+    "extra-add-row": (
+        (4, 4, ["0 1 2 3"]), RingSyntaxError, 9, "line 9: expected 'mul', found '3'"
+    ),
+    "mul-tag-missing": ((8, 9, []), RingSyntaxError, 9, "line 9: expected 'mul', found '0'"),
+    "non-integer": (
+        (5, 6, ["1 2 x 0"]), RingSyntaxError, 6, "line 6: non-integer entry in add table"
+    ),
+    "float-entry": (
+        (10, 11, ["0 1.5 2 3"]), RingSyntaxError, 11, "line 11: non-integer entry in mul table"
+    ),
+    "short-row": (
+        (10, 11, ["0 1 2"]), RingSyntaxError, 11, "line 11: mul row has 3 entries, expected 4"
+    ),
+    "long-row": (
+        (4, 5, ["0 1 2 3 4"]), RingSyntaxError, 5, "line 5: add row has 5 entries, expected 4"
+    ),
+    "trailing": (
+        (13, 13, ["", "# end", "extra"]),
+        RingSyntaxError, 16, "line 16: trailing content after tables",
+    ),
+    "order-2000": (
+        (1, 2, ["order 2000"]), OrderTooLarge, None, "Z4 would have 2000 elements (cap 1024)"
+    ),
+    "beyond-int64": (
+        (5, 6, ["1 2 3 99999999999999999999"]),
+        NotClosed, None, "addition table has an entry outside the int64 range",
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,6 +579,16 @@ class TestRingFiles:
             parse_ring_file("\n".join(text))
         assert info.value.line == line
 
+    @pytest.mark.parametrize("case", sorted(RING_FILE_CORPUS))
+    def test_malformed_corpus(self, case):
+        """Each edit fails with the pinned class, line number and message."""
+        (start, stop, replacement), error, line, message = RING_FILE_CORPUS[case]
+        lines = emit_ring_file(ring_zn(4)).splitlines()
+        lines[start:stop] = replacement
+        with pytest.raises(error) as info:
+            parse_ring_file("\n".join(lines) + "\n")
+        assert (getattr(info.value, "line", None), str(info.value)) == (line, message)
+
     @given(recipe=st.sampled_from(FUZZ_RECIPES), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_file_parses_or_raises_ringline_error(self, recipe, data):
@@ -563,7 +634,7 @@ class TestRingFiles:
 class TestRecipes:
     @pytest.mark.parametrize(
         "text",
-        [
+        dict.fromkeys([  # drops repeats, so each id keeps its name
             "zn:4",
             "gf:9",
             "dual(gf:3)",
@@ -574,7 +645,9 @@ class TestRecipes:
             "prod(gf:4,zn:4)",
             "prod(zn:3,tri(gf:2,2))",
             "algebra:f2xy",
-        ],
+            "dual(gf:2)",  # the README table
+            *GOLDEN_RECIPES,
+        ]),
     )
     def test_round_trip_and_determinism(self, text):
         recipe = parse_recipe(text)
@@ -633,6 +706,43 @@ class TestRecipes:
     def test_argument_kinds_checked(self, bad):
         with pytest.raises(ValueError, match="takes"):
             parse_recipe(bad)
+
+    @pytest.mark.parametrize("bad", ["prod(zn:2,zn:3,)", "mat(gf:2,2,)", "skew(gf:4,)"])
+    def test_trailing_comma_refused(self, bad):
+        """After a comma an argument must follow."""
+        parse_recipe(bad.replace(",)", ")"))
+        with pytest.raises(RecipeError, match=r"bad recipe syntax near '\)'"):
+            parse_recipe(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            *("zn:", "zn:x", "frob(gf:2)", "mat(gf:2)", "prod(zn:2", "zn:4,"),
+            *("mat(2,2)", "dual(3)", "tri(3,gf:2)", "mat(gf:2,gf:2)", "skew(gf:4,gf:2)"),
+            "dual(" * 1500 + "gf:2" + ")" * 1500,
+            *("prod(zn:2,zn:3,)", "mat(gf:2,2,)", "skew(gf:4,)"),
+            "zn:\u0663",  # a non-ASCII digit is no integer
+            "mat(gf:2,\u0662)",
+        ],
+        ids=lambda bad: bad if len(bad) < 40 else "deep",
+    )
+    def test_malformed_text_is_named_error(self, bad):
+        with pytest.raises(RecipeError):
+            parse_recipe(bad)
+
+    def test_unknown_names_are_recipe_errors(self):
+        with pytest.raises(RecipeError, match="unknown named algebra 'x'"):
+            build_recipe("algebra:x")
+        with pytest.raises(RecipeError, match="unknown recipe kind 'frob'"):
+            build_recipe(RingRecipe("frob", ()))
+
+    @pytest.mark.parametrize("recipe", ["zn:1", "tri(gf:2,0)", "dual(mat(gf:2,2))"])
+    def test_domain_errors_stay_value_errors(self, recipe):
+        """A well-formed recipe whose constructor refuses its arguments."""
+        parse_recipe(recipe)
+        with pytest.raises(ValueError) as info:
+            build_recipe(recipe)
+        assert not isinstance(info.value, RinglineError)
 
     @given(text=RECIPE_TEXT)
     @settings(max_examples=300, deadline=None)
