@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteRing, characteristic, is_commutative, unit_elements, validate_ring
+from .core import FiniteRing, characteristic, is_commutative, validate_ring
 from .errors import (
     ClosureTooLarge,
     NotAutomorphism,
@@ -222,7 +222,7 @@ def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
 def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
     """a + b*x with x^2 = 0 and x*a = sigma(a)*x; noncommutative iff sigma != id."""
     _check_order(f.order**2, f"{f.name}[x;s]/(x^2)")
-    if len(unit_elements(f)) != f.order - 1:
+    if (f.inv[1:] < 0).any():
         raise ValueError("skew dual numbers require a field base")
     sig = _check_automorphism(f, sigma)
     add, mul, one = _pair_tables(f, sig)
@@ -452,28 +452,32 @@ def parse_ring_file(text: str) -> FiniteRing:
     kept = [(lineno, line) for lineno, raw in lines if (line := raw.split("#", 1)[0].strip())]
     end = kept[-1][0] + 1 if kept else 1  # where a missing line is reported
 
-    def tagged(i: int, tag: str) -> tuple[int, list[str]]:
-        """Line number of kept line i, and its tokens after the tag it starts with."""
+    def integers(line: str) -> list[int]:  # int() alone reads '+2', '0_0', non-ASCII digits
+        if not line.isascii() or "+" in line or "_" in line:
+            raise ValueError(line)
+        return [int(tok) for tok in line.split()]
+
+    def tagged(i: int, tag: str) -> tuple[int, str]:
+        """Line number of kept line i, and its tokens after its tag joined by spaces."""
         if i >= len(kept):
             raise RingSyntaxError(f"unexpected end of file, expected {tag!r}", end)
         lineno, tokens = kept[i][0], kept[i][1].split()
         if tokens[0] != tag:
             raise RingSyntaxError(f"expected {tag!r}, found {tokens[0]!r}", lineno)
-        return lineno, tokens[1:]
+        return lineno, " ".join(tokens[1:])
 
     def integer(i: int, tag: str) -> tuple[int, int]:
         """Line number and value of kept line i, which holds the tag and one integer."""
         lineno, rest = tagged(i, tag)
         try:
-            (value,) = (int(tok) for tok in rest)  # a token too many or few: ValueError
+            (value,) = integers(rest)  # a token too many or few: ValueError
         except ValueError:
             raise RingSyntaxError(f"{tag!r} must be followed by one integer", lineno) from None
         return lineno, value
 
-    lineno, rest = tagged(0, "ring")
-    if not rest:
+    lineno, name = tagged(0, "ring")
+    if not name:
         raise RingSyntaxError("missing ring name", lineno)
-    name = " ".join(rest)
     lineno, order = integer(1, "order")
     if order < 2:
         raise RingSyntaxError(f"order must be at least 2, got {order}", lineno)
@@ -487,7 +491,7 @@ def parse_ring_file(text: str) -> FiniteRing:
         rows = tables[tag] = []
         for lineno, line in kept[i + 1 : i + 1 + order]:
             try:
-                rows.append(row := [int(tok) for tok in line.split()])
+                rows.append(row := integers(line))
             except ValueError:
                 raise RingSyntaxError(f"non-integer entry in {tag} table", lineno) from None
             if len(row) != order:
@@ -570,6 +574,12 @@ def parse_recipe(text: str) -> RingRecipe:
     def near(i: int) -> str:
         return text[tokens[i].start() :]
 
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter converts
+            raise RecipeError(f"recipe integer of {len(digits)} digits is too long") from None
+
     def recipe(i: int, depth: int) -> tuple[RingRecipe, int]:
         """The recipe at token i, and the index of the token after it."""
         if depth > RECIPE_DEPTH_CAP:
@@ -579,7 +589,7 @@ def parse_recipe(text: str) -> RingRecipe:
             if _RECIPE_HEADS[head][0] == (("integer",),):
                 if not value.isdigit():
                     raise RecipeError(f"'{head}:' needs an integer, got {value!r}")
-                value = int(value)
+                value = integer(value)
             return RingRecipe(head, (value,)), i + 1
         if (head in _ATOMS or head not in _RECIPE_HEADS or value is not None
                 or tokens[i + 1][0] != "("):
@@ -588,7 +598,7 @@ def parse_recipe(text: str) -> RingRecipe:
         i += 2 if tokens[i + 2][0] == ")" else 1  # at ')' if there are no arguments
         while tokens[i][0] != ")":  # at '(' or ',', and an argument follows
             if tokens[i + 1]["int"]:
-                arg, i = int(tokens[i + 1]["int"]), i + 2
+                arg, i = integer(tokens[i + 1]["int"]), i + 2
             else:
                 arg, i = recipe(i + 1, depth + 1)
             args.append(arg)

@@ -13,7 +13,7 @@ with the cyclic left ideals come from one float32 matrix product. Right
 ideals are the left ideals of the opposite ring, whose multiplication table
 is ``mul.T``, and two-sided ideals are the sets that are both. Subsets of a
 ring (units, radical, center, ideals) are plain ``frozenset``s of element
-indices; tables are read by indexing ``add``, ``mul`` and ``neg``.
+indices; tables are read by indexing ``add``, ``mul``, ``neg`` and ``inv``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class FiniteRing:
     all do).
     """
 
-    __slots__ = ("order", "add", "mul", "one", "name", "neg", "_cache")
+    __slots__ = ("order", "add", "mul", "one", "name", "neg", "inv", "_cache")
 
     def __init__(self, order: int, add: np.ndarray, mul: np.ndarray, one: int, name: str):
         self.order = order
@@ -57,13 +57,14 @@ class FiniteRing:
         # additive inverse: the unique zero in each row of the addition table
         self.neg = np.argmax(add == 0, axis=1)
         self.neg.flags.writeable = False
+        # two-sided inverse: the y with x*y == 1 == y*x, or -1 when x is no unit
+        both = (mul == one) & (mul.T == one)
+        self.inv = np.where(both.any(axis=1), both.argmax(axis=1), -1)
+        self.inv.flags.writeable = False
         self._cache: dict = {}
 
     def __repr__(self) -> str:
         return f"FiniteRing(name={self.name!r}, order={self.order})"
-
-    def is_unit(self, x: int) -> bool:
-        return x in units(self)
 
     def same_tables(self, other: "FiniteRing") -> bool:
         return (
@@ -288,22 +289,17 @@ def check_enumerable(ring: FiniteRing, what: str) -> None:
 
 def units(ring: FiniteRing) -> frozenset[int]:
     """Elements with a two-sided multiplicative inverse."""
-    if "units" not in ring._cache:
-        mul, one = ring.mul, ring.one
-        # x is a unit when some y has x*y == 1 == y*x
-        found = np.flatnonzero(((mul == one) & (mul.T == one)).any(axis=1))
-        ring._cache["units"] = frozenset(found.tolist())
-    return ring._cache["units"]
+    return frozenset(unit_elements(ring))
 
 
 def unit_elements(ring: FiniteRing) -> tuple[int, ...]:
     """Units in ascending index order."""
-    return tuple(sorted(units(ring)))
+    return tuple(np.flatnonzero(ring.inv >= 0).tolist())
 
 
 def zero_divisor_count(ring: FiniteRing) -> int:
     """Number of non-units, zero included (order minus units)."""
-    return ring.order - len(units(ring))
+    return int(np.count_nonzero(ring.inv < 0))
 
 
 def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
@@ -311,7 +307,7 @@ def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
     if "radical" not in ring._cache:
         add, mul = ring.add, ring.mul
         one_minus = add[ring.one, ring.neg[mul]]  # (r, x) -> 1 - r*x
-        inside = np.isin(one_minus, list(units(ring))).all(axis=0)
+        inside = (ring.inv[one_minus] >= 0).all(axis=0)
         members = np.flatnonzero(inside)
         # ideal axioms must hold; failure means corrupt tables
         if not (inside[mul[:, members]].all() and inside[mul[members]].all()):
@@ -352,7 +348,7 @@ def semisimple_blocks(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
     return ring._cache["blocks"]
 
 
-def _left_ideals(add: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:
+def _left_ideals(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:
     """Every left ideal of the ring with these tables.
 
     Starting from {0}, each ideal found is summed with every cyclic left
@@ -364,7 +360,7 @@ def _left_ideals(add: np.ndarray, mul: np.ndarray) -> set[frozenset[int]]:
     membership matrix. No count exceeds n, so float32 is exact.
     """
     n = add.shape[0]
-    sub = add[:, np.argmax(add == 0, axis=1)]  # (y, c) -> y - c
+    sub = add[:, neg]  # (y, c) -> y - c
     member = np.zeros((n, n), dtype=bool)
     member[np.arange(n)[:, None], mul.T] = True  # row g marks R*g
     distinct = {row.tobytes(): row for row in member}
@@ -399,7 +395,7 @@ def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[i
         if side == "two_sided":
             ideals = set(ideal_lattice(ring, "left")).intersection(ideal_lattice(ring, "right"))
         else:
-            ideals = _left_ideals(ring.add, ring.mul if side == "left" else ring.mul.T)
+            ideals = _left_ideals(ring.add, ring.neg, ring.mul if side == "left" else ring.mul.T)
         ring._cache[key] = sorted(ideals, key=lambda s: (len(s), sorted(s)))
     return ring._cache[key]
 
@@ -467,11 +463,8 @@ def relabel(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:
         raise ValueError("perm is not a permutation of the element indices")
     if p[0] != 0:
         raise ValueError("perm must fix the zero element")
-    inv = [0] * n
-    for i, v in enumerate(p):
-        inv[v] = i
     parr = np.array(p)
-    inv_arr = np.array(inv)
-    new_add = parr[ring.add[np.ix_(inv_arr, inv_arr)]]
-    new_mul = parr[ring.mul[np.ix_(inv_arr, inv_arr)]]
+    back = np.argsort(parr)  # new index -> old index
+    new_add = parr[ring.add[np.ix_(back, back)]]
+    new_mul = parr[ring.mul[np.ix_(back, back)]]
     return validate_ring(new_add, new_mul, p[ring.one], name=f"{ring.name}~relabel")

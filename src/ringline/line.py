@@ -7,11 +7,11 @@ an inverse's first column solves a*x + b*z = 1, and finite rings have stable
 rank 1. Two routes check each other. One n x n product of principal right
 ideals finds the unimodular pairs, and for each point a search for t with
 a + b*t a unit shows that it completes; that t gives the change of basis
-which reads distance off one unit test (_distant). Orbit representatives
-suffice because multiplying one row of a 2x2 matrix on the left by a unit
-(or both coordinates of a pair on the right by the same unit) preserves
-invertibility. Every class has |U| members, so the members of all points are
-the rows of one read-only (points x |U|) array of pair codes a*n+b.
+which reads distance off one unit test (_distant); unit tests read ``inv``.
+Orbit representatives suffice because multiplying one row of a 2x2 matrix on
+the left by a unit (or both coordinates of a pair on the right by the same
+unit) preserves invertibility. Every class has |U| members, so all members
+are the rows of one read-only (points x |U|) array of pair codes a*n+b.
 """
 
 from __future__ import annotations
@@ -89,19 +89,16 @@ def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     is a unit. Raises when some unimodular row has no such t, which would
     break the stable-rank step.
     """
-    add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
-    unit = np.zeros(ring.order, bool)
-    unit[list(unit_elements(ring))] = True
+    add, mul, neg, inv, one = ring.add, ring.mul, ring.neg, ring.inv, ring.one
     a, b = np.divmod(codes, ring.order)
-    completes = unit[add[a[:, None], mul[b]]]  # [i, t]: a + b*t is a unit
+    completes = inv[add[a[:, None], mul[b]]] >= 0  # [i, t]: a + b*t is a unit
     if not completes.any(axis=1).all():
         raise AssertionError("unimodular pair with no completion")
     t = completes.argmax(axis=1)
-    u_inv = (mul[add[a, mul[b, t]]] == one).argmax(axis=1)
-    x = neg[mul[u_inv, b]]
+    x = neg[mul[inv[add[a, mul[b, t]]], b]]  # -u^-1*b
     z = add[one, mul[t, x]]
     # [i, j]: (c, d) = codes[j] against (x, z) of p = codes[i]
-    return unit[add[mul[a[None, :], x[:, None]], mul[b[None, :], z[:, None]]]]
+    return inv[add[mul[a[None, :], x[:, None]], mul[b[None, :], z[:, None]]]] >= 0
 
 
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
@@ -159,6 +156,5 @@ def point_type(line: ProjectiveLine, i: int) -> str:
 
     Class-invariant: unit multiples of units are units.
     """
-    a, b = line.points[i].rep
-    ring = line.ring
-    return "TypeI" if (ring.is_unit(a) or ring.is_unit(b)) else "TypeII"
+    (a, b), inv = line.points[i].rep, line.ring.inv
+    return "TypeI" if inv[a] >= 0 or inv[b] >= 0 else "TypeII"

@@ -145,6 +145,26 @@ RING_FILE_CORPUS = {
         (5, 6, ["1 2 3 99999999999999999999"]),
         NotClosed, None, "addition table has an entry outside the int64 range",
     ),
+    # int() reads these; a ring file holds ASCII decimal integers only
+    "non-ascii-order": (
+        (1, 2, ["order \u0664"]), RingSyntaxError, 2,
+        "line 2: 'order' must be followed by one integer",
+    ),
+    "signed-one": (
+        (2, 3, ["one +1"]), RingSyntaxError, 3, "line 3: 'one' must be followed by one integer"
+    ),
+    "signed-and-non-ascii-entries": (
+        (4, 5, ["0 1 +2 \u0663"]), RingSyntaxError, 5, "line 5: non-integer entry in add table"
+    ),
+    "underscore-entry": (
+        (5, 6, ["1 2 3 0_0"]), RingSyntaxError, 6, "line 6: non-integer entry in add table"
+    ),
+    "underscore-mul-entry": (
+        (12, 13, ["0 3 2 0_1"]), RingSyntaxError, 13, "line 13: non-integer entry in mul table"
+    ),
+    "negative-entry": (
+        (5, 6, ["1 2 3 -1"]), NotClosed, None, "addition table entry at (1, 3) is outside [0, 4)"
+    ),
 }
 
 
@@ -723,8 +743,12 @@ class TestRecipes:
             *("prod(zn:2,zn:3,)", "mat(gf:2,2,)", "skew(gf:4,)"),
             "zn:\u0663",  # a non-ASCII digit is no integer
             "mat(gf:2,\u0662)",
+            "zn:" + "9" * 5000,  # more digits than int() converts
+            "mat(gf:2," + "9" * 5000 + ")",
         ],
-        ids=lambda bad: bad if len(bad) < 40 else "deep",
+        ids=lambda bad: (
+            "deep" if bad.startswith("dual(dual(") else bad.replace("9" * 5000, "9x5000")
+        ),
     )
     def test_malformed_text_is_named_error(self, bad):
         with pytest.raises(RecipeError):

@@ -30,6 +30,7 @@ from ringline import (
     OrderTooLarge,
     RingValidationError,
     ZeroIndexNotZero,
+    build_line,
     build_recipe,
     builtin_catalog,
     center,
@@ -40,10 +41,12 @@ from ringline import (
     is_commutative,
     jacobson_radical,
     maximal_ideal_count,
+    point_type,
     relabel,
     ring_gf,
     ring_zn,
     triangular_ring,
+    unit_elements,
     units,
     validate_ring,
     zero_divisor_count,
@@ -262,6 +265,40 @@ class TestUnits:
     def test_partition_into_units_and_zero_divisors(self, name):
         ring = ring_of(name)
         assert len(units(ring)) + zero_divisor_count(ring) == ring.order
+
+    @pytest.mark.parametrize("recipe", list(golden_rings()))
+    def test_inverse_table_matches_raw_scan(self, recipe):
+        """ring.inv on the plain, relabelled and opposite (mul.T) tables: its
+        units are the raw scan's, each with its two-sided inverse, and -1
+        marks every non-unit."""
+        ring = build_recipe(recipe)
+        perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+        opposite = validate_ring(ring.add, ring.mul.T, ring.one)
+        for r in (ring, relabel(ring, perm), opposite):
+            found = np.flatnonzero(r.inv >= 0)
+            assert set(found.tolist()) == brute_units(r)
+            assert (r.inv[r.inv < 0] == -1).all()
+            assert (r.mul[found, r.inv[found]] == r.one).all()
+            assert (r.mul[r.inv[found], found] == r.one).all()
+
+    def test_inverse_table_is_read_only(self):
+        ring = ring_zn(4)
+        with pytest.raises(ValueError, match="read-only"):
+            ring.inv[2] = 2
+        assert ring.inv.tolist() == [-1, 1, -1, 3]
+
+    def test_unit_readers_follow_the_inverse_table(self):
+        """Every unit test reads ring.inv: with 1 marked a non-unit of Z4, the
+        units, their count, the point types and the radical all change."""
+        ring = ring_zn(4)
+        line = build_line(ring)
+        ring.inv = np.array([-1, -1, -1, 3])
+        assert units(ring) == {3} and unit_elements(ring) == (3,)
+        assert zero_divisor_count(ring) == 3
+        kinds = [point_type(line, i) for i in range(len(line))]
+        assert kinds == ["TypeI" if 3 in p.rep else "TypeII" for p in line.points]
+        assert "TypeII" in kinds
+        assert jacobson_radical(ring) == set()  # 1 - 0*x = 1 is no unit
 
 
 class TestZeroDivisorCount:
@@ -492,7 +529,7 @@ def test_fingerprint_enumerates_no_ideal(recipe, expected, monkeypatch):
     """The golden fingerprints, plain and relabelled, with ideal enumeration
     switched off."""
 
-    def refuse(add, mul):
+    def refuse(add, neg, mul):
         raise AssertionError("fingerprint enumerated ideals")
 
     monkeypatch.setattr(core, "_left_ideals", refuse)
