@@ -8,6 +8,7 @@ tokens, a ring file from its lines that hold tokens, each part at a fixed index.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .core import FiniteRing, characteristic, is_commutative, validate_ring
 from .errors import (
     ClosureTooLarge,
     NotAutomorphism,
-    NotIrreducible,
     NotPrime,
     OrderTooLarge,
     RecipeError,
@@ -44,9 +44,7 @@ def _check_order(order: int, what: str, power: int = 1) -> None:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n**0.5) + 1))
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +107,21 @@ def default_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # impossible over Z_p
 
 
-def ring_gf(p: int, k: int, poly: Sequence[int] | None = None) -> FiniteRing:
-    """Field GF(p^k) on polynomial residues: the structure-constant algebra on
-    the basis 1, x, ..., x^(k-1).
+def ring_gf(p: int, k: int) -> FiniteRing:
+    """Field GF(p^k) on polynomial residues modulo ``default_irreducible(p, k)``:
+    the structure-constant algebra on the basis 1, x, ..., x^(k-1).
 
     Element index encodes the coefficient vector base p, constant term least
     significant, so index 1 is the field's one and indices 0..p-1 are the
     prime subfield.
     """
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    _check_order(p, f"GF({p}^{k})", k)
-    if poly is None:
-        poly = default_irreducible(p, k)
-    poly = tuple(int(c) % p for c in poly)
-    if len(poly) != k + 1 or poly[-1] != 1:
-        raise NotIrreducible(f"need a monic polynomial of degree {k}, got {poly}")
-    if not is_irreducible(poly, p):
-        raise NotIrreducible(f"{poly} is reducible over Z_{p}")
+    if p > 1:  # the size first: trial division takes up to sqrt(p) steps
+        _check_order(p, f"GF({p}^{k})", k)
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    poly = default_irreducible(p, k)
     # const[i][j] = coefficients of x^(i+j) mod poly
     const = [
         [(_poly_mod([0] * (i + j) + [1], poly, p) + [0] * k)[:k] for j in range(k)]

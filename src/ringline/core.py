@@ -48,8 +48,8 @@ class FiniteRing:
 
     __slots__ = ("order", "add", "mul", "one", "name", "neg", "inv", "_cache")
 
-    def __init__(self, order: int, add: np.ndarray, mul: np.ndarray, one: int, name: str):
-        self.order = order
+    def __init__(self, add: np.ndarray, mul: np.ndarray, one: int, name: str):
+        self.order = len(add)
         self.add = add
         self.mul = mul
         self.one = one
@@ -107,19 +107,21 @@ def _as_table(table: Sequence[Sequence[int]] | np.ndarray, what: str) -> np.ndar
         raise NotClosed(f"{what} table has rows of unequal length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotClosed(f"{what} table is not square: shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(np.int64, order="C")  # a copy even when already int64
+    else:
         # exact Python numbers, so the int64 cast raises instead of rounding or wrapping
-        arr = np.array(table, dtype=object)
+        exact = np.array(table, dtype=object)
         try:
-            conv = arr.astype(np.int64)
+            arr = exact.astype(np.int64, order="C")
         except OverflowError:
             raise NotClosed(f"{what} table has an entry outside the int64 range") from None
         except (TypeError, ValueError):
             raise NotClosed(f"{what} table has non-integer entries") from None
-        if not np.array_equal(conv, arr):
+        if not np.array_equal(arr, exact):
             raise NotClosed(f"{what} table has non-integer entries")
-        arr = conv
-    return arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 def validate_ring(
@@ -130,11 +132,11 @@ def validate_ring(
 ) -> FiniteRing:
     """Check every ring-with-unity axiom on the given tables.
 
-    Returns a :class:`FiniteRing` or raises a :class:`RingValidationError`
-    subclass naming the first violated axiom, with a witnessing index tuple.
-    Associativity and distributivity are checked on additive generators
-    (:func:`_axioms_hold_on_generators`); only when that fails does the
-    per-element scan run, to name the lexicographically first witness.
+    Returns a :class:`FiniteRing` on read-only int64 copies of the tables, or
+    raises a :class:`RingValidationError` subclass naming the first violated
+    axiom, with a witness tuple. Associativity and distributivity are checked on
+    additive generators (:func:`_axioms_hold_on_generators`); only if that fails
+    does the per-element scan name the lexicographically first witness.
     """
     add = _as_table(add_table, "addition")
     mul = _as_table(mul_table, "multiplication")
@@ -167,9 +169,9 @@ def validate_ring(
             f"addition not commutative: {a}+{b} != {b}+{a}", witness=(int(a), int(b))
         )
     # each row must be a permutation (gives inverses; identity already checked)
-    sorted_rows = np.sort(add, axis=1)
-    if not np.array_equal(sorted_rows, np.tile(idx, (n, 1))):
-        a = int(np.flatnonzero((sorted_rows != idx).any(axis=1))[0])
+    bad_rows = (np.sort(add, axis=1) != idx).any(axis=1)
+    if bad_rows.any():
+        a = int(np.flatnonzero(bad_rows)[0])
         raise NotAbelianGroup(f"addition row {a} is not a permutation", witness=(a,))
     if not _axioms_hold_on_generators(add, mul):
         # name the lexicographically first witness of the failed axiom
@@ -184,11 +186,7 @@ def validate_ring(
     ):
         raise NoUnity(f"index {one} is not a two-sided multiplicative identity", witness=(one,))
 
-    add = add.copy()
-    mul = mul.copy()
-    add.flags.writeable = False
-    mul.flags.writeable = False
-    return FiniteRing(order=n, add=add, mul=mul, one=one, name=name)
+    return FiniteRing(add, mul, one, name)
 
 
 def _check_associative(table: np.ndarray, n: int, exc: type, what: str) -> None:

@@ -51,10 +51,6 @@ class NotPrime(RinglineError):
     pass
 
 
-class NotIrreducible(RinglineError):
-    pass
-
-
 class NotAutomorphism(RinglineError):
     pass
 

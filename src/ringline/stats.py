@@ -18,9 +18,10 @@ of its class sizes in point pairs or triples. The pass gathers class rows
 in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
 one point, and weighs them by class size in float32, exact since no count
 reaches 2**24. MD is the maximum clique, searched only up to the bound from
-R/J's blocks. Bitmasks of the distant graph live only in ringline.clique,
-behind the maximum-clique search. Jcb candidate C counts orbits by
-Burnside's lemma, reading only the units' rows of the multiplication table.
+R/J's blocks. Twin classes are grouped on packed distant rows, used only as
+keys; the masks of ringline.clique are the only bitmask form that is
+searched. Jcb candidate C counts orbits by Burnside's lemma, reading only
+the units' rows of the multiplication table.
 
 GL2(R) preserves distance and is transitive on pairwise-distant triples
 (each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so

@@ -24,13 +24,13 @@ RECIPES.update(
 )
 
 
-def run_python(flags: list[str], script: str) -> subprocess.CompletedProcess:
+def run_python(flags: list[str], script: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run a script with the interpreter flags, on this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-c", script],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=timeout,
     )
 
 

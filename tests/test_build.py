@@ -11,14 +11,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ring_of
+from conftest import ring_of, run_python
 from helpers import brute_units, check_automorphism_per_pair, tuple_subring_closure
 
 from ringline import (
     ClosureTooLarge,
     NotAutomorphism,
     NotClosed,
-    NotIrreducible,
     NotPrime,
     OrderTooLarge,
     RecipeError,
@@ -211,8 +210,6 @@ class TestGf:
 
     def test_reducible_poly_rejected(self):
         assert not is_irreducible([1, 0, 1], 2)  # x^2 + 1 = (x+1)^2 over F2
-        with pytest.raises(NotIrreducible):
-            ring_gf(2, 2, poly=[1, 0, 1])
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
@@ -719,6 +716,42 @@ class TestRecipes:
         finally:
             tracemalloc.stop()
         assert peak < 8 * ORDER_CAP**2  # less than one int64 table of a refused order
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: ring_gf(10**400, 1),
+            lambda: ring_gf(2, 11),
+            lambda: ring_zn(10**400),
+            lambda: structure_constants_algebra(10**400, 1, [[[1]]]),
+            lambda: matrix_ring(ring_zn(2), 10**6),
+            lambda: triangular_ring(ring_zn(2), 10**6),
+            lambda: quotient_dual_numbers(ring_zn(64)),
+            lambda: skew_dual_numbers(ring_gf(37, 1), range(37)),
+            lambda: direct_product(ring_zn(64), ring_zn(64)),
+        ],
+        ids=["gf-past-float", "gf", "zn", "algebra", "mat", "tri", "dual", "skew", "prod"],
+    )
+    def test_constructor_order_cap_before_allocation(self, construct):
+        """Library calls refuse an oversized order as recipes do, before any
+        table or primality test; the bases they are given are small."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge):
+                construct()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ORDER_CAP**2
+
+    def test_gf_order_checked_before_trial_division(self):
+        """Trial division of 2^61 - 1, a prime, would take about 1.5e9 steps;
+        the order cap refuses it first. Run apart so that a hang fails the test."""
+        script = "import ringline\ntry:\n    ringline.ring_gf(2**61 - 1, 1)\n"
+        script += "except ringline.OrderTooLarge as exc:\n    print(exc)\n"
+        run = run_python([], script, timeout=5)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "GF(2305843009213693951^1) would have 2305843009213693951 elements (cap 1024)\n"
 
     @pytest.mark.parametrize(
         "bad", ["mat(2,2)", "dual(3)", "tri(3,gf:2)", "mat(gf:2,gf:2)", "skew(gf:4,gf:2)"]

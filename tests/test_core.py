@@ -165,6 +165,32 @@ class TestValidateRing:
         with pytest.raises(NotClosed, match="multiplication table"):
             validate_ring(add, mul, 1)
 
+    @pytest.mark.parametrize(
+        "given",
+        [
+            np.array,
+            np.asfortranarray,
+            lambda table: table.tolist(),
+            lambda table: table.astype(np.float64).tolist(),
+        ],
+        ids=["int64", "fortran-order", "nested-list", "float-list"],
+    )
+    def test_tables_are_read_only_copies(self, given):
+        """The ring keeps one read-only C-ordered copy of each table; the
+        caller's tables stay writeable and unchanged, and later writes to
+        them do not reach the ring."""
+        base = ring_of("t2f2")
+        add, mul = given(base.add), given(base.mul)
+        ring = validate_ring(add, mul, base.one)
+        for kept, table, expected in ((ring.add, add, base.add), (ring.mul, mul, base.mul)):
+            assert not kept.flags.writeable and kept.flags.c_contiguous
+            assert not np.shares_memory(kept, table)
+            assert np.array_equal(table, expected)
+            if isinstance(table, np.ndarray):
+                assert table.flags.writeable
+            table[1][2] = -1
+            assert np.array_equal(kept, expected)
+
     @pytest.mark.filterwarnings("error")
     def test_ragged_rows_rejected(self):
         with pytest.raises(NotClosed, match="addition table has rows of unequal length"):
