@@ -70,11 +70,8 @@ from .line import (
     point_type,
 )
 from .stats import (
-    ExpectedSignature,
     LineSignature,
-    SignatureComparison,
     StatValue,
-    compare_signature,
     jacobson_stat,
     max_distant_set,
     neighbourhood,

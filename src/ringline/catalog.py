@@ -1,4 +1,5 @@
-"""Built-in ring catalog with expected line signatures, and batch evaluation.
+"""Built-in ring catalog with expected Table-1 rows, batch evaluation, and
+every verdict: column checks, entry and row status, the report's pass flag.
 
 Each entry names a recipe and the classification row it should reproduce.
 Provenance tags: "paper-row" for confirmed rows, "paper-brackets" for the
@@ -14,19 +15,13 @@ import io
 import csv
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from .build import build_recipe
 from .core import RingFingerprint, fingerprint
 from .errors import RightLineBreakdown
 from .line import build_line
-from .stats import (
-    JACOBSON_CANDIDATES,
-    ExpectedSignature,
-    LineSignature,
-    SignatureComparison,
-    compare_signature,
-    signature,
-)
+from .stats import COLUMNS, JACOBSON_CANDIDATES, LineSignature, signature
 
 TABLE1_ROW_ORDER = ("27/15", "24/20", "16/4", "16/8", "16/10", "16/12", "16/14", "8/6")
 
@@ -51,12 +46,15 @@ class CatalogEntry:
     paper_row: str
     provenance: str  # paper-row | paper-brackets | candidate
     recipe: str | None
-    expected: ExpectedSignature
+    expected: tuple[int, ...]  # the Table-1 row, in COLUMNS order
+    jcb: int | None = None  # informational: never part of the verdict
     right_breakdown_expected: bool = False
 
     def __post_init__(self):
-        if self.expected is None:
-            raise ValueError(f"entry {self.name}: every entry needs an expected signature")
+        row = self.expected
+        ints = isinstance(row, tuple) and all(type(v) is int for v in row)
+        if not (ints and len(row) == len(COLUMNS)):
+            raise ValueError(f"entry {self.name}: expected row {row!r} is not {len(COLUMNS)} ints")
 
 
 def builtin_catalog() -> tuple[CatalogEntry, ...]:
@@ -67,28 +65,32 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
             paper_row="8/6",
             provenance="paper-row",
             recipe="tri(gf:2,2)",
-            expected=ExpectedSignature(18, 14, 9, 4, 0, 3, jcb=1),
+            expected=(18, 14, 9, 4, 0, 3),
+            jcb=1,
         ),
         CatalogEntry(
             name="t2f3",
             paper_row="27/15",
             provenance="paper-row",
             recipe="tri(gf:3,2)",
-            expected=ExpectedSignature(48, 42, 20, 6, 0, 4, jcb=2),
+            expected=(48, 42, 20, 6, 0, 4),
+            jcb=2,
         ),
         CatalogEntry(
             name="z3xt2f2",
             paper_row="24/20",
             provenance="paper-row",
             recipe="prod(zn:3,tri(gf:2,2))",
-            expected=ExpectedSignature(72, 44, 47, 28, 12, 3, jcb=3),
+            expected=(72, 44, 47, 28, 12, 3),
+            jcb=3,
         ),
         CatalogEntry(
             name="m2f2",
             paper_row="16/10",
             provenance="paper-row",
             recipe="mat(gf:2,2)",
-            expected=ExpectedSignature(35, 26, 18, 9, 3, 5, jcb=0),
+            expected=(35, 26, 18, 9, 3, 5),
+            jcb=0,
             right_breakdown_expected=True,
         ),
         CatalogEntry(
@@ -96,42 +98,48 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
             paper_row="16/14",
             provenance="paper-row",
             recipe="prod(zn:2,tri(gf:2,2))",
-            expected=ExpectedSignature(54, 30, 37, 24, 12, 3, jcb=1),
+            expected=(54, 30, 37, 24, 12, 3),
+            jcb=1,
         ),
         CatalogEntry(
             name="gf4xz4",
             paper_row="16/10",
             provenance="paper-brackets",
             recipe="prod(gf:4,zn:4)",
-            expected=ExpectedSignature(30, 26, 13, 4, 0, 3, jcb=5),
+            expected=(30, 26, 13, 4, 0, 3),
+            jcb=5,
         ),
         CatalogEntry(
             name="gf4xdualf2",
             paper_row="16/10",
             provenance="paper-brackets",
             recipe="prod(gf:4,dual(gf:2))",
-            expected=ExpectedSignature(30, 26, 13, 4, 0, 3, jcb=5),
+            expected=(30, 26, 13, 4, 0, 3),
+            jcb=5,
         ),
         CatalogEntry(
             name="skewgf4",
             paper_row="16/4",
             provenance="candidate",
             recipe="skew(gf:4)",
-            expected=ExpectedSignature(20, 20, 3, 0, 0, 5, jcb=3),
+            expected=(20, 20, 3, 0, 0, 5),
+            jcb=3,
         ),
         CatalogEntry(
             name="f2xy",
             paper_row="16/8",
             provenance="candidate",
             recipe="algebra:f2xy",
-            expected=ExpectedSignature(24, 24, 7, 0, 0, 3, jcb=7),
+            expected=(24, 24, 7, 0, 0, 3),
+            jcb=7,
         ),
         CatalogEntry(
             name="row16_12",
             paper_row="16/12",
             provenance="paper-row",
             recipe=None,  # no construction reconstructible from the citations
-            expected=ExpectedSignature(36, 28, 19, 8, 0, 3, jcb=3),
+            expected=(36, 28, 19, 8, 0, 3),
+            jcb=3,
         ),
     )
 
@@ -181,8 +189,23 @@ class EntryResult:
         return fp.order == int(order_s) and fp.zero_divisor_count == int(zdiv_s)
 
     @property
-    def comparison(self) -> SignatureComparison | None:
-        return None if self.left is None else compare_signature(self.left, self.entry.expected)
+    def comparison(self) -> dict | None:
+        """The left signature against the entry, as the report writes it. A
+        neighbourhood column passes only if it is also constant; the Jcb
+        candidates are matched against the informational Jcb but never fail it."""
+        if self.left is None:
+            return None
+        constant = {name: stat.constant for name, stat in self.left.stats().items()}
+        columns = {}
+        for name, seen, want in zip(COLUMNS, self.left.as_row(), self.entry.expected):
+            ok = seen == want and constant.get(name, True)
+            columns[name] = {"observed": seen, "expected": want, "pass": ok}
+        jcb = self.entry.jcb
+        return {
+            "perColumn": columns,
+            "jcb": None if jcb is None else {c: v == jcb for c, v in self.left.jcb.items()},
+            "pass": all(c["pass"] for c in columns.values()),
+        }
 
     @property
     def right_status(self) -> str:
@@ -205,7 +228,7 @@ class EntryResult:
         """PASS | FAIL | UNRESOLVED; a failing candidate is UNRESOLVED."""
         if self.fingerprint is None:
             return "UNRESOLVED"
-        if self.label_ok and self.right_ok and self.comparison.passed:
+        if self.label_ok and self.right_ok and self.comparison["pass"]:
             return "PASS"
         return "UNRESOLVED" if self.provenance == "candidate" else "FAIL"
 
@@ -227,10 +250,16 @@ class EntryResult:
             "right": right,
             "jacobsonCandidates": dict(self.left.jcb) if self.left else None,
             "rightJacobsonCandidates": dict(self.right.jcb) if self.right else None,
-            "comparison": self.comparison.to_json_dict() if self.comparison else None,
+            "comparison": self.comparison,
             "rightOk": self.right_ok,
             "elapsedMs": self.elapsed_ms,
         }
+
+
+def row_status(results: Iterable[EntryResult]) -> str:
+    """A Table-1 row's verdict: FAIL, else UNRESOLVED (also for no entry), else PASS."""
+    statuses = {r.status for r in results} or {"UNRESOLVED"}
+    return next(s for s in ("FAIL", "UNRESOLVED", "PASS") if s in statuses)
 
 
 def evaluate_entry(entry: CatalogEntry) -> EntryResult:
@@ -267,9 +296,8 @@ class RunReport:
         """candidate id -> entry name -> matches the row's informational Jcb."""
         matrix: dict[str, dict[str, bool]] = {}
         for r in self.results:
-            if r.comparison is None or r.comparison.jcb_matches is None:
-                continue
-            for cand, ok in r.comparison.jcb_matches.items():
+            matches = (r.comparison or {}).get("jcb") or {}
+            for cand, ok in matches.items():
                 matrix.setdefault(cand, {})[r.name] = ok
         return matrix
 

@@ -21,6 +21,7 @@ from .catalog import (
     TABLE1_ROW_ORDER,
     EntryResult,
     builtin_catalog,
+    row_status,
     run_catalog,
 )
 from .core import fingerprint
@@ -115,10 +116,11 @@ def _format_entry_line(r: EntryResult) -> str:
     if r.left is None:
         return f"{r.name:<12} {r.paper_row:<6} {r.status:<10} (no construction shipped)"
     cols = []
-    for c in r.comparison.columns:
-        mark = "ok" if c.passed else f"FAIL(exp {c.expected})"
-        cols.append(f"{c.name} {c.observed} {mark}")
-    right = "right=left" if r.right_status == "ok" else "right BREAKDOWN"
+    for name, c in r.comparison["perColumn"].items():
+        mark = "ok" if c["pass"] else f"FAIL(exp {c['expected']})"
+        cols.append(f"{name} {c['observed']} {mark}")
+    same = "right=left" if r.right == r.left else "right!=left"
+    right = "right BREAKDOWN" if r.right is None else same
     right_mark = "" if r.right_ok else " (unexpected)"
     return (
         f"{r.name:<12} {r.paper_row:<6} {r.status:<10} "
@@ -175,10 +177,10 @@ def _cmd_catalog_table1(args) -> int:
                 cells = " ".join(f"{'-':>7}" for _ in range(6))
                 print(f"{row_label:<7} {r.name:<12} {cells}  {r.status}")
             else:
-                cells = []
-                for check in r.comparison.columns:
-                    mark = "" if check.passed else "!"
-                    cells.append(f"{check.observed}{mark}")
+                cells = [
+                    f"{c['observed']}{'' if c['pass'] else '!'}"
+                    for c in r.comparison["perColumn"].values()
+                ]
                 print(
                     f"{row_label:<7} {r.name:<12} "
                     + " ".join(f"{c:>7}" for c in cells)
@@ -188,11 +190,7 @@ def _cmd_catalog_table1(args) -> int:
             {
                 "row": row_label,
                 "entries": [r.to_json_dict() for r in group],
-                "status": (
-                    "PASS"
-                    if group and all(r.status == "PASS" for r in group)
-                    else ("UNRESOLVED" if any(r.status == "UNRESOLVED" for r in group) else "FAIL")
-                ),
+                "status": row_status(group),
             }
         )
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")

@@ -148,50 +148,6 @@ class LineSignature:
         }
 
 
-@dataclass(frozen=True)
-class ExpectedSignature:
-    """A Table-1 style row of expected values; jcb is informational only."""
-
-    tot: int
-    tpi: int
-    one_n: int
-    cap2n: int
-    cap3n: int
-    md: int
-    jcb: int | None = None
-
-    def as_row(self) -> tuple[int, int, int, int, int, int]:
-        return (self.tot, self.tpi, self.one_n, self.cap2n, self.cap3n, self.md)
-
-
-@dataclass(frozen=True)
-class ColumnCheck:
-    name: str
-    observed: int
-    expected: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SignatureComparison:
-    columns: tuple[ColumnCheck, ...]
-    jcb_matches: Mapping[str, bool] | None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.columns)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "perColumn": {
-                c.name: {"observed": c.observed, "expected": c.expected, "pass": c.passed}
-                for c in self.columns
-            },
-            "jcb": dict(self.jcb_matches) if self.jcb_matches is not None else None,
-            "pass": self.passed,
-        }
-
-
 def neighbourhood(line: ProjectiveLine, i: int) -> frozenset[int]:
     """{ j != i : j not distant from i }."""
     return frozenset(np.flatnonzero(~line.adjacency[i]).tolist()) - {i}
@@ -316,21 +272,3 @@ def signature(line: ProjectiveLine) -> LineSignature:
         md=len(max_distant_set(line)),
         jcb={c: jacobson_stat(line, c) for c in JACOBSON_CANDIDATES},
     )
-
-
-def compare_signature(
-    sig: LineSignature, expected: ExpectedSignature
-) -> SignatureComparison:
-    """Per-column PASS/FAIL; the three neighbourhood columns also require the
-    constancy flag. Jcb is informational and never affects the verdict."""
-    constant = {name: stat.constant for name, stat in sig.stats().items()}
-    checks = tuple(
-        ColumnCheck(name, observed, want, observed == want and constant.get(name, True))
-        for name, observed, want in zip(COLUMNS, sig.as_row(), expected.as_row())
-    )
-    jcb_matches = (
-        {c: sig.jcb[c] == expected.jcb for c in sig.jcb}
-        if expected.jcb is not None
-        else None
-    )
-    return SignatureComparison(columns=checks, jcb_matches=jcb_matches)

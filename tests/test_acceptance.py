@@ -31,7 +31,6 @@ from ringline import (
     maximal_ideal_count,
     unit_elements,
 )
-from ringline.stats import ExpectedSignature
 
 CONFIRMED_ROWS = {
     "t2f2": (18, 14, 9, 4, 0, 3),
@@ -97,12 +96,12 @@ def test_criterion_3_candidate_rows():
     # a failing candidate must surface as UNRESOLVED, never as silent PASS
     doctored = replace(
         catalog_entry("skewgf4"),
-        expected=ExpectedSignature(20, 20, 3, 0, 0, 4, jcb=3),
+        expected=(20, 20, 3, 0, 0, 4),
     )
     outcome = evaluate_entry(doctored)
     if outcome.status != "UNRESOLVED":
         failures.append(f"failing candidate reported as {outcome.status}")
-    if outcome.comparison.passed:
+    if outcome.comparison["pass"]:
         failures.append("failing candidate comparison did not report the mismatch")
     if catalog_report().result("row16_12").status != "UNRESOLVED":
         failures.append("row 16/12 slot must be UNRESOLVED")
@@ -270,8 +269,8 @@ def test_criterion_7_jacobson_candidate_matrix():
     }
     for name, value in expected_jcb.items():
         entry = catalog_entry(name)
-        if entry.expected.jcb != value:
-            failures.append(f"{name}: informational Jcb {entry.expected.jcb} != {value}")
+        if entry.jcb != value:
+            failures.append(f"{name}: informational Jcb {entry.jcb} != {value}")
     matrix = report.jcb_matrix()
     if set(matrix) != {"A", "B", "C"}:
         failures.append(f"matrix candidates {sorted(matrix)}")

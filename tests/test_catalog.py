@@ -10,10 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import line_of
+
 from ringline import (
     CatalogEntry,
-    ExpectedSignature,
+    EntryResult,
     RunReport,
+    StatValue,
     builtin_catalog,
     catalog_entry,
     evaluate_entry,
@@ -21,7 +24,8 @@ from ringline import (
     run_catalog,
 )
 from ringline.build import build_recipe
-from ringline.catalog import CSV_COLUMNS, TABLE1_ROW_ORDER
+from ringline.catalog import CSV_COLUMNS, TABLE1_ROW_ORDER, row_status
+from ringline.stats import COLUMNS, signature
 
 # read only: perfbench/capture_golden.py writes it from known-good sources
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
@@ -47,8 +51,8 @@ class TestBuiltinCatalog:
         for name, (row, values, jcb) in EXPECTED_MINIMUM.items():
             entry = entries[name]
             assert entry.paper_row == row
-            assert entry.expected.as_row() == values
-            assert entry.expected.jcb == jcb
+            assert entry.expected == values
+            assert entry.jcb == jcb
 
     def test_provenance_tags(self):
         entries = {e.name: e for e in builtin_catalog()}
@@ -111,6 +115,19 @@ class TestBuiltinCatalog:
         with pytest.raises(ValueError):
             CatalogEntry("x", "8/6", provenance, "tri(gf:2,2)", None)
 
+    @pytest.mark.parametrize(
+        "row",
+        [(18, 14, 9, 4, 0), (18, 14, 9, 4, 0, 3, 1), [18, 14, 9, 4, 0, 3], (18, 14, 9, 4, 0, 3.0)],
+        ids=["five", "seven", "list", "float"],
+    )
+    def test_malformed_expected_row_rejected(self, row):
+        """A row that is not one int per column (None is refused above) would
+        be cut short by zip or compared loosely, so the entry refuses it."""
+        with pytest.raises(ValueError):
+            CatalogEntry("x", "8/6", "paper-row", "tri(gf:2,2)", row)
+        with pytest.raises(ValueError):
+            replace(catalog_entry("t2f2"), expected=row)
+
 
 class TestRunReport:
     def test_overall_pass(self, report):
@@ -124,7 +141,7 @@ class TestRunReport:
         failing = evaluate_entry(
             replace(
                 catalog_entry("t2f2"),
-                expected=ExpectedSignature(18, 14, 9, 4, 0, 4, jcb=1),  # wrong MD
+                expected=(18, 14, 9, 4, 0, 4),  # wrong MD
             )
         )
         doctored = RunReport(results=(report.result("m2f2"), failing))
@@ -201,16 +218,16 @@ class TestEntryEvaluation:
     def test_failing_candidate_marked_unresolved(self):
         entry = replace(
             catalog_entry("skewgf4"),
-            expected=ExpectedSignature(20, 20, 3, 0, 0, 4, jcb=3),  # wrong MD
+            expected=(20, 20, 3, 0, 0, 4),  # wrong MD
         )
         result = evaluate_entry(entry)
         assert result.status == "UNRESOLVED"
-        assert not result.comparison.passed
+        assert not result.comparison["pass"]
 
     def test_failing_paper_row_marked_fail(self):
         entry = replace(
             catalog_entry("t2f2"),
-            expected=ExpectedSignature(18, 14, 9, 4, 0, 4, jcb=1),  # wrong MD
+            expected=(18, 14, 9, 4, 0, 4),  # wrong MD
         )
         result = evaluate_entry(entry)
         assert result.status == "FAIL"
@@ -227,3 +244,59 @@ class TestTableOrder:
     def test_row_order_covers_catalog(self):
         rows = {e.paper_row for e in builtin_catalog()}
         assert rows == set(TABLE1_ROW_ORDER)
+
+
+def _comparison(sig, expected, jcb=None) -> dict:
+    entry = CatalogEntry("x", "8/6", "paper-row", "tri(gf:2,2)", expected, jcb=jcb)
+    return EntryResult(entry, None, sig, None, None, 0.0).comparison
+
+
+class TestCompareSignature:
+    def test_pass(self):
+        cmp = _comparison(signature(line_of("t2f2")), (18, 14, 9, 4, 0, 3), jcb=1)
+        assert cmp["pass"]
+        assert list(cmp["perColumn"]) == list(COLUMNS)
+        assert all(c["pass"] for c in cmp["perColumn"].values())
+        assert cmp["jcb"] == {"A": False, "B": True, "C": False}
+
+    def test_fail_reports_columns(self):
+        cmp = _comparison(signature(line_of("t2f2")), (18, 14, 10, 4, 0, 5), jcb=None)
+        assert not cmp["pass"]
+        failing = {name for name, c in cmp["perColumn"].items() if not c["pass"]}
+        assert failing == {"oneN", "md"}
+        assert cmp["perColumn"]["md"] == {"observed": 3, "expected": 5, "pass": False}
+        assert cmp["jcb"] is None
+
+    def test_constancy_required(self):
+        doctored = replace(signature(line_of("t2f2")), one_n=StatValue(lo=9, hi=10, count=4))
+        cmp = _comparison(doctored, (18, 14, 9, 4, 0, 3))
+        assert not cmp["pass"]
+        assert cmp["perColumn"]["oneN"] == {"observed": 9, "expected": 9, "pass": False}
+
+
+class TestRowStatus:
+    @pytest.fixture(scope="class")
+    def results(self):
+        wrong_md = replace(catalog_entry("t2f2"), expected=(18, 14, 9, 4, 0, 4))
+        return {
+            "PASS": evaluate_entry(catalog_entry("t2f2")),
+            "FAIL": evaluate_entry(wrong_md),
+            "UNRESOLVED": evaluate_entry(replace(wrong_md, provenance="candidate")),
+        }
+
+    @pytest.mark.parametrize(
+        "statuses, verdict",
+        [
+            (("PASS",), "PASS"),
+            (("PASS", "PASS"), "PASS"),
+            (("PASS", "UNRESOLVED"), "UNRESOLVED"),
+            (("FAIL", "UNRESOLVED"), "FAIL"),
+            (("UNRESOLVED", "FAIL"), "FAIL"),
+            (("PASS", "FAIL"), "FAIL"),
+            ((), "UNRESOLVED"),
+        ],
+    )
+    def test_fail_then_unresolved_then_pass(self, results, statuses, verdict):
+        """FAIL dominates, then UNRESOLVED; a row with no entry shows nothing."""
+        assert {s: r.status for s, r in results.items()} == {s: s for s in results}
+        assert row_status(results[s] for s in statuses) == verdict

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,8 @@ from ringline import (
     ring_zn,
     run_catalog,
 )
-from ringline.cli import main
-from ringline.catalog import CatalogEntry
-from ringline.stats import ExpectedSignature
+from ringline.cli import _format_entry_line, main
+from ringline.catalog import CatalogEntry, RunReport
 
 
 def _src_env() -> dict:
@@ -232,12 +232,38 @@ def test_catalog_run_failure_exit_code(monkeypatch, capsys):
         paper_row="8/6",
         provenance="paper-row",
         recipe="tri(gf:2,2)",
-        expected=ExpectedSignature(18, 14, 9, 4, 0, 4, jcb=1),  # wrong MD
+        expected=(18, 14, 9, 4, 0, 4),  # wrong MD
+        jcb=1,
     )
     monkeypatch.setattr("ringline.cli.builtin_catalog", lambda: (doctored,))
     assert main(["catalog", "run"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_catalog_run_right_line_differs(capsys):
+    """A right signature that exists but differs from the left is not
+    printed as right=left."""
+    result = evaluate_entry(catalog_entry("t2f2"))
+    doctored = replace(result, right=replace(result.right, md=4))
+    line = _format_entry_line(doctored)
+    assert line.endswith("[right!=left (unexpected)]")
+    assert "right=left" not in line
+    assert _format_entry_line(result).endswith("[right=left]")
+
+
+def test_catalog_table1_fail_row(tmp_path, monkeypatch, capsys):
+    """Row 8/6 with one FAIL and one UNRESOLVED entry is a FAIL row, as the
+    exit code and the overall line already say."""
+    wrong_md = replace(catalog_entry("t2f2"), expected=(18, 14, 9, 4, 0, 4))
+    results = (evaluate_entry(wrong_md), evaluate_entry(replace(wrong_md, provenance="candidate")))
+    monkeypatch.setattr("ringline.cli.run_catalog", lambda: RunReport(results=results))
+    path = tmp_path / "table1.json"
+    assert main(["catalog", "table1", "--json", str(path)]) == 2
+    assert "overall: FAIL" in capsys.readouterr().out
+    rows = {r["row"]: r for r in json.loads(path.read_text())}
+    assert [e["status"] for e in rows["8/6"]["entries"]] == ["FAIL", "UNRESOLVED"]
+    assert rows["8/6"]["status"] == "FAIL"
 
 
 def test_catalog_table1(capsys):

@@ -27,7 +27,6 @@ from helpers import (
 from ringline import (
     NoDistantPair,
     UnknownCandidate,
-    compare_signature,
     jacobson_radical,
     jacobson_stat,
     max_distant_set,
@@ -43,7 +42,7 @@ from ringline import relabel, validate_ring
 from ringline import core as core_module
 from ringline import stats as stats_module
 from ringline.line import Point, ProjectiveLine, build_line, orbit_labels
-from ringline.stats import ExpectedSignature, StatValue, one_neighbourhood_stat
+from ringline.stats import StatValue, one_neighbourhood_stat
 
 CATALOG_NAMES = [
     "t2f2", "t2f3", "z3xt2f2", "m2f2", "z2xt2f2",
@@ -598,29 +597,3 @@ class TestSignature:
                 monkeypatch.setattr(module, "orbit_labels", refuse)
         signature(line)
         assert len(calls) == 1
-
-
-class TestCompareSignature:
-    def test_pass(self):
-        sig = signature(line_of("t2f2"))
-        cmp = compare_signature(sig, ExpectedSignature(18, 14, 9, 4, 0, 3, jcb=1))
-        assert cmp.passed
-        assert all(c.passed for c in cmp.columns)
-        assert cmp.jcb_matches == {"A": False, "B": True, "C": False}
-
-    def test_fail_reports_columns(self):
-        sig = signature(line_of("t2f2"))
-        cmp = compare_signature(sig, ExpectedSignature(18, 14, 10, 4, 0, 5, jcb=None))
-        assert not cmp.passed
-        failing = {c.name for c in cmp.columns if not c.passed}
-        assert failing == {"oneN", "md"}
-        assert cmp.jcb_matches is None
-
-    def test_constancy_required(self):
-        stat = StatValue(lo=9, hi=10, count=4)
-        sig = signature(line_of("t2f2"))
-        from dataclasses import replace
-
-        doctored = replace(sig, one_n=stat)
-        cmp = compare_signature(doctored, ExpectedSignature(18, 14, 9, 4, 0, 3))
-        assert not cmp.passed
