@@ -15,13 +15,20 @@ beat the best clique recorded so far. A clique is recorded only when
 strictly larger than the best. Open nodes wait on an explicit stack, so the
 depth of the search is not bounded by Python's recursion limit.
 
+No bound can cut a node before the first clique is recorded, so a node is
+coloured only when its bound is first checked, which waits for that clique;
+the colouring is then of the node's ``cand`` at that time. A search whose
+first descent reaches ``stop`` colours no node at all.
+
 Why the first maximum clique recorded is the least one: the search visits
 ascending vertex sequences in lexicographic order, so it reaches the least
 maximum clique C* before any other maximum clique. Until then the best
 recorded clique is smaller than omega. At every node on C*'s path the
-remaining members of C* are still in ``cand`` and lie in distinct colour
-classes, so the bound is at least omega, which exceeds the best so far, and
-that path is never cut.
+remaining members of C* are still in ``cand``. The node's colour classes
+were made for its ``cand`` when first checked, ``cand`` only shrinks after,
+and a colouring of a set still colours each subset, so those members lie in
+distinct classes. The bound is then at least omega, which exceeds the best
+so far, and that path is never cut.
 
 A caller that knows an upper bound on omega passes it as ``stop``; the
 search then returns as soon as it records a clique of that size. If the bound
@@ -69,7 +76,7 @@ def max_clique(adjacency: np.ndarray, stop: int | None = None) -> tuple[int, ...
     def enter(chosen: list[int], cand: int) -> None:
         nonlocal best
         if cand:
-            nodes.append([chosen, cand, _colour_classes(nb, cand)])
+            nodes.append([chosen, cand, None])  # coloured when first bounded
         elif len(chosen) > len(best):
             best = chosen
 
@@ -77,11 +84,15 @@ def max_clique(adjacency: np.ndarray, stop: int | None = None) -> tuple[int, ...
     while nodes:
         node = nodes[-1]
         chosen, cand, classes = node
-        if not cand or len(best) >= limit or (
-            len(chosen) + sum(1 for cls in classes if cls & cand) <= len(best)
-        ):
+        if not cand or len(best) >= limit:
             nodes.pop()
             continue
+        if best:  # with no clique recorded, no bound can cut
+            if classes is None:
+                classes = node[2] = _colour_classes(nb, cand)
+            if len(chosen) + sum(1 for cls in classes if cls & cand) <= len(best):
+                nodes.pop()
+                continue
         bit = cand & -cand
         node[1] = cand ^ bit
         v = bit.bit_length() - 1

@@ -12,15 +12,24 @@ Orbit representatives suffice because multiplying one row of a 2x2 matrix on
 the left by a unit (or both coordinates of a pair on the right by the same
 unit) preserves invertibility. Every class has |U| members, so all members
 are the rows of one read-only (points x |U|) array of pair codes a*n+b.
+
+A line is arrays: each point's least code, the member rows and the distant
+adjacency, all read-only. build_line makes them once per ring and side and
+keeps them in the ring's cache. The cache holds arrays, never a line, so
+no ring -> line -> ring cycle forms and a ring is freed by reference
+counting. On a commutative ring (ua, ub) = (au, bu), so the right line is
+the left line's arrays seen from the right side. Point objects are made
+only when a caller reads ``points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteRing, check_enumerable, unit_elements
+from .core import FiniteRing, check_enumerable, is_commutative, unit_elements
 from .errors import RightLineBreakdown
 
 Pair = tuple[int, int]
@@ -30,8 +39,8 @@ Pair = tuple[int, int]
 class Point:
     """A unit-orbit class of admissible pairs with its least representative.
 
-    ``members`` is the point's row of the line's one read-only (points x
-    |U|) array of pair codes a*n+b, ascending, so ``rep`` is its first code.
+    ``members`` is the point's row of the line's ``rows``, ascending, so
+    ``rep`` is its first code.
     """
 
     rep: Pair
@@ -40,18 +49,32 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveLine:
+    """The line of one side over a ring, as read-only arrays over its points.
+
+    ``codes`` holds each point's least pair code a*n+b, ascending; ``rows``
+    the (points x |U|) array of its members' codes; ``adjacency`` the
+    symmetric distant relation, with a False diagonal.
+    """
+
     ring: FiniteRing
     side: str
-    points: tuple[Point, ...]
-    adjacency: np.ndarray  # symmetric bool matrix, False diagonal
+    codes: np.ndarray
+    rows: np.ndarray
+    adjacency: np.ndarray
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        n = self.ring.order
+        pairs = (divmod(code, n) for code in self.codes.tolist())
+        return tuple(Point(rep=rep, members=row) for rep, row in zip(pairs, self.rows))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.codes)
 
     def __repr__(self) -> str:
         return (
             f"ProjectiveLine(ring={self.ring.name!r}, side={self.side!r}, "
-            f"points={len(self.points)})"
+            f"points={len(self)})"
         )
 
 
@@ -101,9 +124,24 @@ def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     return inv[add[mul[a[None, :], x[:, None]], mul[b[None, :], z[:, None]]]] >= 0
 
 
+def _line_key(ring: FiniteRing, side: str) -> tuple[str, str]:
+    """The ring-cache key of the side's line arrays; a commutative ring's
+    right line is its left line."""
+    return ("line", "left" if side == "left" or is_commutative(ring) else "right")
+
+
+def cached_key(line: ProjectiveLine) -> tuple[str, str] | None:
+    """The ring-cache key of the arrays the line is over, or None for a line
+    over arrays that build_line did not make."""
+    key = _line_key(line.ring, line.side)
+    arrays = line.ring._cache.get(key, ())
+    mine = (line.codes, line.rows, line.adjacency)
+    return key if len(arrays) == 3 and all(x is y for x, y in zip(arrays, mine)) else None
+
+
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
-    """Enumerate admissible pairs, partition into unit orbits of the chosen
-    side, compute the distant adjacency between class representatives.
+    """The line of the side: its arrays are built on the first call for the
+    ring and side (see _line_arrays) and read from the ring's cache after.
 
     For side="right", aborts with RightLineBreakdown when the admissible
     classes do not all have |units| members.
@@ -111,7 +149,15 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     check_enumerable(ring, "line construction")
-    n = ring.order
+    key = _line_key(ring, side)
+    if key not in ring._cache:
+        ring._cache[key] = _line_arrays(ring, key[1])
+    return ProjectiveLine(ring, side, *ring._cache[key])
+
+
+def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enumerate admissible pairs, partition into unit orbits of the chosen
+    side, compute the distant adjacency between class representatives."""
     admissible = _admissible(ring)
     labels = orbit_labels(ring, side)
     # admissibility is right-orbit invariant ((ar, br) completes with
@@ -119,7 +165,7 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     if not (admissible[labels] == admissible).all():
         raise AssertionError("admissibility not orbit-invariant")
     members = np.flatnonzero(admissible)
-    point_codes, sizes = np.unique(labels[members], return_counts=True)
+    codes, sizes = np.unique(labels[members], return_counts=True)
 
     nunits = len(unit_elements(ring))
     if (sizes != nunits).any():
@@ -130,18 +176,14 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
             ring.name, dict(zip(size_values.tolist(), class_counts.tolist()))
         )
 
-    by_point = members[np.argsort(labels[members], kind="stable")]
-    by_point.flags.writeable = False
     # every class has |U| members, so the classes are rows of one array
-    rows = by_point.reshape(-1, nunits)
-    points = tuple(
-        Point(rep=divmod(code, n), members=row) for code, row in zip(point_codes.tolist(), rows)
-    )
-    adjacency = _distant(ring, point_codes)
+    rows = members[np.argsort(labels[members], kind="stable").reshape(-1, nunits)]
+    adjacency = _distant(ring, codes)
     if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():
         raise AssertionError("distant relation not symmetric and irreflexive")
-    adjacency.flags.writeable = False
-    return ProjectiveLine(ring=ring, side=side, points=points, adjacency=adjacency)
+    for array in (codes, rows, adjacency):
+        array.flags.writeable = False
+    return codes, rows, adjacency
 
 
 def distant(line: ProjectiveLine, i: int, j: int) -> bool:
@@ -156,5 +198,5 @@ def point_type(line: ProjectiveLine, i: int) -> str:
 
     Class-invariant: unit multiples of units are units.
     """
-    (a, b), inv = line.points[i].rep, line.ring.inv
+    (a, b), inv = divmod(int(line.codes[i]), line.ring.order), line.ring.inv
     return "TypeI" if inv[a] >= 0 or inv[b] >= 0 else "TypeII"

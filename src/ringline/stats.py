@@ -21,7 +21,13 @@ reaches 2**24. MD is the maximum clique, searched only up to the bound from
 R/J's blocks. Twin classes are grouped on packed distant rows, used only as
 keys; the masks of ringline.clique are the only bitmask form that is
 searched. Jcb candidate C counts orbits by Burnside's lemma, reading only
-the units' rows of the multiplication table.
+the units' rows of the multiplication table. TpI is one gather of ``inv`` at
+both coordinates of the points' codes.
+
+Each ring and side is signed once: the signature of a line over the arrays
+build_line keeps on the ring is kept beside them, so a commutative ring's
+right line, which is its left line, reads its left line's signature. A line
+built by hand over other arrays is signed afresh on every call.
 
 GL2(R) preserves distance and is transitive on pairwise-distant triples
 (each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so
@@ -40,6 +46,7 @@ C, and no candidate matches gf4xz4 or gf4xdualf2 (both expect 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,7 +54,7 @@ import numpy as np
 from . import clique
 from .core import jacobson_radical, semisimple_blocks, unit_elements
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine, point_type
+from .line import ProjectiveLine, cached_key
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 # the six signature columns, in row order
@@ -261,14 +268,28 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
 
 
 def signature(line: ProjectiveLine) -> LineSignature:
-    """Aggregate all Table-1 statistics of the line."""
+    """Aggregate all Table-1 statistics of the line, once per line arrays
+    that build_line keeps on the ring (see the module docstring)."""
+    key = cached_key(line)
+    if key is None:
+        return _signature(line)
+    cache = line.ring._cache
+    if ("signature", key) not in cache:
+        cache["signature", key] = _signature(line)
+    return cache["signature", key]
+
+
+def _signature(line: ProjectiveLine) -> LineSignature:
     cap2n, cap3n = _intersections(line)
+    a, b = np.divmod(line.codes, line.ring.order)
+    inv = line.ring.inv
     return LineSignature(
-        tot=len(line.points),
-        tpi=sum(point_type(line, i) == "TypeI" for i in range(len(line.points))),
+        tot=len(line),
+        tpi=int(((inv[a] >= 0) | (inv[b] >= 0)).sum()),
         one_n=one_neighbourhood_stat(line),
         cap2n=cap2n,
         cap3n=cap3n,
         md=len(max_distant_set(line)),
-        jcb={c: jacobson_stat(line, c) for c in JACOBSON_CANDIDATES},
+        # read-only: a cached signature goes to every caller of its line
+        jcb=MappingProxyType({c: jacobson_stat(line, c) for c in JACOBSON_CANDIDATES}),
     )

@@ -196,6 +196,19 @@ def is_admissible(ring, pair: Pair) -> bool:
     return bool((to_10 & to_01).any())
 
 
+def line_arrays_oracle(ring, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, rows, adjacency) of the line whose unit orbits the labels
+    name, rebuilt without build_line: the pairs that pass is_admissible,
+    grouped by label, and the distant relation by invertible_between."""
+    n = ring.order
+    classes: dict[int, list[int]] = {}
+    for code in range(n * n):
+        if is_admissible(ring, divmod(code, n)):
+            classes.setdefault(int(labels[code]), []).append(code)
+    codes = sorted(classes)
+    return np.array(codes), np.array([classes[c] for c in codes]), invertible_between(ring, codes)
+
+
 def closed_form_row(ring) -> tuple[int, int, int, int, int]:
     """(Tot, TpI, 1N, cap2N, cap3N) of either line over the ring, without
     building it.

@@ -9,8 +9,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import run_python
 from helpers import brute_clique_number, brute_has_clique, brute_lex_least_max_clique
 
+from ringline import clique
 from ringline.clique import max_clique
 
 
@@ -91,3 +93,43 @@ def test_stop_past_clique_number_raises(seed):
     adj = random_graph(10, 0.5, f"stop-{seed}")
     with pytest.raises(AssertionError, match="not at the bound"):
         max_clique(adj, stop=len(max_clique(adj)) + 1)
+
+
+def short_descent_graph() -> np.ndarray:
+    """Edges 0-1, 1-2, 1-3 and 2-3: the first descent ends at {0, 1}, and
+    omega is 3, on {1, 2, 3}."""
+    adj = np.zeros((4, 4), dtype=bool)
+    for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@pytest.mark.parametrize("stop", [None, 3])
+def test_first_descent_short_of_omega(stop, monkeypatch):
+    """No node is coloured before {0, 1} is recorded; then the search
+    colours, backtracks and finds the least maximum clique."""
+    adj = short_descent_graph()
+    seen = []
+    colour = clique._colour_classes
+    monkeypatch.setattr(
+        clique, "_colour_classes", lambda nb, cand: seen.append(cand) or colour(nb, cand)
+    )
+    assert max_clique(adj, stop) == (1, 2, 3) == brute_lex_least_max_clique(adj)
+    # the root is coloured first, on what is left of its cand, {1, 2, 3};
+    # the node below 0, with cand {1}, is never coloured
+    assert seen[0] == 0b1110 and 0b0010 not in seen
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_first_descent_short_of_unreachable_stop_raises(flags):
+    script = (
+        "import numpy as np\n"
+        "from ringline.clique import max_clique\n"
+        "adj = np.zeros((4, 4), dtype=bool)\n"
+        "for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):\n"
+        "    adj[i, j] = adj[j, i] = True\n"
+        "max_clique(adj, stop=4)\n"
+    )
+    run = run_python(flags, script)
+    assert run.returncode == 1
+    assert "AssertionError: clique search ended at size 3, not at the bound 4" in run.stderr

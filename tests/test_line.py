@@ -349,7 +349,7 @@ class TestRightLine:
         line on the same side. Transposing turns rows of invertible matrices
         over R^op into columns over R; the first column of N goes to the
         second row of N^-1, which keeps distance and maps unit orbits to
-        unit orbits of the same side. Both sides run their own kernel."""
+        unit orbits of the same side; a commutative ring is its own opposite."""
         ring = build_recipe(recipe)
         opposite = validate_ring(ring.add, ring.mul.T, ring.one)
         fp = fingerprint(ring)

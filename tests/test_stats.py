@@ -40,8 +40,9 @@ from ringline import (
 from ringline import RightLineBreakdown, build_recipe, builtin_catalog, clique
 from ringline import relabel, validate_ring
 from ringline import core as core_module
+from ringline import line as line_module
 from ringline import stats as stats_module
-from ringline.line import Point, ProjectiveLine, build_line, orbit_labels
+from ringline.line import ProjectiveLine, build_line, orbit_labels
 from ringline.stats import StatValue, one_neighbourhood_stat
 
 CATALOG_NAMES = [
@@ -66,12 +67,10 @@ EXPECTED_ROWS = {
 def synthetic_line(adjacency: np.ndarray) -> ProjectiveLine:
     """A bare line around a given adjacency matrix (for edge-case tests)."""
     ring = ring_of("z4")
-    n = adjacency.shape[0]
-    points = tuple(
-        Point(rep=(1, i), members=np.array([4 + i, 12 + (3 * i) % 4]))
-        for i in range(n)
-    )
-    return ProjectiveLine(ring=ring, side="left", points=points, adjacency=adjacency)
+    i = np.arange(adjacency.shape[0])
+    codes = 4 + i % 4  # the points (1, i mod 4)
+    rows = np.stack([codes, 12 + (3 * i) % 4], axis=1)
+    return ProjectiveLine(ring=ring, side="left", codes=codes, rows=rows, adjacency=adjacency)
 
 
 class TestNeighbourhood:
@@ -429,11 +428,55 @@ class TestSemisimpleBlocks:
         assert "AssertionError: block of R/J is not a full matrix ring" in run.stderr
 
 
+class TestOncePerLine:
+    @pytest.mark.parametrize("recipe,passes", [("prod(gf:4,zn:4)", 1), ("tri(gf:2,2)", 2)])
+    def test_one_intersection_pass_per_line(self, recipe, passes, monkeypatch):
+        """A fresh commutative ring signs its one line once for both sides; a
+        non-commutative one signs each side's line once."""
+        calls = []
+        intersections = stats_module._intersections
+        monkeypatch.setattr(
+            stats_module, "_intersections", lambda line: calls.append(1) or intersections(line)
+        )
+        ring = build_recipe(recipe)
+        sigs = [signature(build_line(ring, side)) for side in ("left", "right", "left", "right")]
+        assert len(calls) == passes
+        assert sigs[2] is sigs[0] and sigs[3] is sigs[1]
+        assert (sigs[1] is sigs[0]) == (passes == 1)
+        with pytest.raises(TypeError):  # the shared signature is read-only
+            sigs[0].jcb["A"] = 1
+
+    def test_one_orbit_labelling_for_both_sides(self, monkeypatch):
+        calls = []
+        label = line_module.orbit_labels
+        monkeypatch.setattr(
+            line_module, "orbit_labels", lambda ring, side: calls.append(side) or label(ring, side)
+        )
+        ring = build_recipe("prod(gf:4,dual(gf:2))")
+        assert len(build_line(ring)) == len(build_line(ring, "right")) == 30
+        assert calls == ["left"]
+
+    def test_hand_built_line_signed_afresh(self):
+        """Planted twins over a ring whose own line's signature is cached get
+        their own signature, and the cached one stays; so does a line over a
+        copy of the cached adjacency."""
+        line = synthetic_line(PLANTED)
+        own = build_line(line.ring)
+        cached = signature(own)
+        planted = signature(line)
+        assert planted.tot == len(PLANTED) and planted.cap2n == pair_intersection_stat(line)
+        assert not planted.cap2n.constant
+        assert signature(build_line(line.ring)) is cached
+        copied = ProjectiveLine(line.ring, "left", own.codes, own.rows, own.adjacency.copy())
+        assert signature(copied) is not cached and signature(copied) == cached
+
+
 class TestCliqueStop:
     @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
     def test_stopped_search_is_the_full_search(self, recipe, monkeypatch):
         """Same tuple; and the first descent reaches the bound, so the
-        stopped search colours only the MD nodes above its leaf."""
+        stopped search records its clique before any bound is checked and
+        colours no node."""
         colourings = []
         colour = clique._colour_classes
         monkeypatch.setattr(
@@ -442,7 +485,7 @@ class TestCliqueStop:
         for line in _uncapped_lines(recipe):
             colourings.clear()
             chosen = max_distant_set(line)
-            assert len(colourings) == len(chosen), line.side
+            assert colourings == [], line.side
             assert chosen == clique.max_clique(line.adjacency), line.side
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
@@ -520,7 +563,10 @@ class TestJacobsonCandidates:
         perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
         opposite = validate_ring(ring.add, ring.mul.T, ring.one, name=f"{ring.name}^op")
         for r in (ring, relabel(ring, perm), opposite):
-            bare = ProjectiveLine(r, "left", (), np.zeros((0, 0), dtype=bool))
+            empty = np.zeros(0, dtype=int)
+            bare = ProjectiveLine(
+                r, "left", codes=empty, rows=empty.reshape(0, 1), adjacency=np.zeros((0, 0), bool)
+            )
             assert jacobson_stat(bare, "C") == jacobson_c_oracle(r), r.name
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
@@ -576,13 +622,13 @@ class TestSignature:
                 monkeypatch.setattr(
                     module, "adjacency_masks", lambda adj: calls.append(1) or build(adj)
                 )
-        signature(build_line(ring_of("m2f2")))  # a fresh line: nothing cached on it
+        signature(build_line(build_recipe("mat(gf:2,2)")))  # a fresh ring: nothing cached
         assert len(calls) == 1
 
     def test_one_twin_grouping_no_orbit_labelling(self, monkeypatch):
         """cap2N and cap3N come from one pass over the twin classes, and Jcb C
         from Burnside's lemma, without relabelling pairs by the units."""
-        line = build_line(ring_of("m2f2"))  # the line labels its own orbits
+        line = build_line(build_recipe("mat(gf:2,2)"))  # a fresh ring labels its own orbits
         calls = []
         group = stats_module._twin_classes
         monkeypatch.setattr(
