@@ -4,6 +4,10 @@ Every constructor returns a ring that has been through the full validator.
 Element indexing is canonical per constructor (documented on each one), so a
 recipe always reproduces identical tables. A recipe is read from one list of
 tokens, a ring file from its lines that hold tokens, each part at a fixed index.
+A ring file's tables go in and out of text as whole arrays: one
+``np.loadtxt`` call reads a table of plain rows, a line-by-line reader only
+a table that holds an error or an unusual separator, and rows are written
+from one string per element index.
 """
 
 from __future__ import annotations
@@ -422,13 +426,30 @@ def matrix_subring_closure(
 # ring files
 
 
+_PLAIN_ROW = re.compile(r"[0-9 \t]+")  # no sign, '_', '.' or non-ASCII digit
+
+
+def _plain_table(rows: list[str], n: int) -> np.ndarray | None:
+    """The n x n table of n rows of ASCII digits, spaces and tabs, read by one
+    np.loadtxt call, which reads such rows to the integers int() reads token
+    by token; None for other rows, an entry past int64 or another shape."""
+    if len(rows) != n or not all(map(_PLAIN_ROW.fullmatch, rows)):
+        return None
+    try:
+        table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # an entry past int64, or rows of unequal length
+        return None
+    return table if table.shape == (n, n) else None
+
+
 def emit_ring_file(ring: FiniteRing) -> str:
     """Canonical plain-text form; bit-exact round trip with parse_ring_file."""
-    lines = [f"ring {ring.name}", f"order {ring.order}", f"one {ring.one}", "add"]
-    # one row at a time: a whole-table tolist() holds n^2 Python ints at once
-    lines.extend(" ".join(map(str, row.tolist())) for row in ring.add)
-    lines.append("mul")
-    lines.extend(" ".join(map(str, row.tolist())) for row in ring.mul)
+    lines = [f"ring {ring.name}", f"order {ring.order}", f"one {ring.one}"]
+    token = [str(x) for x in range(ring.order)]  # every entry is an index below n
+    for tag, table in (("add", ring.add), ("mul", ring.mul)):
+        lines.append(tag)
+        # one row at a time: a whole-table tolist() holds n^2 Python ints at once
+        lines.extend(" ".join(map(token.__getitem__, row.tolist())) for row in table)
     return "\n".join(lines) + "\n"
 
 
@@ -438,9 +459,14 @@ def parse_ring_file(text: str) -> FiniteRing:
     Among the lines that hold tokens, each part sits at a fixed index: 0
     ``ring``, 1 ``order``, 2 ``one``, 3 ``add`` and its n rows, 4 + n ``mul``
     and its n rows. Anything after them is trailing content.
+
+    A table whose n rows hold only ASCII digits, spaces and tabs is read by
+    one ``np.loadtxt`` call into an int64 array (:func:`_plain_table`). Any
+    other table, or one with an entry past int64 or a row of the wrong
+    length, goes through the per-line reader, which names the line of the
+    first error, or reads the rare legal row the screen keeps out, such as
+    one split by another whitespace character.
     """
-    # a line is split where it is read: all n^2 entries as strings at once
-    # would double the peak memory of an order-1,024 file
     lines = enumerate(text.splitlines(), start=1)
     kept = [(lineno, line) for lineno, raw in lines if (line := raw.split("#", 1)[0].strip())]
     end = kept[-1][0] + 1 if kept else 1  # where a missing line is reported
@@ -481,6 +507,12 @@ def parse_ring_file(text: str) -> FiniteRing:
         lineno, rest = tagged(i, tag)
         if rest:
             raise RingSyntaxError(f"{tag!r} must be alone on its line", lineno)
+        table = _plain_table([line for _, line in kept[i + 1 : i + 1 + order]], order)
+        if table is not None:
+            tables[tag] = table
+            continue
+        # the per-line reader names the line of an error; it splits a line
+        # where it is read, not all n^2 entries as strings at once
         rows = tables[tag] = []
         for lineno, line in kept[i + 1 : i + 1 + order]:
             try:

@@ -11,6 +11,8 @@ ideals are filtered from the library's enumerated ideal lattices, a route
 that shares no code with the maximal counts the fingerprint reads off the
 blocks of R/J. Jacobson candidate C is counted by labelling the unit orbits
 of pairs, the route the library's lines take, not by Burnside's lemma.
+Ring files are written with one str() per entry and read with one int()
+per token, the per-token route the library's whole-array reader replaced.
 """
 
 from __future__ import annotations
@@ -422,3 +424,28 @@ def tuple_subring_closure(base, generators, dim=None, cap=1024):
             add[i, j] = index[_mat_add(base, a, b)]
             mul[i, j] = index[_mat_mul(base, a, b)]
     return validate_ring(add, mul, index[one], name=f"closure({base.name},{dim}x{dim})")
+
+
+def emit_ring_file_oracle(ring) -> str:
+    """The ring file format with one str() per table entry, a row at a time."""
+    lines = [f"ring {ring.name}", f"order {ring.order}", f"one {ring.one}", "add"]
+    lines.extend(" ".join(map(str, row.tolist())) for row in ring.add)
+    lines.append("mul")
+    lines.extend(" ".join(map(str, row.tolist())) for row in ring.mul)
+    return "\n".join(lines) + "\n"
+
+
+def ring_file_tables_oracle(text: str) -> tuple[list[list[int]], list[list[int]]]:
+    """The add and mul tables of a well-formed ring file, every token read by
+    int() behind the screen a ring file's integers pass: ASCII, no '+' or '_'."""
+    kept = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+    def integers(line: str) -> list[int]:
+        assert line.isascii() and "+" not in line and "_" not in line, line
+        return [int(t) for t in line.split()]
+
+    n = integers(kept[1].split(None, 1)[1])[0]
+    return (
+        [integers(line) for line in kept[4 : 4 + n]],
+        [integers(line) for line in kept[5 + n : 5 + 2 * n]],
+    )

@@ -8,11 +8,18 @@ import json
 import pathlib
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ring_of, run_python
-from helpers import brute_units, check_automorphism_per_pair, tuple_subring_closure
+from helpers import (
+    brute_units,
+    check_automorphism_per_pair,
+    emit_ring_file_oracle,
+    ring_file_tables_oracle,
+    tuple_subring_closure,
+)
 
 from ringline import (
     ClosureTooLarge,
@@ -646,6 +653,144 @@ class TestRingFiles:
 
         with pytest.raises(NoUnity):
             parse_ring_file(bad)
+
+
+# Edits of one table row of the emitted zn:n file: the last entry of row 1
+# replaced, the row cut short or made long, or the row deleted. Each yields
+# the exception class, line and message the per-token reader gave before
+# tables were read as whole arrays.
+ENTRY_EDITS = ["+1", "0_0", "\u0662", "2.0", "1e3"]  # int() or loadtxt reads some of these
+
+
+def edited_row_outcome(n: int, tag: str, edit: str) -> tuple:
+    what = {"add": "addition", "mul": "multiplication"}[tag]
+    line = 6 if tag == "add" else 7 + n  # row 1 of the table
+    if edit in ENTRY_EDITS:
+        return RingSyntaxError, line, f"line {line}: non-integer entry in {tag} table"
+    if edit in ("-1", str(2**63 - 1)):
+        return NotClosed, None, f"{what} table entry at (1, {n - 1}) is outside [0, {n})"
+    if edit in ("9" * 25, str(2**63)):
+        return NotClosed, None, f"{what} table has an entry outside the int64 range"
+    if edit in ("short", "long"):
+        count = n - 1 if edit == "short" else n + 1
+        return RingSyntaxError, line, f"line {line}: {tag} row has {count} entries, expected {n}"
+    if tag == "add":  # the mul tag, now a line earlier, is read as the last add row
+        return RingSyntaxError, 4 + n, f"line {4 + n}: non-integer entry in add table"
+    return RingSyntaxError, 5 + 2 * n, f"line {5 + 2 * n}: mul table ends early: expected {n} rows"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [*ENTRY_EDITS, "-1", "9" * 25, str(2**63 - 1), str(2**63), "short", "long", "missing"],
+)
+@pytest.mark.parametrize("tag", ["add", "mul"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_table_row_edit_keeps_its_error(n, tag, edit):
+    """Rows the plain-row screen keeps out, entries past int64 and rows of
+    the wrong length or number fail as the per-token reader made them fail."""
+    lines = emit_ring_file(ring_zn(n)).splitlines()
+    i = 5 if tag == "add" else 6 + n  # 0-based index of row 1
+    row = lines[i].split()
+    if edit == "short":
+        lines[i] = " ".join(row[:-1])
+    elif edit == "long":
+        lines[i] = " ".join(row + ["0"])
+    elif edit == "missing":
+        del lines[i]
+    else:
+        lines[i] = " ".join(row[:-1] + [edit])
+    with pytest.raises(RinglineError) as info:
+        parse_ring_file("\n".join(lines) + "\n")
+    error, line, message = edited_row_outcome(n, tag, edit)
+    assert (type(info.value), getattr(info.value, "line", None), str(info.value)) == (
+        error, line, message
+    )
+
+
+ROW_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\t\t ", "   "])
+
+
+@given(
+    recipe=st.sampled_from(GOLDEN_RECIPES),
+    rnd=st.randoms(use_true_random=False),
+    zeros=st.booleans(),
+    comments=st.booleans(),
+    blanks=st.booleans(),
+    unit_separator=st.booleans(),
+    separators=st.lists(ROW_SEPARATORS, min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_rewritten_file_reads_as_per_token_oracle(
+    recipe, rnd, zeros, comments, blanks, unit_separator, separators
+):
+    """An emitted golden ring rewritten with runs of spaces and tabs, leading
+    zeros, trailing comments and blank lines between rows reads to the
+    tables int() gives token by token; with one row split by a unit
+    separator, a whitespace character the plain-row screen keeps out."""
+    ring = ring_of_recipe(recipe)
+    out = []
+    lines = emit_ring_file(ring).splitlines()
+    odd_row = rnd.randrange(len(lines)) if unit_separator else None
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        if tokens[0].isdigit():  # a table row
+            if zeros:
+                tokens = ["0" * rnd.randrange(3) + t for t in tokens]
+            gaps = [rnd.choice(separators) for _ in tokens[1:]]
+            if k == odd_row:
+                gaps[0] = "\x1f"
+            line = rnd.choice(["", " ", "\t"]) + tokens[0]
+            line += "".join(gap + t for gap, t in zip(gaps, tokens[1:]))
+        if comments and rnd.random() < 0.3:
+            line += rnd.choice(["#", " # 1 2", "\t#x +1 \u0662"])
+        out.append(line)
+        if blanks and rnd.random() < 0.3:
+            out.append(rnd.choice(["", "  ", "\t", "# 0 1"]))
+    text = "\n".join(out) + "\n"
+    parsed = parse_ring_file(text)
+    add, mul = ring_file_tables_oracle(text)
+    assert (parsed.name, parsed.one) == (ring.name, ring.one)
+    assert parsed.add.tolist() == add and parsed.mul.tolist() == mul
+    assert parsed.same_tables(ring)
+
+
+def test_plain_tables_take_one_loadtxt_call_each(monkeypatch):
+    """Plain rows are read by one loadtxt call per table; a table with a row
+    the screen keeps out is read line by line, to the same integers."""
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(rows, **kwargs):
+        calls.append(rows)
+        return loadtxt(rows, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    lines = emit_ring_file(ring_zn(4)).splitlines()
+    assert parse_ring_file("\n".join(lines)).same_tables(ring_zn(4))
+    assert [len(block) for block in calls] == [4, 4]
+    calls.clear()
+    lines[11] = lines[11].replace(" ", "\x1f")
+    assert parse_ring_file("\n".join(lines)).same_tables(ring_zn(4))
+    assert [len(block) for block in calls] == [4]
+
+
+@pytest.mark.parametrize("recipe", [*GOLDEN_RECIPES, "zn:1024"])
+def test_emitter_matches_per_entry_oracle(recipe):
+    ring = ring_of_recipe(recipe)
+    assert emit_ring_file(ring) == emit_ring_file_oracle(ring)
+
+
+def test_parse_order_1024_memory_bounded():
+    """The tables of an order-1,024 file are read as arrays, without n^2
+    Python ints: the per-token reader peaked at about 100 MB."""
+    text = emit_ring_file(ring_of_recipe("zn:1024"))
+    tracemalloc.start()
+    try:
+        ring = parse_ring_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.same_tables(ring_of_recipe("zn:1024"))
+    assert peak < 80 * 2**20
 
 
 class TestRecipes:

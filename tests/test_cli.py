@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import emit_ring_file_oracle
+
 from ringline import (
     build_recipe,
     builtin_catalog,
@@ -44,6 +46,25 @@ def test_ring_show_file(tmp_path, capsys):
     path.write_text(emit_ring_file(ring_zn(6)))
     assert main(["ring", "show", str(path)]) == 0
     assert "order 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", [e for e in builtin_catalog() if e.recipe is not None],
+                         ids=lambda e: e.name)
+def test_ring_show_and_validate_match_oracle_emitter(entry, tmp_path, capsys):
+    """`ring show` prints the fingerprint comments, then the file the per-entry
+    emitter writes; `ring validate` of that file prints the same comments."""
+    ring = build_recipe(entry.recipe)
+    text = emit_ring_file_oracle(ring)
+    assert main(["ring", "show", entry.recipe]) == 0
+    comments, tables = capsys.readouterr().out.split(f"ring {ring.name}\n", 1)
+    assert f"ring {ring.name}\n" + tables == text
+    assert all(line.startswith("# ") for line in comments.splitlines())
+    path = tmp_path / "ring.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ring", "validate", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"{ring.name}: valid ring of order {ring.order}\n" + comments
+    )
 
 
 def test_ring_show_bad_recipe(capsys):
