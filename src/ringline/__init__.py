@@ -22,24 +22,20 @@ from .catalog import (
     EntryResult,
     RunReport,
     builtin_catalog,
-    catalog_entry,
     evaluate_entry,
     run_catalog,
 )
 from .core import (
     FiniteRing,
     RingFingerprint,
-    center,
     characteristic,
     fingerprint,
     ideal_lattice,
     is_commutative,
     jacobson_radical,
     maximal_ideal_count,
-    relabel,
     semisimple_blocks,
     unit_elements,
-    units,
     validate_ring,
     zero_divisor_count,
 )
@@ -66,7 +62,6 @@ from .line import (
     Point,
     ProjectiveLine,
     build_line,
-    distant,
     point_type,
 )
 from .stats import (
@@ -74,7 +69,6 @@ from .stats import (
     StatValue,
     jacobson_stat,
     max_distant_set,
-    neighbourhood,
     pair_intersection_stat,
     signature,
     triple_intersection_stat,

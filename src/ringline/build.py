@@ -167,16 +167,14 @@ def quotient_dual_numbers(f: FiniteRing) -> FiniteRing:
     return validate_ring(add, mul, one, name=f"{f.name}[x]/(x^2)")
 
 
-def identity_automorphism(f: FiniteRing) -> tuple[int, ...]:
-    return tuple(range(f.order))
-
-
 def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
-    """x -> x^(p^power) where p is the characteristic.
+    """x -> x^(p^power) where p is the characteristic, for power >= 0.
 
     The iterates of x -> x^p on a finite ring repeat, so a large power is
     reduced along their cycle instead of being applied step by step.
     """
+    if power < 0:
+        raise ValueError(f"Frobenius power must be non-negative, got {power}")
     p = characteristic(f)
     if not _is_prime(p):
         raise NotAutomorphism(f"characteristic {p} is not prime")
@@ -374,10 +372,10 @@ def matrix_subring_closure(
     base: FiniteRing,
     generators: Sequence[Matrix],
     dim: int | None = None,
-    cap: int = ORDER_CAP,
 ) -> FiniteRing:
     """Smallest subring of dim x dim matrices over ``base`` containing the
-    generators, 0 and the identity; re-indexed as a standalone ring.
+    generators, 0 and the identity; re-indexed as a standalone ring. A
+    closure past ORDER_CAP, read at call time, raises ClosureTooLarge.
 
     Elements are sorted by entry tuple (row-major), which puts the zero
     matrix at index 0 as required. The sort key is an int64 code, so bases
@@ -413,8 +411,8 @@ def matrix_subring_closure(
         frontier, steps = span, new
         while len(frontier):
             frontier = fresh(base.add[frontier[:, None], steps[None]].reshape(-1, dim, dim))
-            if len(span) + len(frontier) > cap:
-                raise ClosureTooLarge(f"closure exceeds {cap} elements")
+            if len(span) + len(frontier) > ORDER_CAP:
+                raise ClosureTooLarge(f"closure exceeds {ORDER_CAP} elements")
             span = np.concatenate([span, frontier])
             span_codes = np.concatenate([span_codes, _matrix_codes(base, frontier)])
         new = fresh(_matrix_mul(base, basis, basis).reshape(-1, dim, dim))
@@ -550,7 +548,7 @@ def _named_algebra(name: str) -> FiniteRing:
 
 def _skew(f: FiniteRing, power: int = 1) -> FiniteRing:
     """Skew dual numbers over f twisted by x -> x^(p^power); power 0 is the identity."""
-    sigma = identity_automorphism(f) if power == 0 else frobenius_automorphism(f, power)
+    sigma = tuple(range(f.order)) if power == 0 else frobenius_automorphism(f, power)
     return skew_dual_numbers(f, sigma)
 
 
@@ -571,16 +569,10 @@ _ATOMS = frozenset(h for h, (kinds, _) in _RECIPE_HEADS.items() if "ring" not in
 
 @dataclass(frozen=True)
 class RingRecipe:
-    """Serializable constructor call; same recipe, same tables."""
+    """A parsed constructor call; same recipe, same tables."""
 
     kind: str
     args: tuple
-
-    def to_string(self) -> str:
-        if self.kind in _ATOMS:
-            return f"{self.kind}:{self.args[0]}"
-        parts = [a.to_string() if isinstance(a, RingRecipe) else str(a) for a in self.args]
-        return f"{self.kind}({','.join(parts)})"
 
 
 # a recipe token: a head with its ':value', an integer, any other character or

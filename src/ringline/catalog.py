@@ -33,9 +33,7 @@ CSV_COLUMNS = (
     "cap2N",
     "cap3N",
     "MD",
-    "JcbA",
-    "JcbB",
-    "JcbC",
+    *(f"Jcb{c}" for c in JACOBSON_CANDIDATES),
     "rightLineStatus",
 )
 
@@ -144,13 +142,6 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
     )
 
 
-def catalog_entry(name: str) -> CatalogEntry:
-    for entry in builtin_catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no catalog entry named {name!r}")
-
-
 @dataclass(frozen=True)
 class EntryResult:
     """What evaluate_entry computed for one entry; every verdict is derived.
@@ -168,23 +159,11 @@ class EntryResult:
     elapsed_ms: float
 
     @property
-    def name(self) -> str:
-        return self.entry.name
-
-    @property
-    def paper_row(self) -> str:
-        return self.entry.paper_row
-
-    @property
-    def provenance(self) -> str:
-        return self.entry.provenance
-
-    @property
     def label_ok(self) -> bool | None:
         """The fingerprint's order and zero-divisor count match the row label."""
         if self.fingerprint is None:
             return None
-        order_s, zdiv_s = self.paper_row.split("/")
+        order_s, zdiv_s = self.entry.paper_row.split("/")
         fp = self.fingerprint
         return fp.order == int(order_s) and fp.zero_divisor_count == int(zdiv_s)
 
@@ -230,7 +209,7 @@ class EntryResult:
             return "UNRESOLVED"
         if self.label_ok and self.right_ok and self.comparison["pass"]:
             return "PASS"
-        return "UNRESOLVED" if self.provenance == "candidate" else "FAIL"
+        return "UNRESOLVED" if self.entry.provenance == "candidate" else "FAIL"
 
     def to_json_dict(self) -> dict:
         right: dict = {"status": self.right_status}
@@ -239,9 +218,9 @@ class EntryResult:
         if self.right_class_sizes is not None:
             right["classSizes"] = {str(k): v for k, v in sorted(self.right_class_sizes.items())}
         return {
-            "name": self.name,
-            "paperRow": self.paper_row,
-            "provenance": self.provenance,
+            "name": self.entry.name,
+            "paperRow": self.entry.paper_row,
+            "provenance": self.entry.provenance,
             "recipe": self.entry.recipe,
             "status": self.status,
             "fingerprint": self.fingerprint.to_json_dict() if self.fingerprint else None,
@@ -286,19 +265,13 @@ class RunReport:
     def passed(self) -> bool:
         return all(r.status != "FAIL" for r in self.results)
 
-    def result(self, name: str) -> EntryResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def jcb_matrix(self) -> dict[str, dict[str, bool]]:
         """candidate id -> entry name -> matches the row's informational Jcb."""
         matrix: dict[str, dict[str, bool]] = {}
         for r in self.results:
             matches = (r.comparison or {}).get("jcb") or {}
             for cand, ok in matches.items():
-                matrix.setdefault(cand, {})[r.name] = ok
+                matrix.setdefault(cand, {})[r.entry.name] = ok
         return matrix
 
     def to_json_dict(self) -> dict:
@@ -314,10 +287,10 @@ class RunReport:
         writer.writerow(CSV_COLUMNS)
         for r in self.results:
             if r.left is None:
-                row = [r.paper_row] + [""] * 9 + [r.right_status]
+                row = [r.entry.paper_row, *[""] * (len(CSV_COLUMNS) - 2), r.right_status]
             else:
                 jcb = [r.left.jcb[c] for c in JACOBSON_CANDIDATES]
-                row = [r.paper_row, *r.left.as_row(), *jcb, r.right_status]
+                row = [r.entry.paper_row, *r.left.as_row(), *jcb, r.right_status]
             writer.writerow(row)
         return buf.getvalue()
 
@@ -326,5 +299,5 @@ def run_catalog(entries: tuple[CatalogEntry, ...] | None = None) -> RunReport:
     """Evaluate entries in order; merge results ordered by entry name."""
     if entries is None:
         entries = builtin_catalog()
-    ordered = tuple(sorted(map(evaluate_entry, entries), key=lambda r: r.name))
+    ordered = tuple(sorted(map(evaluate_entry, entries), key=lambda r: r.entry.name))
     return RunReport(results=ordered)

@@ -114,7 +114,7 @@ def _cmd_line_compute(args) -> int:
 
 def _format_entry_line(r: EntryResult) -> str:
     if r.left is None:
-        return f"{r.name:<12} {r.paper_row:<6} {r.status:<10} (no construction shipped)"
+        return f"{r.entry.name:<12} {r.entry.paper_row:<6} {r.status:<10} (no construction shipped)"
     cols = []
     for name, c in r.comparison["perColumn"].items():
         mark = "ok" if c["pass"] else f"FAIL(exp {c['expected']})"
@@ -123,7 +123,7 @@ def _format_entry_line(r: EntryResult) -> str:
     right = "right BREAKDOWN" if r.right is None else same
     right_mark = "" if r.right_ok else " (unexpected)"
     return (
-        f"{r.name:<12} {r.paper_row:<6} {r.status:<10} "
+        f"{r.entry.name:<12} {r.entry.paper_row:<6} {r.status:<10} "
         + "  ".join(cols)
         + f"  [{right}{right_mark}]"
     )
@@ -165,24 +165,24 @@ def _cmd_catalog_table1(args) -> int:
     report = run_catalog()
     by_row: dict[str, list[EntryResult]] = {}
     for r in report.results:
-        by_row.setdefault(r.paper_row, []).append(r)
+        by_row.setdefault(r.entry.paper_row, []).append(r)
     header = f"{'row':<7} {'entry':<12} {'Tot':>7} {'TpI':>7} {'1N':>7} {'2N':>7} {'3N':>7} {'MD':>7}  status"
     print(header)
     print("-" * len(header))
     rows_json = []
     for row_label in TABLE1_ROW_ORDER:
         group = by_row.get(row_label, [])
-        for r in sorted(group, key=lambda x: (x.provenance != "paper-row", x.name)):
+        for r in sorted(group, key=lambda x: (x.entry.provenance != "paper-row", x.entry.name)):
             if r.left is None:
                 cells = " ".join(f"{'-':>7}" for _ in range(6))
-                print(f"{row_label:<7} {r.name:<12} {cells}  {r.status}")
+                print(f"{row_label:<7} {r.entry.name:<12} {cells}  {r.status}")
             else:
                 cells = [
                     f"{c['observed']}{'' if c['pass'] else '!'}"
                     for c in r.comparison["perColumn"].values()
                 ]
                 print(
-                    f"{row_label:<7} {r.name:<12} "
+                    f"{row_label:<7} {r.entry.name:<12} "
                     + " ".join(f"{c:>7}" for c in cells)
                     + f"  {r.status}"
                 )

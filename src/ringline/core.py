@@ -11,9 +11,10 @@ associativity and distributivity on additive generators, in O(n^2) time per
 generator. Left ideals are boolean membership masks; all sums of one ideal
 with the cyclic left ideals come from one float32 matrix product. Right
 ideals are the left ideals of the opposite ring, whose multiplication table
-is ``mul.T``, and two-sided ideals are the sets that are both. Subsets of a
-ring (units, radical, center, ideals) are plain ``frozenset``s of element
-indices; tables are read by indexing ``add``, ``mul``, ``neg`` and ``inv``.
+is ``mul.T``, and two-sided ideals are the sets that are both. The radical
+and the ideals are plain ``frozenset``s of element indices, the units an
+ascending tuple; tables are read by indexing ``add``, ``mul``, ``neg`` and
+``inv``.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing(name={self.name!r}, order={self.order})"
-
-    def same_tables(self, other: "FiniteRing") -> bool:
-        return (
-            self.order == other.order
-            and self.one == other.one
-            and np.array_equal(self.add, other.add)
-            and np.array_equal(self.mul, other.mul)
-        )
 
 
 @dataclass(frozen=True)
@@ -285,11 +278,6 @@ def check_enumerable(ring: FiniteRing, what: str) -> None:
 # element-level structure
 
 
-def units(ring: FiniteRing) -> frozenset[int]:
-    """Elements with a two-sided multiplicative inverse."""
-    return frozenset(unit_elements(ring))
-
-
 def unit_elements(ring: FiniteRing) -> tuple[int, ...]:
     """Units in ascending index order."""
     return tuple(np.flatnonzero(ring.inv >= 0).tolist())
@@ -429,16 +417,11 @@ def is_commutative(ring: FiniteRing) -> bool:
     return bool(np.array_equal(ring.mul, ring.mul.T))
 
 
-def center(ring: FiniteRing) -> frozenset[int]:
-    """{x : x*r == r*x for all r}."""
-    return frozenset(np.flatnonzero((ring.mul == ring.mul.T).all(axis=1)).tolist())
-
-
 def fingerprint(ring: FiniteRing) -> RingFingerprint:
     """Deterministic aggregation of the invariants above."""
     return RingFingerprint(
         order=ring.order,
-        unit_count=len(units(ring)),
+        unit_count=len(unit_elements(ring)),
         zero_divisor_count=zero_divisor_count(ring),
         characteristic=characteristic(ring),
         radical_size=len(jacobson_radical(ring)),
@@ -447,22 +430,3 @@ def fingerprint(ring: FiniteRing) -> RingFingerprint:
         maximal_two_sided_ideal_count=maximal_ideal_count(ring, "two_sided"),
         commutative=is_commutative(ring),
     )
-
-
-def relabel(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:
-    """Transport both tables along a bijection of element indices.
-
-    ``perm[i]`` is the new index of old element ``i``; 0 must stay fixed so
-    the result keeps the zero-at-index-0 convention. The result is validated.
-    """
-    n = ring.order
-    p = list(int(x) for x in perm)
-    if len(p) != n or sorted(p) != list(range(n)):
-        raise ValueError("perm is not a permutation of the element indices")
-    if p[0] != 0:
-        raise ValueError("perm must fix the zero element")
-    parr = np.array(p)
-    back = np.argsort(parr)  # new index -> old index
-    new_add = parr[ring.add[np.ix_(back, back)]]
-    new_mul = parr[ring.mul[np.ix_(back, back)]]
-    return validate_ring(new_add, new_mul, p[ring.one], name=f"{ring.name}~relabel")

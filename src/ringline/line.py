@@ -186,13 +186,6 @@ def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, n
     return codes, rows, adjacency
 
 
-def distant(line: ProjectiveLine, i: int, j: int) -> bool:
-    """Whether two distinct points are distant."""
-    if i == j:
-        raise ValueError("distant is defined on pairs of distinct points")
-    return bool(line.adjacency[i, j])
-
-
 def point_type(line: ProjectiveLine, i: int) -> str:
     """'TypeI' when a representative coordinate is a unit, else 'TypeII'.
 

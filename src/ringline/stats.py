@@ -155,11 +155,6 @@ class LineSignature:
         }
 
 
-def neighbourhood(line: ProjectiveLine, i: int) -> frozenset[int]:
-    """{ j != i : j not distant from i }."""
-    return frozenset(np.flatnonzero(~line.adjacency[i]).tolist()) - {i}
-
-
 def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
     return StatValue.of(len(line) - 1 - line.adjacency.sum(axis=1))
 

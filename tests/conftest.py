@@ -49,6 +49,16 @@ def catalog_report():
     return run_catalog()
 
 
+def catalog_entry(name: str):
+    """The built-in catalog entry of that name; KeyError if there is none."""
+    return {e.name: e for e in builtin_catalog()}[name]
+
+
+def result_of(report, name: str):
+    """The report's result for the entry of that name; KeyError if there is none."""
+    return {r.entry.name: r for r in report.results}[name]
+
+
 @pytest.fixture(scope="session")
 def report():
     return catalog_report()

@@ -13,22 +13,64 @@ blocks of R/J. Jacobson candidate C is counted by labelling the unit orbits
 of pairs, the route the library's lines take, not by Burnside's lemma.
 Ring files are written with one str() per entry and read with one int()
 per token, the per-token route the library's whole-array reader replaced.
+Rings are relabelled along a permutation of their elements and compared
+table by table, and recipes are written back to text, by the tools at the
+top of this module.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from ringline import (
     ClosureTooLarge,
     NotAutomorphism,
+    RingRecipe,
     ideal_lattice,
     jacobson_radical,
     validate_ring,
 )
 from ringline.line import orbit_labels
+
+
+def relabel(ring, perm: Sequence[int]):
+    """Transport both tables along a bijection of element indices.
+
+    ``perm[i]`` is the new index of old element ``i``; 0 must stay fixed so
+    the result keeps the zero-at-index-0 convention. The result is validated.
+    """
+    n = ring.order
+    p = list(int(x) for x in perm)
+    if len(p) != n or sorted(p) != list(range(n)):
+        raise ValueError("perm is not a permutation of the element indices")
+    if p[0] != 0:
+        raise ValueError("perm must fix the zero element")
+    parr = np.array(p)
+    back = np.argsort(parr)  # new index -> old index
+    new_add = parr[ring.add[np.ix_(back, back)]]
+    new_mul = parr[ring.mul[np.ix_(back, back)]]
+    return validate_ring(new_add, new_mul, p[ring.one], name=f"{ring.name}~relabel")
+
+
+def same_tables(first, second) -> bool:
+    """Equal order, one, addition and multiplication tables."""
+    return (
+        first.order == second.order
+        and first.one == second.one
+        and np.array_equal(first.add, second.add)
+        and np.array_equal(first.mul, second.mul)
+    )
+
+
+def recipe_text(recipe: RingRecipe) -> str:
+    """The recipe written back as text: an atom ``head:value`` or a call."""
+    if recipe.kind in ("zn", "gf", "algebra"):
+        return f"{recipe.kind}:{recipe.args[0]}"
+    parts = [recipe_text(a) if isinstance(a, RingRecipe) else str(a) for a in recipe.args]
+    return f"{recipe.kind}({','.join(parts)})"
 
 
 def brute_units(ring) -> set[int]:

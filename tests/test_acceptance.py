@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from conftest import catalog_report, line_of, ring_of
+from conftest import catalog_entry, catalog_report, line_of, result_of, ring_of
 from helpers import (
     brute_has_clique,
     det_is_unit,
@@ -25,7 +25,6 @@ from ringline import (
     RightLineBreakdown,
     build_line,
     evaluate_entry,
-    catalog_entry,
     ideal_lattice,
     max_distant_set,
     maximal_ideal_count,
@@ -62,7 +61,7 @@ def test_criterion_1_confirmed_rows_exact():
     failures = []
     report = catalog_report()
     for name, expected in CONFIRMED_ROWS.items():
-        result = report.result(name)
+        result = result_of(report, name)
         sig = result.left
         if sig.as_row() != expected:
             failures.append(f"{name}: {sig.as_row()} != {expected}")
@@ -78,7 +77,7 @@ def test_criterion_1_confirmed_rows_exact():
 def test_criterion_2_commutative_counterparts():
     failures = []
     for name in ("gf4xz4", "gf4xdualf2"):
-        sig = catalog_report().result(name).left
+        sig = result_of(catalog_report(), name).left
         if sig.as_row() != BRACKET_ROW:
             failures.append(f"{name}: {sig.as_row()} != {BRACKET_ROW}")
     _verdict(2, "commutative counterpart brackets, exact", failures)
@@ -88,7 +87,7 @@ def test_criterion_3_candidate_rows():
     failures = []
     report = catalog_report()
     for name, expected in CANDIDATE_ROWS.items():
-        result = report.result(name)
+        result = result_of(report, name)
         if result.left.as_row() != expected:
             failures.append(f"{name}: {result.left.as_row()} != {expected}")
         if result.status != "PASS":
@@ -103,7 +102,7 @@ def test_criterion_3_candidate_rows():
         failures.append(f"failing candidate reported as {outcome.status}")
     if outcome.comparison["pass"]:
         failures.append("failing candidate comparison did not report the mismatch")
-    if catalog_report().result("row16_12").status != "UNRESOLVED":
+    if result_of(catalog_report(), "row16_12").status != "UNRESOLVED":
         failures.append("row 16/12 slot must be UNRESOLVED")
     _verdict(3, "candidate rows with honest fallback", failures)
 
@@ -136,12 +135,12 @@ def test_criterion_5_right_line_behavior():
             failures.append(f"class sizes constant: {exc.class_sizes}")
     report = catalog_report()
     for result in report.results:
-        if result.name in ("m2f2", "row16_12"):
+        if result.entry.name in ("m2f2", "row16_12"):
             continue
         if result.right_status != "ok":
-            failures.append(f"{result.name}: right status {result.right_status}")
+            failures.append(f"{result.entry.name}: right status {result.right_status}")
         elif result.right != result.left:
-            failures.append(f"{result.name}: right signature differs from left")
+            failures.append(f"{result.entry.name}: right signature differs from left")
     # the right relation must itself be well defined (class-representative free)
     for name in ALL_RING_ENTRIES:
         if name == "m2f2":
@@ -280,10 +279,10 @@ def test_criterion_7_jacobson_candidate_matrix():
                 failures.append(f"candidate {cand} missing rows")
     for result in report.results:
         if result.left is not None and set(result.left.jcb) != {"A", "B", "C"}:
-            failures.append(f"{result.name}: candidate values missing")
+            failures.append(f"{result.entry.name}: candidate values missing")
     # determinism: an independent evaluation reproduces every candidate value
     for name in ("m2f2", "z3xt2f2"):
         again = evaluate_entry(catalog_entry(name))
-        if again.left.jcb != report.result(name).left.jcb:
+        if again.left.jcb != result_of(report, name).left.jcb:
             failures.append(f"{name}: candidate values not deterministic")
     _verdict(7, "Jcb candidate-match matrix, informational", failures)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import pathlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from helpers import (
     brute_units,
     check_automorphism_per_pair,
     emit_ring_file_oracle,
+    recipe_text,
     ring_file_tables_oracle,
+    same_tables,
     tuple_subring_closure,
 )
 
@@ -47,15 +50,15 @@ from ringline import (
     skew_dual_numbers,
     structure_constants_algebra,
     triangular_ring,
-    units,
+    unit_elements,
     validate_ring,
 )
+from ringline import build
 from ringline.build import (
     ORDER_CAP,
     _check_automorphism,
     default_irreducible,
     frobenius_automorphism,
-    identity_automorphism,
     is_irreducible,
 )
 
@@ -182,13 +185,13 @@ def ring_of_recipe(recipe: str):
 class TestZn:
     def test_z4(self):
         ring = ring_zn(4)
-        assert ring.order == 4 and units(ring) == {1, 3}
+        assert ring.order == 4 and set(unit_elements(ring)) == {1, 3}
 
     def test_z2(self):
         assert ring_zn(2).order == 2
 
     def test_z3(self):
-        assert len(units(ring_zn(3))) == 2
+        assert len(unit_elements(ring_zn(3))) == 2
 
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -204,16 +207,16 @@ class TestGf:
     def test_gf4_default_poly(self):
         assert default_irreducible(2, 2) == (1, 1, 1)  # x^2 + x + 1
         ring = ring_gf(2, 2)
-        assert ring.order == 4 and len(units(ring)) == 3
+        assert ring.order == 4 and len(unit_elements(ring)) == 3
 
     def test_gf2_and_gf3(self):
         assert ring_gf(2, 1).order == 2
-        assert len(units(ring_gf(3, 1))) == 2
+        assert len(unit_elements(ring_gf(3, 1))) == 2
 
     def test_every_nonzero_element_invertible(self):
         for p, k in ((2, 2), (3, 1), (2, 3)):
             ring = ring_gf(p, k)
-            assert len(units(ring)) == ring.order - 1
+            assert len(unit_elements(ring)) == ring.order - 1
 
     def test_reducible_poly_rejected(self):
         assert not is_irreducible([1, 0, 1], 2)  # x^2 + 1 = (x+1)^2 over F2
@@ -226,15 +229,15 @@ class TestGf:
 class TestDualNumbers:
     def test_over_gf2(self):
         ring = quotient_dual_numbers(ring_gf(2, 1))
-        assert ring.order == 4 and len(units(ring)) == 2
+        assert ring.order == 4 and len(unit_elements(ring)) == 2
 
     def test_over_gf4(self):
         ring = quotient_dual_numbers(ring_gf(2, 2))
-        assert ring.order == 16 and len(units(ring)) == 12
+        assert ring.order == 16 and len(unit_elements(ring)) == 12
 
     def test_over_gf3(self):
         ring = quotient_dual_numbers(ring_gf(3, 1))
-        assert ring.order == 9 and len(units(ring)) == 6
+        assert ring.order == 9 and len(unit_elements(ring)) == 6
 
     def test_noncommutative_base_rejected(self):
         with pytest.raises(ValueError):
@@ -245,44 +248,45 @@ class TestDirectProduct:
     def test_gf4_x_z4(self):
         ring = direct_product(ring_gf(2, 2), ring_zn(4))
         assert ring.order == 16
-        assert len(units(ring)) == 6
-        assert ring.order - len(units(ring)) == 10
+        assert len(unit_elements(ring)) == 6
+        assert ring.order - len(unit_elements(ring)) == 10
 
     def test_z3_x_t2f2_label(self):
         ring = ring_of("z3xt2f2")
-        assert (ring.order, ring.order - len(units(ring))) == (24, 20)
+        assert (ring.order, ring.order - len(unit_elements(ring))) == (24, 20)
 
     def test_z2_x_t2f2_label(self):
         ring = ring_of("z2xt2f2")
-        assert (ring.order, ring.order - len(units(ring))) == (16, 14)
+        assert (ring.order, ring.order - len(unit_elements(ring))) == (16, 14)
 
     def test_unit_count_multiplies(self):
         r1, r2 = ring_zn(4), ring_gf(3, 1)
-        assert len(units(direct_product(r1, r2))) == len(units(r1)) * len(units(r2))
+        product = direct_product(r1, r2)
+        assert len(unit_elements(product)) == len(unit_elements(r1)) * len(unit_elements(r2))
 
 
 class TestMatrixRings:
     def test_m2f2(self):
         ring = matrix_ring(ring_gf(2, 1), 2)
         assert ring.order == 16
-        assert len(units(ring)) == 6
+        assert len(unit_elements(ring)) == 6
         assert not is_commutative(ring)
 
     def test_m1_is_base(self):
         base = ring_zn(6)
         ring = matrix_ring(base, 1)
-        assert ring.same_tables(base)
+        assert same_tables(ring, base)
 
     def test_t2f2(self):
         ring = triangular_ring(ring_gf(2, 1), 2)
         assert ring.order == 8
-        assert len(units(ring)) == 2
-        assert ring.order - len(units(ring)) == 6
+        assert len(unit_elements(ring)) == 2
+        assert ring.order - len(unit_elements(ring)) == 6
         assert not is_commutative(ring)
 
     def test_t2f3(self):
         ring = triangular_ring(ring_gf(3, 1), 2)
-        assert ring.order == 27 and len(units(ring)) == 12
+        assert ring.order == 27 and len(unit_elements(ring)) == 12
 
     def test_cap(self):
         with pytest.raises(OrderTooLarge):
@@ -293,17 +297,17 @@ class TestSkewDualNumbers:
     def test_frobenius_on_gf4(self):
         gf4 = ring_gf(2, 2)
         sigma = frobenius_automorphism(gf4)
-        assert sigma != identity_automorphism(gf4)
+        assert sigma != tuple(range(gf4.order))
         ring = skew_dual_numbers(gf4, sigma)
         assert ring.order == 16
-        assert len(units(ring)) == 12
+        assert len(unit_elements(ring)) == 12
         assert not is_commutative(ring)
 
     def test_identity_reduces_to_dual_numbers(self):
         gf4 = ring_gf(2, 2)
-        skew = skew_dual_numbers(gf4, identity_automorphism(gf4))
+        skew = skew_dual_numbers(gf4, tuple(range(gf4.order)))
         dual = quotient_dual_numbers(gf4)
-        assert skew.same_tables(dual)
+        assert same_tables(skew, dual)
         assert is_commutative(skew)
 
     def test_gf2_identity(self):
@@ -360,9 +364,9 @@ class TestStructureConstants:
     def test_f2xy_candidate(self):
         ring = build_recipe("algebra:f2xy")
         assert ring.order == 16
-        assert len(units(ring)) == 8
+        assert len(unit_elements(ring)) == 8
         assert not is_commutative(ring)
-        assert brute_units(ring) == set(units(ring))
+        assert brute_units(ring) == set(unit_elements(ring))
 
     def test_rank2_idempotent_is_z2_x_z2(self):
         # basis 1, x with x^2 = x splits as F2 x F2
@@ -372,7 +376,7 @@ class TestStructureConstants:
 
     def test_rank1_is_zm(self):
         ring = structure_constants_algebra(4, 1, [[[1]]])
-        assert ring.same_tables(ring_zn(4))
+        assert same_tables(ring, ring_zn(4))
 
     def test_bad_constants_fail_validation(self):
         # x^2 = 1 and x*1 = 0 cannot give a unital ring
@@ -401,7 +405,7 @@ class TestMatrixSubringClosure:
         m2 = ring_of("m2f2")
         f2 = ring_gf(2, 1)
         unit_mats = []
-        for u in sorted(units(m2)):
+        for u in unit_elements(m2):
             entries = [(u >> shift) & 1 for shift in (3, 2, 1, 0)]
             unit_mats.append(((entries[0], entries[1]), (entries[2], entries[3])))
         ring = matrix_subring_closure(f2, unit_mats)
@@ -417,15 +421,19 @@ class TestMatrixSubringClosure:
         again = matrix_subring_closure(f2, mats)
         assert again.order == ring.order
 
-    def test_closure_too_large(self):
-        gf16 = ring_gf(2, 4)
+    def test_closure_too_large(self, monkeypatch):
+        """These generators close to all 256 matrices over GF(4): built under
+        the shipped cap, refused once ORDER_CAP is patched to 64."""
+        gf4 = ring_gf(2, 2)
         gens = [
             ((1, 1), (0, 0)),
             ((0, 0), (1, 1)),
             ((0, 2), (3, 0)),  # arbitrary field elements to force growth
         ]
-        with pytest.raises(ClosureTooLarge):
-            matrix_subring_closure(gf16, gens, cap=64)
+        assert matrix_subring_closure(gf4, gens).order == 256
+        monkeypatch.setattr(build, "ORDER_CAP", 64)
+        with pytest.raises(ClosureTooLarge, match="exceeds 64"):
+            matrix_subring_closure(gf4, gens)
 
     @pytest.mark.parametrize("entry", [2, -1])
     def test_generator_entry_outside_base_refused(self, entry):
@@ -462,7 +470,7 @@ class TestMatrixSubringClosure:
             for j in range(i if kind == "tri" else 0, dim)
         ]
         expected = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
-        assert matrix_subring_closure(base, units_).same_tables(expected)
+        assert same_tables(matrix_subring_closure(base, units_), expected)
 
 
 CLOSURE_BASES = ["gf:2", "gf:3", "zn:4", "gf:4", "dual(gf:2)"]
@@ -484,12 +492,14 @@ def test_closure_matches_tuple_oracle(recipe, dim, cap, data):
 
     def outcome(closure):
         try:
-            ring = closure(base, gens, cap=cap)
+            ring = closure()
         except ClosureTooLarge as exc:
             return ("refused", str(exc))
         return (ring.order, ring.one, ring.name, ring.add.tobytes(), ring.mul.tobytes())
 
-    assert outcome(matrix_subring_closure) == outcome(tuple_subring_closure)
+    with mock.patch.object(build, "ORDER_CAP", cap):  # the closure reads it when called
+        got = outcome(lambda: matrix_subring_closure(base, gens))
+    assert got == outcome(lambda: tuple_subring_closure(base, gens, cap=cap))
 
 
 TABLE_DIGESTS = json.loads((DATA / "table_digests.json").read_text())
@@ -542,7 +552,7 @@ class TestRingFiles:
         ring = ring_of(name)
         text = emit_ring_file(ring)
         back = parse_ring_file(text)
-        assert back.same_tables(ring)
+        assert same_tables(back, ring)
         assert emit_ring_file(back) == text
 
     def test_shipped_fixture(self):
@@ -552,7 +562,7 @@ class TestRingFiles:
     def test_comments_and_blank_lines(self):
         text = emit_ring_file(ring_zn(2))
         noisy = "# header\n" + text.replace("add", "add  # the addition table", 1) + "\n\n"
-        assert parse_ring_file(noisy).same_tables(ring_zn(2))
+        assert same_tables(parse_ring_file(noisy), ring_zn(2))
 
     def test_order_mismatch(self):
         bad = "ring x\norder 3\none 1\nadd\n0 1\n1 0\n"
@@ -645,7 +655,7 @@ class TestRingFiles:
         except RinglineError:
             return
         if mutations == 0:
-            assert ring.same_tables(ring_of_recipe(recipe))
+            assert same_tables(ring, ring_of_recipe(recipe))
 
     def test_validation_failure_propagates(self):
         bad = "ring x\norder 2\none 1\nadd\n0 1\n1 0\nmul\n0 0\n0 0\n"
@@ -751,7 +761,7 @@ def test_rewritten_file_reads_as_per_token_oracle(
     add, mul = ring_file_tables_oracle(text)
     assert (parsed.name, parsed.one) == (ring.name, ring.one)
     assert parsed.add.tolist() == add and parsed.mul.tolist() == mul
-    assert parsed.same_tables(ring)
+    assert same_tables(parsed, ring)
 
 
 def test_plain_tables_take_one_loadtxt_call_each(monkeypatch):
@@ -765,11 +775,11 @@ def test_plain_tables_take_one_loadtxt_call_each(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", counted)
     lines = emit_ring_file(ring_zn(4)).splitlines()
-    assert parse_ring_file("\n".join(lines)).same_tables(ring_zn(4))
+    assert same_tables(parse_ring_file("\n".join(lines)), ring_zn(4))
     assert [len(block) for block in calls] == [4, 4]
     calls.clear()
     lines[11] = lines[11].replace(" ", "\x1f")
-    assert parse_ring_file("\n".join(lines)).same_tables(ring_zn(4))
+    assert same_tables(parse_ring_file("\n".join(lines)), ring_zn(4))
     assert [len(block) for block in calls] == [4]
 
 
@@ -789,7 +799,7 @@ def test_parse_order_1024_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ring.same_tables(ring_of_recipe("zn:1024"))
+    assert same_tables(ring, ring_of_recipe("zn:1024"))
     assert peak < 80 * 2**20
 
 
@@ -813,10 +823,25 @@ class TestRecipes:
     )
     def test_round_trip_and_determinism(self, text):
         recipe = parse_recipe(text)
-        assert recipe.to_string() == text
+        assert recipe_text(recipe) == text
         first = build_recipe(text)
         second = build_recipe(parse_recipe(text))
-        assert first.same_tables(second)
+        assert same_tables(first, second)
+
+    def test_parsed_values(self):
+        """The README table's recipes, as the values the parser builds."""
+        gf2, gf4, zn4 = RingRecipe("gf", (2,)), RingRecipe("gf", (4,)), RingRecipe("zn", (4,))
+        expected = {
+            "zn:4": zn4,
+            "gf:9": RingRecipe("gf", (9,)),
+            "dual(gf:2)": RingRecipe("dual", (gf2,)),
+            "skew(gf:4)": RingRecipe("skew", (gf4,)),
+            "mat(gf:2,2)": RingRecipe("mat", (gf2, 2)),
+            "tri(gf:3,2)": RingRecipe("tri", (RingRecipe("gf", (3,)), 2)),
+            "prod(gf:4,zn:4)": RingRecipe("prod", (gf4, zn4)),
+            "algebra:f2xy": RingRecipe("algebra", ("f2xy",)),
+        }
+        assert {text: parse_recipe(text) for text in expected} == expected
 
     def test_gf_prime_power_resolution(self):
         assert build_recipe("gf:8").order == 8
@@ -833,7 +858,11 @@ class TestRecipes:
 
     def test_nesting_depth_capped(self):
         # parsed only: building 64 nested duals would need a 2^65-element ring
-        assert parse_recipe("dual(" * 64 + "gf:2" + ")" * 64).to_string().count("dual") == 64
+        recipe = parse_recipe("dual(" * 64 + "gf:2" + ")" * 64)
+        for _ in range(64):
+            assert recipe.kind == "dual"
+            (recipe,) = recipe.args
+        assert recipe == RingRecipe("gf", (2,))
         with pytest.raises(ValueError, match="deeper than 64"):
             parse_recipe("dual(" * 1500 + "gf:2" + ")" * 1500)
 
@@ -959,10 +988,20 @@ class TestRecipes:
     def test_frobenius_power_reduced_along_its_cycle(self):
         gf8 = ring_gf(2, 3)
         assert frobenius_automorphism(gf8, 3 * 10**20 + 1) == frobenius_automorphism(gf8, 1)
-        assert frobenius_automorphism(gf8, 3) == identity_automorphism(gf8)
+        assert frobenius_automorphism(gf8, 3) == tuple(range(gf8.order))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("power", [-1, -2])
+    def test_negative_frobenius_power_refused(self, k, power):
+        """A negative power is refused, not read from the end of the list of
+        powers: there, -1 on GF(4) would give the identity, not the inverse
+        Frobenius map (0, 1, 3, 2), and -2 an IndexError."""
+        with pytest.raises(ValueError, match="non-negative"):
+            frobenius_automorphism(ring_gf(2, k), power)
 
     def test_skew_identity_equals_dual(self):
-        assert build_recipe("skew(gf:4,0)").same_tables(
+        assert same_tables(
+            build_recipe("skew(gf:4,0)"),
             quotient_dual_numbers(ring_gf(2, 2))
         )
 

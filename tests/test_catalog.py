@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import line_of
+from conftest import catalog_entry, line_of, result_of
 
 from ringline import (
     CatalogEntry,
@@ -18,7 +18,6 @@ from ringline import (
     RunReport,
     StatValue,
     builtin_catalog,
-    catalog_entry,
     evaluate_entry,
     fingerprint,
     run_catalog,
@@ -132,7 +131,7 @@ class TestBuiltinCatalog:
 class TestRunReport:
     def test_overall_pass(self, report):
         assert report.passed
-        statuses = {r.name: r.status for r in report.results}
+        statuses = {r.entry.name: r.status for r in report.results}
         assert statuses.pop("row16_12") == "UNRESOLVED"
         assert set(statuses.values()) == {"PASS"}
 
@@ -144,17 +143,17 @@ class TestRunReport:
                 expected=(18, 14, 9, 4, 0, 4),  # wrong MD
             )
         )
-        doctored = RunReport(results=(report.result("m2f2"), failing))
+        doctored = RunReport(results=(result_of(report, "m2f2"), failing))
         assert doctored.passed is False
         assert doctored.to_json_dict()["passed"] is False
-        assert RunReport(results=(report.result("m2f2"),)).passed is True
+        assert RunReport(results=(result_of(report, "m2f2"),)).passed is True
 
     def test_results_sorted_by_name(self, report):
-        names = [r.name for r in report.results]
+        names = [r.entry.name for r in report.results]
         assert names == sorted(names)
 
     def test_m2f2_breakdown_is_pass(self, report):
-        result = report.result("m2f2")
+        result = result_of(report, "m2f2")
         assert result.right_status == "breakdown"
         assert result.right_ok
         assert result.status == "PASS"
@@ -162,7 +161,7 @@ class TestRunReport:
 
     def test_other_right_lines_match_left(self, report):
         for r in report.results:
-            if r.name in ("m2f2", "row16_12"):
+            if r.entry.name in ("m2f2", "row16_12"):
                 continue
             assert r.right_status == "ok"
             assert r.right == r.left

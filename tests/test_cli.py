@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import catalog_entry
 from helpers import emit_ring_file_oracle
 
 from ringline import (
     build_recipe,
     builtin_catalog,
-    catalog_entry,
     emit_ring_file,
     evaluate_entry,
     ring_zn,

@@ -26,7 +26,6 @@ from ringline import (
     RightLineBreakdown,
     build_line,
     build_recipe,
-    distant,
     fingerprint,
     point_type,
     signature,
@@ -373,12 +372,12 @@ class TestDistant:
             line = line_of(name)
             assert len(line) == q + 1
             for i, j in combinations(range(len(line)), 2):
-                assert distant(line, i, j)
+                assert line.adjacency[i, j]
 
     def test_z4_three_non_distant_pairs(self):
         line = line_of("z4")
         non_distant = [
-            (i, j) for i, j in combinations(range(6), 2) if not distant(line, i, j)
+            (i, j) for i, j in combinations(range(6), 2) if not line.adjacency[i, j]
         ]
         assert len(non_distant) == 3
         # each point has a unique neighbour
@@ -389,10 +388,6 @@ class TestDistant:
         line = line_of("m2f2")
         degrees = line.adjacency.sum(axis=1)
         assert (degrees == 16).all()  # 35 - 1 - 18 neighbours
-
-    def test_same_point_rejected(self):
-        with pytest.raises(ValueError):
-            distant(line_of("z4"), 2, 2)
 
     # left ids stay bare names; the right line over m2f2 breaks down
     @pytest.mark.parametrize(
@@ -415,7 +410,7 @@ class TestDistant:
             i, j = rng.sample(range(len(points)), 2)
             row1 = rng.choice(member_pairs(line, i))
             row2 = rng.choice(member_pairs(line, j))
-            assert is_invertible_2x2(ring, (row1, row2)) == distant(line, i, j)
+            assert is_invertible_2x2(ring, (row1, row2)) == line.adjacency[i, j]
 
 
 class TestPointType:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import line_arrays_oracle
+from helpers import line_arrays_oracle, relabel
 
 from ringline import (
     OrderTooLarge,
@@ -20,7 +20,6 @@ from ringline import (
     build_line,
     build_recipe,
     is_commutative,
-    relabel,
     signature,
 )
 from ringline import core as core_module

@@ -6,12 +6,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_of, ring_of
-from helpers import brute_clique_number, det_is_unit, is_invertible_2x2, member_pairs
+from helpers import (
+    brute_clique_number,
+    det_is_unit,
+    is_invertible_2x2,
+    member_pairs,
+    relabel,
+)
 
 from ringline import (
-    distant,
     fingerprint,
-    relabel,
     unit_elements,
     validate_ring,
 )
@@ -62,7 +66,7 @@ def test_distant_independent_of_representatives(name, data):
     j = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda v: v != i))
     row1 = data.draw(st.sampled_from(member_pairs(line, i)))
     row2 = data.draw(st.sampled_from(member_pairs(line, j)))
-    assert is_invertible_2x2(line.ring, (row1, row2)) == distant(line, i, j)
+    assert is_invertible_2x2(line.ring, (row1, row2)) == line.adjacency[i, j]
 
 
 @given(name=st.sampled_from(LINE_RINGS))

