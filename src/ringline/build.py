@@ -6,8 +6,8 @@ recipe always reproduces identical tables. A recipe is read from one list of
 tokens, a ring file from its lines that hold tokens, each part at a fixed index.
 A ring file's tables go in and out of text as whole arrays: one
 ``np.loadtxt`` call reads a table of plain rows, a line-by-line reader only
-a table that holds an error or an unusual separator, and rows are written
-from one string per element index.
+a table that holds an error or an unusual separator, and a table is written
+from one gather of fixed-width byte slots, one slot per element index.
 """
 
 from __future__ import annotations
@@ -441,14 +441,32 @@ def _plain_table(rows: list[str], n: int) -> np.ndarray | None:
 
 
 def emit_ring_file(ring: FiniteRing) -> str:
-    """Canonical plain-text form; bit-exact round trip with parse_ring_file."""
-    lines = [f"ring {ring.name}", f"order {ring.order}", f"one {ring.one}"]
-    token = [str(x) for x in range(ring.order)]  # every entry is an index below n
-    for tag, table in (("add", ring.add), ("mul", ring.mul)):
-        lines.append(tag)
-        # one row at a time: a whole-table tolist() holds n^2 Python ints at once
-        lines.extend(" ".join(map(token.__getitem__, row.tolist())) for row in table)
-    return "\n".join(lines) + "\n"
+    """Canonical plain-text form; bit-exact round trip with parse_ring_file.
+
+    Each index is rendered once, as an 8-byte slot: its ASCII digits, zero
+    bytes, then a space (seven digits cover any table that fits in memory).
+    A table's text is one gather of those slots read as uint64 words
+    (:func:`_table_text`).
+    """
+    slots = b"".join(str(x).encode().ljust(7, b"\0") + b" " for x in range(ring.order))
+    words = np.frombuffer(slots, dtype=np.uint64)
+    return "".join([
+        f"ring {ring.name}\norder {ring.order}\none {ring.one}\nadd\n",
+        _table_text(words, ring.add),
+        "mul\n",
+        _table_text(words, ring.mul),
+    ])
+
+
+def _table_text(words: np.ndarray, table: np.ndarray) -> str:
+    """The rows of ``table`` as text: the slots of its entries, the last byte
+    of each row a newline, the zero bytes dropped. Each n^2 temporary is
+    freed before the next is made."""
+    rows = words[table].view(np.uint8)  # row i: the slots of table[i], 8n bytes
+    rows[:, -1] = ord("\n")
+    text = rows.tobytes()
+    del rows
+    return text.translate(None, b"\0").decode()
 
 
 def parse_ring_file(text: str) -> FiniteRing:

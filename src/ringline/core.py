@@ -7,8 +7,11 @@ desk-scale orders this package targets: a table holds at most 1,024
 elements. Fingerprints read maximal ideal counts off the blocks of R/J;
 ideal lattices and projective lines are enumerated only up to order
 ENUMERATION_CAP = 64 (:func:`check_enumerable`). Validation checks
-associativity and distributivity on additive generators, in O(n^2) time per
-generator. Left ideals are boolean membership masks; all sums of one ideal
+associativity and distributivity on the G additive generators
+(:func:`_axioms_hold_on_generators`): two n^2 passes per generator, Light's
+test and right distributivity, then n*G^2 cells of left distributivity for
+generator multipliers, which right distributivity extends to every
+multiplier. Left ideals are boolean membership masks; all sums of one ideal
 with the cyclic left ideals come from one float32 matrix product. Right
 ideals are the left ideals of the opposite ring, whose multiplication table
 is ``mul.T``, and two-sided ideals are the sets that are both. The radical
@@ -215,21 +218,26 @@ def _additive_generators(add: np.ndarray) -> list[int]:
     reached, where the reached set is {0} closed under the steps x -> x + g.
 
     Every element is then a chain ((0 + g1) + g2) + ... of generator steps;
-    building it assumes no associativity.
+    building it assumes no associativity. The closure runs over the step
+    rows as lists: a new generator's step is taken from every element
+    already reached, and each newly reached element takes every step.
     """
-    reached = np.zeros(add.shape[0], dtype=bool)
-    reached[0] = True
+    n = add.shape[0]
+    reached = [True] + [False] * (n - 1)
+    members = [0]
     gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        steps = add[:, gens]
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            fresh = np.zeros_like(reached)
-            fresh[steps[frontier]] = True
-            fresh &= ~reached
-            reached |= fresh
-            frontier = np.flatnonzero(fresh)
+    steps: list[list[int]] = []
+    while len(members) < n:
+        gens.append(reached.index(False))
+        steps.append(add[gens[-1]].tolist())  # x -> g + x, which is x + g
+        todo = [steps[-1][x] for x in members]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+                for step in steps:
+                    todo.append(step[y])
     return gens
 
 
@@ -238,33 +246,46 @@ def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
     additive generators only (the addition is known to be a commutative
     loop: 0 is its identity and every row is a permutation).
 
-    1. Light's test, (x+g)+y == x+(g+y) for every x, y and generator g. The
-       elements that associate in the middle contain 0 and are closed under
-       +, and every element is a chain of +g steps from 0, so + is
-       associative.
-    2. a*(x+g) == a*x + a*g for every a, x and g, over mul and mul.T. At
-       x = 0 this gives a*0 = 0; with + associative, induction along the
-       chain of b then gives a*(x+b) == a*x + a*b for every b. So every left
-       and right multiplication map is additive.
+    1. Light's test, (x+g)+y == x+(g+y) for every x, y and generator g. As
+       + is commutative, P = add[add[g]] holds (x+g)+y at (x, y) and
+       x+(g+y) at (y, x), so the test is P == P.T. The elements that
+       associate in the middle contain 0 and are closed under +, and every
+       element is a chain of +g steps from 0, so + is associative.
+    2. (x+g)*z == x*z + g*z for every x, z and generator g, and
+       g*(x+h) == g*x + g*h for every x and generators g, h. At x = 0 these
+       give 0*z = 0 and g*0 = 0; with + associative, induction along the
+       chain of b then gives (x+b)*z == x*z + b*z and g*(x+b) == g*x + g*b
+       for every b. So every right multiplication map is additive, and so is
+       left multiplication by a generator. Any a is a chain
+       ((0+g1)+g2)+..., so the first law gives a*y = g1*y + g2*y + ...:
+       left multiplication by a is a sum of additive maps, hence additive.
     3. Multiplication is then bi-additive, so both (ab)c and a(bc) are
        additive in each argument, and associativity on triples of
        generators gives it everywhere.
 
-    Each step is O(n^2) in time and memory; when + is a group, each
-    generator at least doubles the reached subgroup, so there are at most
-    log2(n) of them.
+    With G generators, step 1 reads n^2*G cells, step 2 n^2*G + n*G^2 and
+    step 3 G^3; each check keeps its n^2 temporaries only while it runs.
+    When + is a group, each generator at least doubles the reached
+    subgroup, so G is at most log2(n).
     """
     gens = _additive_generators(add)
-    for g in gens:  # (x+g)+y == x+(g+y)
-        if not np.array_equal(add[add[:, g]], add[:, add[g]]):
+    # (x+g)+y == x+(g+y); each gather is freed when its test returns
+    if not all(_symmetric(add[add[g]]) for g in gens):
+        return False
+    for g in gens:  # (x+g)*z == x*z + g*z
+        if not np.array_equal(mul[add[g]], add[mul, mul[g]]):
             return False
-    for table in (mul, mul.T):
-        for g in gens:  # a*(x+g) == a*x + a*g
-            if not np.array_equal(table[:, add[:, g]], add[table, table[:, g, None]]):
-                return False
     g = np.array(gens)
-    prod = mul[g[:, None], g]  # (i, j) -> gi*gj
+    rows = mul[g]  # (i, x) -> gi*x
+    # gi*(x+gj) == gi*x + gi*gj
+    if not np.array_equal(rows[:, add[:, g]], add[rows[:, :, None], rows[:, None, g]]):
+        return False
+    prod = rows[:, g]  # (i, j) -> gi*gj
     return np.array_equal(mul[prod[:, :, None], g], mul[g[:, None, None], prod])
+
+
+def _symmetric(table: np.ndarray) -> bool:
+    return bool((table == table.T).all())
 
 
 def check_enumerable(ring: FiniteRing, what: str) -> None:

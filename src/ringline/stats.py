@@ -17,8 +17,10 @@ classes near all of them, and a class pair or triple stands for the product
 of its class sizes in point pairs or triples. The pass gathers class rows
 in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
 one point, and weighs them by class size in float32, exact since no count
-reaches 2**24. MD is the maximum clique, searched only up to the bound from
-R/J's blocks. Twin classes are grouped on packed distant rows, used only as
+reaches 2**24. The weighted counts come from ``np.einsum``, not a matrix
+product: the BLAS product now and then raised a spurious invalid-value
+flag, which numpy printed as a RuntimeWarning. MD is the maximum clique,
+searched only up to the bound from R/J's blocks. Twin classes are grouped on packed distant rows, used only as
 keys; the masks of ringline.clique are the only bitmask form that is
 searched. Jcb candidate C counts orbits by Burnside's lemma, reading only
 the units' rows of the multiplication table. TpI is one gather of ``inv`` at
@@ -205,10 +207,10 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     for rows in _row_blocks(len(a), len(adj)):
         pa, pb = a[rows], b[rows]
         both, pair_sizes = near[pa] & near[pb], sizes[pa] * sizes[pb]
-        pairs.append(StatValue.of(both @ weights, pair_sizes))
+        pairs.append(StatValue.of(np.einsum("ij,j->i", both, weights), pair_sizes))
         p, c = _cells(later[pa] & later[pb])
         for s in _row_blocks(len(c), len(adj)):
-            common = (both[p[s]] & near[c[s]]) @ weights
+            common = np.einsum("ij,j->i", both[p[s]] & near[c[s]], weights)
             triples.append(StatValue.of(common, pair_sizes[p[s]] * sizes[c[s]]))
     return StatValue.union(pairs), StatValue.union(triples)
 

@@ -13,6 +13,8 @@ blocks of R/J. Jacobson candidate C is counted by labelling the unit orbits
 of pairs, the route the library's lines take, not by Burnside's lemma.
 Ring files are written with one str() per entry and read with one int()
 per token, the per-token route the library's whole-array reader replaced.
+The additive generators are closed by numpy breadth-first steps, the route
+the library's closure over lists replaced.
 Rings are relabelled along a permutation of their elements and compared
 table by table, and recipes are written back to text, by the tools at the
 top of this module.
@@ -71,6 +73,26 @@ def recipe_text(recipe: RingRecipe) -> str:
         return f"{recipe.kind}:{recipe.args[0]}"
     parts = [recipe_text(a) if isinstance(a, RingRecipe) else str(a) for a in recipe.args]
     return f"{recipe.kind}({','.join(parts)})"
+
+
+def additive_generators_oracle(add: np.ndarray) -> list[int]:
+    """The greedy additive generators of core._additive_generators, each the
+    least element not yet reached, with the reached set closed by one numpy
+    breadth-first step per round over all generators so far."""
+    reached = np.zeros(add.shape[0], dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        steps = add[:, gens]
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            fresh = np.zeros_like(reached)
+            fresh[steps[frontier]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+    return gens
 
 
 def brute_units(ring) -> set[int]:

@@ -783,10 +783,27 @@ def test_plain_tables_take_one_loadtxt_call_each(monkeypatch):
     assert [len(block) for block in calls] == [4]
 
 
-@pytest.mark.parametrize("recipe", [*GOLDEN_RECIPES, "zn:1024"])
+# zn:10 to zn:1000 end at and just past a digit width; zn:1024 is the largest
+@pytest.mark.parametrize(
+    "recipe", [*GOLDEN_RECIPES, "zn:10", "zn:11", "zn:100", "zn:101", "zn:1000", "zn:1024"]
+)
 def test_emitter_matches_per_entry_oracle(recipe):
     ring = ring_of_recipe(recipe)
     assert emit_ring_file(ring) == emit_ring_file_oracle(ring)
+
+
+def test_emit_order_1024_memory_bounded():
+    """An order-1,024 ring is written with each n^2 temporary freed before
+    the next is made: the peak was about 24 MB with one string per index."""
+    ring = ring_of_recipe("zn:1024")
+    tracemalloc.start()
+    try:
+        text = emit_ring_file(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == emit_ring_file_oracle(ring)
+    assert peak < 32 * 2**20
 
 
 def test_parse_order_1024_memory_bounded():

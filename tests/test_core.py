@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ring_of
 from helpers import (
+    additive_generators_oracle,
     brute_ideals,
     brute_radical,
     brute_units,
@@ -215,7 +216,7 @@ class TestValidateRing:
     @given(
         name=st.sampled_from(CORRUPTIBLE),
         kind=st.sampled_from(
-            ["entries", "symmetric", "intercalate", "rows", "values", "conjugate"]
+            ["entries", "symmetric", "intercalate", "copied row", "rows", "values", "conjugate"]
         ),
         data=st.data(),
     )
@@ -241,6 +242,12 @@ class TestValidateRing:
             add[k, k], add[k, i] = add[i, i], add[i, k]
             if data.draw(st.booleans()):
                 mul[:] = 0  # distributive and associative over any addition
+        elif kind == "copied row":
+            # x*y := z*y for a non-generator x: left multiplication by x stays
+            # additive, so only right distributivity or associativity can fail
+            gens = additive_generators_oracle(add)
+            x = data.draw(st.sampled_from([x for x in range(n) if x not in gens]))
+            mul[x] = mul[data.draw(element)]
         else:
             # a permutation fixing 0 and 1 applied to the multiplication table
             others = [x for x in range(1, n) if x != one]
@@ -257,10 +264,40 @@ class TestValidateRing:
         with mock.patch.object(core, "_axioms_hold_on_generators", full_scan):
             assert fast == validation_outcome(add, mul, one)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_near_ring_rejected(self, side):
+        """The maps of Z2 to itself, added pointwise and multiplied by
+        composition, satisfy every axiom but left distributivity (a
+        near-ring); on the opposite table only right distributivity fails."""
+        maps = [(0, 0), (1, 0), (0, 1), (1, 1)]  # (f(0), f(1)); 0 is the zero map
+        code = {f: i for i, f in enumerate(maps)}
+        add = np.array([[code[(f[0] ^ g[0], f[1] ^ g[1])] for g in maps] for f in maps])
+        mul = np.array([[code[(f[g[0]], f[g[1]])] for g in maps] for f in maps])
+        if side == "right":
+            mul = mul.T
+        fast = validation_outcome(add, mul, code[(0, 1)])
+        assert fast[0] == "NotDistributive" and fast[1].startswith(side)
+        with mock.patch.object(core, "_axioms_hold_on_generators", full_scan):
+            assert fast == validation_outcome(add, mul, code[(0, 1)])
+
     def test_valid_rings_skip_full_scan(self, refuse_full_scan):
         recipes = [e.recipe for e in builtin_catalog() if e.recipe is not None]
-        for recipe in recipes + ["zn:1024"]:
+        # gf:1024 and tri(gf:2,4) have ten additive generators, the most within the cap
+        for recipe in recipes + ["zn:1024", "gf:1024", "tri(gf:2,4)"]:
             assert build_recipe(recipe).order > 1
+
+    @pytest.mark.parametrize("recipe", [*golden_rings(), "zn:1024", "gf:1024", "tri(gf:2,4)"])
+    def test_generators_match_breadth_first_oracle(self, recipe):
+        """The list closure picks the same generators as the numpy
+        breadth-first closure, on the plain tables and, for the golden
+        rings, on relabelled ones."""
+        ring = build_recipe(recipe)
+        rings = [ring]
+        if ring.order <= 64:
+            perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
+            rings.append(relabel(ring, perm))
+        for r in rings:
+            assert core._additive_generators(r.add) == additive_generators_oracle(r.add)
 
     def test_corrupt_table_reaches_full_scan(self, refuse_full_scan):
         add, mul = z4_tables()
