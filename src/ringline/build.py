@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteRing, characteristic, is_commutative, validate_ring
+from .core import FiniteRing, _integer, characteristic, is_commutative, validate_ring
 from .errors import (
     ClosureTooLarge,
     NotAutomorphism,
@@ -57,19 +57,14 @@ def _is_prime(n: int) -> bool:
 
 def ring_zn(n: int) -> FiniteRing:
     """Integers mod n; element index equals residue value."""
+    n = _integer(n, "modulus")
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
     return structure_constants_algebra(n, 1, [[[1]]], name=f"Z{n}")
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # mod is monic; classic long division over Z_p
+    # mod is monic; classic long division over Z_p, remainder not trimmed
     r = list(a)
     d = len(mod) - 1
     while len(r) > d:
@@ -79,7 +74,7 @@ def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
             for i, cm in enumerate(mod):
                 r[shift + i] = (r[shift + i] - coeff * cm) % p
         r.pop()
-    return _poly_trim(r)
+    return r
 
 
 def _monic_polys(degree: int, p: int) -> Iterable[list[int]]:
@@ -92,19 +87,15 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     k = len(poly) - 1
     if k < 1 or poly[-1] != 1:
         return False
-    if k == 1:
-        return True
     for d in range(1, k // 2 + 1):
         for g in _monic_polys(d, p):
-            if not _poly_mod(poly, g, p):
+            if not any(_poly_mod(poly, g, p)):
                 return False
     return True
 
 
 def default_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically first (by low-coefficient value) monic irreducible."""
-    if k == 1:
-        return (0, 1)
     for poly in _monic_polys(k, p):
         if is_irreducible(poly, p):
             return tuple(poly)
@@ -138,9 +129,7 @@ def ring_gf(p: int, k: int) -> FiniteRing:
 # dual numbers, products
 
 
-def _pair_tables(
-    f: FiniteRing, sigma: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _pair_tables(f: FiniteRing, sigma: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Tables for a + b*x over f with x^2 = 0 and x*a = sigma(a)*x.
 
     Index is a + b*|f|.
@@ -155,7 +144,7 @@ def _pair_tables(
     xa = f.mul[np.ix_(a_of, a_of)]
     xb = f.add[f.mul[np.ix_(a_of, b_of)], f.mul[np.ix_(b_of, sig[a_of])]]
     mul = xa + xb * n
-    return add, mul, f.one
+    return add, mul
 
 
 def quotient_dual_numbers(f: FiniteRing) -> FiniteRing:
@@ -163,8 +152,8 @@ def quotient_dual_numbers(f: FiniteRing) -> FiniteRing:
     _check_order(f.order**2, f"{f.name}[x]/(x^2)")
     if not is_commutative(f):
         raise ValueError("dual numbers require a commutative base ring")
-    add, mul, one = _pair_tables(f, list(range(f.order)))
-    return validate_ring(add, mul, one, name=f"{f.name}[x]/(x^2)")
+    add, mul = _pair_tables(f, list(range(f.order)))
+    return validate_ring(add, mul, f.one, name=f"{f.name}[x]/(x^2)")
 
 
 def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
@@ -178,22 +167,17 @@ def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
     p = characteristic(f)
     if not _is_prime(p):
         raise NotAutomorphism(f"characteristic {p} is not prime")
-    frob = [_ring_pow(f, x, p) for x in range(f.order)]
+    frob, idx = np.full(f.order, f.one), np.arange(f.order)
+    for _ in range(p):  # frob[x] = x^p, one multiplication of every element per step
+        frob = f.mul[frob, idx]
     maps = [tuple(range(f.order))]  # maps[i] is x -> x^(p^i)
     while len(maps) <= power:
-        step = tuple(frob[x] for x in maps[-1])
+        step = tuple(frob[list(maps[-1])].tolist())
         if step in maps:
             start = maps.index(step)
             return maps[start + (power - start) % (len(maps) - start)]
         maps.append(step)
     return maps[power]
-
-
-def _ring_pow(f: FiniteRing, x: int, e: int) -> int:
-    r = f.one
-    for _ in range(e):
-        r = int(f.mul[r, x])
-    return r
 
 
 def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
@@ -220,9 +204,9 @@ def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
     if (f.inv[1:] < 0).any():
         raise ValueError("skew dual numbers require a field base")
     sig = _check_automorphism(f, sigma)
-    add, mul, one = _pair_tables(f, sig)
+    add, mul = _pair_tables(f, sig)
     tag = "id" if sig == tuple(range(f.order)) else "s"
-    return validate_ring(add, mul, one, name=f"{f.name}[x;{tag}]/(x^2)")
+    return validate_ring(add, mul, f.one, name=f"{f.name}[x;{tag}]/(x^2)")
 
 
 def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
@@ -328,10 +312,12 @@ def structure_constants_algebra(
     Index of a coefficient tuple (c0, ..) is sum(ci * m^i); the validator
     enforces that the constants actually define a unital associative ring.
     """
+    m, rank = _integer(m, "modulus"), _integer(rank, "rank")
     if m < 2 or rank < 1:
         raise ValueError("need modulus >= 2 and rank >= 1")
+    name = name or f"Z{m}-algebra(rank {rank})"
     # before any numpy arithmetic with m, which may not fit in int64
-    _check_order(m, name or f"Z{m}-algebra(rank {rank})", rank)
+    _check_order(m, name, rank)
     const = np.asarray(mul_constants, dtype=np.int64) % m
     if const.shape != (rank, rank, rank):
         raise ValueError(f"constants must be {rank}x{rank}x{rank} coefficient vectors")
@@ -341,8 +327,7 @@ def structure_constants_algebra(
     # a time, so no n x n x rank array is held
     add = sum((coeffs[:, None, k] + coeffs[None, :, k]) % m * places[k] for k in range(rank))
     mul = sum(coeffs @ const[:, :, k] @ coeffs.T % m * places[k] for k in range(rank))
-    one = 1  # e0
-    return validate_ring(add, mul, one, name=name or f"Z{m}-algebra(rank {rank})")
+    return validate_ring(add, mul, 1, name=name)  # e0 is the one
 
 
 def _f2xy_constants() -> list[list[list[int]]]:

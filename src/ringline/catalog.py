@@ -216,7 +216,7 @@ class EntryResult:
         if self.right is not None:
             right["signature"] = self.right.to_json_dict()
         if self.right_class_sizes is not None:
-            right["classSizes"] = {str(k): v for k, v in sorted(self.right_class_sizes.items())}
+            right["classSizes"] = _class_sizes_record(self.right_class_sizes)
         return {
             "name": self.entry.name,
             "paperRow": self.entry.paper_row,
@@ -233,6 +233,11 @@ class EntryResult:
             "rightOk": self.right_ok,
             "elapsedMs": self.elapsed_ms,
         }
+
+
+def _class_sizes_record(class_sizes: dict[int, int]) -> dict[str, int]:
+    """Breakdown class sizes as reports write them: str(size) -> count, by size."""
+    return {str(size): count for size, count in sorted(class_sizes.items())}
 
 
 def row_status(results: Iterable[EntryResult]) -> str:

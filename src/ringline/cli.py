@@ -20,6 +20,7 @@ from .build import emit_ring_file, parse_ring_file, ring_from_spec
 from .catalog import (
     TABLE1_ROW_ORDER,
     EntryResult,
+    _class_sizes_record,
     builtin_catalog,
     row_status,
     run_catalog,
@@ -42,6 +43,13 @@ def _print_fingerprint_comments(ring) -> None:
     )
 
 
+def _write(path: str, text: str, done: str) -> None:
+    """Write a report file, then print ``done`` followed by its path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"{done} {path}")
+
+
 def _cmd_ring_show(args) -> int:
     ring = ring_from_spec(args.spec)
     _print_fingerprint_comments(ring)
@@ -57,19 +65,17 @@ def _cmd_ring_validate(args) -> int:
     return 0
 
 
-def _signature_lines(sig) -> list[str]:
+def _print_signature(sig) -> None:
     def flag(stat):
         if stat.vacuous:
             return " (no witness)"
         return " (constant)" if stat.constant else f" (varies {stat.lo}..{stat.hi})"
 
-    return [
-        f"Tot {sig.tot}  TpI {sig.tpi}  MD {sig.md}",
-        f"1N {sig.one_n.value}{flag(sig.one_n)}",
-        f"cap2N {sig.cap2n.value}{flag(sig.cap2n)}",
-        f"cap3N {sig.cap3n.value}{flag(sig.cap3n)}",
-        "Jcb candidates: " + "  ".join(f"{k}={v}" for k, v in sorted(sig.jcb.items())),
-    ]
+    print(f"Tot {sig.tot}  TpI {sig.tpi}  MD {sig.md}")
+    print(f"1N {sig.one_n.value}{flag(sig.one_n)}")
+    print(f"cap2N {sig.cap2n.value}{flag(sig.cap2n)}")
+    print(f"cap3N {sig.cap3n.value}{flag(sig.cap3n)}")
+    print("Jcb candidates: " + "  ".join(f"{k}={v}" for k, v in sorted(sig.jcb.items())))
 
 
 def _cmd_line_compute(args) -> int:
@@ -77,20 +83,19 @@ def _cmd_line_compute(args) -> int:
     try:
         line = build_line(ring, args.side)
     except RightLineBreakdown as exc:
-        line, sizes = None, sorted(exc.class_sizes.items())
+        line, sizes = None, _class_sizes_record(exc.class_sizes)
     print(f"ring: {ring.name} (order {ring.order})")
     print(f"side: {args.side}")
     payload = {"ring": ring.name, "side": args.side}
     if line is None:
         print("right line BREAKDOWN: admissible classes have unequal sizes")
-        for size, count in sizes:
+        for size, count in sizes.items():
             print(f"  {count} classes of size {size}")
         payload["status"] = "breakdown"
-        payload["classSizes"] = {str(size): count for size, count in sizes}
+        payload["classSizes"] = sizes
     else:
         sig = signature(line)
-        for text in _signature_lines(sig):
-            print(text)
+        _print_signature(sig)
         if args.export:
             payload.update(
                 signature=sig.to_json_dict(),
@@ -106,15 +111,14 @@ def _cmd_line_compute(args) -> int:
                 distantAdjacency=line.adjacency.astype(int).tolist(),
             )
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"exported line to {args.export}")
+        _write(args.export, json.dumps(payload, indent=2), "exported line to")
     return 0
 
 
 def _format_entry_line(r: EntryResult) -> str:
+    head = f"{r.entry.name:<12} {r.entry.paper_row:<6} {r.status:<10}"
     if r.left is None:
-        return f"{r.entry.name:<12} {r.entry.paper_row:<6} {r.status:<10} (no construction shipped)"
+        return f"{head} (no construction shipped)"
     cols = []
     for name, c in r.comparison["perColumn"].items():
         mark = "ok" if c["pass"] else f"FAIL(exp {c['expected']})"
@@ -122,11 +126,7 @@ def _format_entry_line(r: EntryResult) -> str:
     same = "right=left" if r.right == r.left else "right!=left"
     right = "right BREAKDOWN" if r.right is None else same
     right_mark = "" if r.right_ok else " (unexpected)"
-    return (
-        f"{r.entry.name:<12} {r.entry.paper_row:<6} {r.status:<10} "
-        + "  ".join(cols)
-        + f"  [{right}{right_mark}]"
-    )
+    return f"{head} " + "  ".join(cols) + f"  [{right}{right_mark}]"
 
 
 def _cmd_catalog_run(args) -> int:
@@ -151,13 +151,9 @@ def _cmd_catalog_run(args) -> int:
             print(f"  {cand}: {row}")
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-        print(f"wrote JSON report to {args.json}")
+        _write(args.json, json.dumps(report.to_json_dict(), indent=2), "wrote JSON report to")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv_text())
-        print(f"wrote CSV report to {args.csv}")
+        _write(args.csv, report.to_csv_text(), "wrote CSV report to")
     return 0 if report.passed else 2
 
 
@@ -174,18 +170,17 @@ def _cmd_catalog_table1(args) -> int:
         group = by_row.get(row_label, [])
         for r in sorted(group, key=lambda x: (x.entry.provenance != "paper-row", x.entry.name)):
             if r.left is None:
-                cells = " ".join(f"{'-':>7}" for _ in range(6))
-                print(f"{row_label:<7} {r.entry.name:<12} {cells}  {r.status}")
+                cells = ["-"] * 6
             else:
                 cells = [
                     f"{c['observed']}{'' if c['pass'] else '!'}"
                     for c in r.comparison["perColumn"].values()
                 ]
-                print(
-                    f"{row_label:<7} {r.entry.name:<12} "
-                    + " ".join(f"{c:>7}" for c in cells)
-                    + f"  {r.status}"
-                )
+            print(
+                f"{row_label:<7} {r.entry.name:<12} "
+                + " ".join(f"{c:>7}" for c in cells)
+                + f"  {r.status}"
+            )
         rows_json.append(
             {
                 "row": row_label,
@@ -195,9 +190,7 @@ def _cmd_catalog_table1(args) -> int:
         )
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(rows_json, fh, indent=2)
-        print(f"wrote Table-1 JSON to {args.json}")
+        _write(args.json, json.dumps(rows_json, indent=2), "wrote Table-1 JSON to")
     return 0 if report.passed else 2
 
 

@@ -17,12 +17,14 @@ ideals are the left ideals of the opposite ring, whose multiplication table
 is ``mul.T``, and two-sided ideals are the sets that are both. The radical
 and the ideals are plain ``frozenset``s of element indices, the units an
 ascending tuple; tables are read by indexing ``add``, ``mul``, ``neg`` and
-``inv``.
+``inv``, the last from one compare, ``mul == one``: a finite ring is
+Dedekind-finite, so every right inverse is two-sided.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -61,9 +63,11 @@ class FiniteRing:
         # additive inverse: the unique zero in each row of the addition table
         self.neg = np.argmax(add == 0, axis=1)
         self.neg.flags.writeable = False
-        # two-sided inverse: the y with x*y == 1 == y*x, or -1 when x is no unit
-        both = (mul == one) & (mul.T == one)
-        self.inv = np.where(both.any(axis=1), both.argmax(axis=1), -1)
+        # inverse: the y with x*y == 1, or -1 for a non-unit. A finite ring is Dedekind-finite,
+        # so y is two-sided: y*a = y*b gives a = b on multiplying by x, so a -> y*a is injective,
+        # hence onto; then y*z = 1 for some z, and z = (x*y)*z = x*(y*z) = x.
+        right = mul == one
+        self.inv = np.where(right.any(axis=1), right.argmax(axis=1), -1)
         self.inv.flags.writeable = False
         self._cache: dict = {}
 
@@ -120,6 +124,14 @@ def _as_table(table: Sequence[Sequence[int]] | np.ndarray, what: str) -> np.ndar
     return arr
 
 
+def _integer(value, what: str, error: type[Exception] = ValueError) -> int:
+    """``value`` through ``operator.index``; int() would read 1.9 and "1" as 1."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def validate_ring(
     add_table: Sequence[Sequence[int]] | np.ndarray,
     mul_table: Sequence[Sequence[int]] | np.ndarray,
@@ -133,7 +145,12 @@ def validate_ring(
     axiom, with a witness tuple. Associativity and distributivity are checked on
     additive generators (:func:`_axioms_hold_on_generators`); only if that fails
     does the per-element scan name the lexicographically first witness.
+
+    Refuses with ValueError a name a ring file would not keep (empty, with
+    ``#`` or not single-spaced), and with NoUnity a non-integer ``one_index``.
     """
+    if not name or "#" in name or name != " ".join(name.split()):
+        raise ValueError(f"ring name {name!r} must be non-empty, without '#' and single-spaced")
     add = _as_table(add_table, "addition")
     mul = _as_table(mul_table, "multiplication")
     n = add.shape[0]
@@ -176,7 +193,7 @@ def validate_ring(
         _check_distributive(add, mul, n)
         raise AssertionError("a generator check failed but the full scan found no witness")
 
-    one = int(one_index)
+    one = _integer(one_index, "unity index", NoUnity)
     if not (0 < one < n) or not (
         np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)
     ):

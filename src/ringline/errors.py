@@ -82,7 +82,6 @@ class RightLineBreakdown(RinglineError):
         super().__init__(
             f"right line over {ring_name} breaks down: class sizes not constant ({sizes})"
         )
-        self.ring_name = ring_name
         self.class_sizes = dict(class_sizes)
 
 

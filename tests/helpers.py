@@ -105,6 +105,13 @@ def brute_units(ring) -> set[int]:
     }
 
 
+def two_sided_inverses(ring) -> np.ndarray:
+    """The inverse table by its definition: for each x the y with x*y == 1
+    and y*x == 1, or -1 when there is none."""
+    both = (ring.mul == ring.one) & (ring.mul.T == ring.one)
+    return np.where(both.any(axis=1), both.argmax(axis=1), -1)
+
+
 def brute_radical(ring) -> set[int]:
     """Jacobson radical as the intersection of all maximal left ideals.
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ring_of, run_python
+from conftest import RECIPES, ring_of, run_python
 from helpers import (
     brute_units,
     check_automorphism_per_pair,
@@ -197,6 +197,16 @@ class TestZn:
         with pytest.raises(ValueError):
             ring_zn(1)
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4"])
+    def test_non_integer_modulus_refused(self, n):
+        """A float or string modulus is refused, not read as int(n) (4.0 built "Z4.0")."""
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            ring_zn(n)
+
+    def test_numpy_integer_modulus(self):
+        ring = ring_zn(np.int64(4))
+        assert ring.name == "Z4" and same_tables(ring, ring_zn(4))
+
     def test_modulus_past_int64_refused_by_cap(self):
         """The order cap refuses the modulus before numpy arithmetic sees it."""
         with pytest.raises(OrderTooLarge):
@@ -378,6 +388,17 @@ class TestStructureConstants:
         ring = structure_constants_algebra(4, 1, [[[1]]])
         assert same_tables(ring, ring_zn(4))
 
+    @pytest.mark.parametrize(
+        "m, rank, what", [(4.0, 1, "modulus"), ("4", 1, "modulus"), (4, 1.0, "rank")]
+    )
+    def test_non_integer_modulus_or_rank_refused(self, m, rank, what):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            structure_constants_algebra(m, rank, [[[1]]])
+
+    def test_numpy_integer_modulus_and_rank(self):
+        ring = structure_constants_algebra(np.int64(4), np.int32(1), [[[1]]])
+        assert ring.name == "Z4-algebra(rank 1)" and same_tables(ring, ring_zn(4))
+
     def test_bad_constants_fail_validation(self):
         # x^2 = 1 and x*1 = 0 cannot give a unital ring
         from ringline import RingValidationError
@@ -554,6 +575,24 @@ class TestRingFiles:
         back = parse_ring_file(text)
         assert same_tables(back, ring)
         assert emit_ring_file(back) == text
+
+    def test_ring_names_survive_a_ring_file(self):
+        """The name of every golden and recipe ring, its recipe text (the
+        benchmark's relabelled rings) and its relabelled name are accepted,
+        and a ring file gives each back unchanged."""
+        for recipe in {*GOLDEN_RECIPES, *RECIPES.values()}:
+            ring = build_recipe(recipe)
+            for name in (ring.name, recipe, f"{ring.name}~relabel"):
+                named = validate_ring(ring.add, ring.mul, ring.one, name=name)
+                assert parse_ring_file(emit_ring_file(named)).name == name
+
+    @pytest.mark.parametrize("name", ["", "a#b", "a  b", " a", "a ", "x\ny", "a\tb", "a\x1fb"])
+    def test_ring_name_a_file_would_change_refused(self, name):
+        """A ring file would drop what follows '#', fold or strip whitespace,
+        or refuse an empty or split name, so validate_ring refuses them all."""
+        ring = ring_zn(4)
+        with pytest.raises(ValueError, match="ring name"):
+            validate_ring(ring.add, ring.mul, ring.one, name=name)
 
     def test_shipped_fixture(self):
         ring = parse_ring_file((DATA / "m2gf2.ring").read_text())

@@ -21,6 +21,7 @@ from helpers import (
     cyclic_join_ideals,
     maximal_ideals,
     relabel,
+    two_sided_inverses,
 )
 
 from ringline import (
@@ -151,6 +152,19 @@ class TestValidateRing:
         add[1][2], add[2][1] = add[2][1], 0  # breaks symmetry
         with pytest.raises(NotAbelianGroup):
             validate_ring(add, mul, 1)
+
+    @pytest.mark.parametrize("one", [1.9, 1.0, "1", None])
+    def test_unity_index_not_an_integer(self, one):
+        """1.9 gave a ring with unity 1, and "1" was accepted, through int()."""
+        add, mul = z4_tables()
+        with pytest.raises(NoUnity, match=f"unity index must be an integer, got {one!r}"):
+            validate_ring(add, mul, one)
+
+    @pytest.mark.parametrize("one", [np.int64(1), np.int32(1), np.uint8(1)])
+    def test_numpy_integer_unity_index(self, one):
+        add, mul = z4_tables()
+        ring = validate_ring(add, mul, one)
+        assert ring.one == 1 and type(ring.one) is int
 
     def test_no_unity(self):
         add, mul = z4_tables()
@@ -330,8 +344,9 @@ class TestUnits:
     @pytest.mark.parametrize("recipe", list(golden_rings()))
     def test_inverse_table_matches_raw_scan(self, recipe):
         """ring.inv on the plain, relabelled and opposite (mul.T) tables: its
-        units are the raw scan's, each with its two-sided inverse, and -1
-        marks every non-unit."""
+        units are the raw scan's, each with its two-sided inverse, -1 marks
+        every non-unit, it equals the two-sided definition though it is read
+        off ``mul == one`` alone, and no non-unit has a right inverse."""
         ring = build_recipe(recipe)
         perm = [0] + random.Random(recipe).sample(range(1, ring.order), ring.order - 1)
         opposite = validate_ring(ring.add, ring.mul.T, ring.one)
@@ -341,6 +356,16 @@ class TestUnits:
             assert (r.inv[r.inv < 0] == -1).all()
             assert (r.mul[found, r.inv[found]] == r.one).all()
             assert (r.mul[r.inv[found], found] == r.one).all()
+            assert np.array_equal(r.inv, two_sided_inverses(r))
+            assert not (r.mul[r.inv < 0] == r.one).any()
+
+    @pytest.mark.parametrize("recipe", ["zn:1024", "gf:1024", "mat(gf:2,3)"])
+    def test_inverse_table_is_two_sided_near_order_cap(self, recipe):
+        """ring.inv, read off ``mul == one`` alone, equals the two-sided
+        definition, and no non-unit's row of ``mul`` holds a right inverse."""
+        ring = build_recipe(recipe)
+        assert np.array_equal(ring.inv, two_sided_inverses(ring))
+        assert not (ring.mul[ring.inv < 0] == ring.one).any()
 
     def test_inverse_table_is_read_only(self):
         ring = ring_zn(4)
