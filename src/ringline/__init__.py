@@ -1,5 +1,12 @@
 """Finite rings with unity, their projective lines, and line classification."""
 
+import os
+import sys
+
+# OpenBLAS starts a busy worker pool when numpy loads; ringline's products are at most 64x64.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .build import (
     RingRecipe,
     build_recipe,

@@ -110,6 +110,7 @@ def ring_gf(p: int, k: int) -> FiniteRing:
     significant, so index 1 is the field's one and indices 0..p-1 are the
     prime subfield.
     """
+    p, k = _integer(p, "characteristic"), _integer(k, "extension degree")
     if k < 1:
         raise ValueError("extension degree must be positive")
     if p > 1:  # the size first: trial division takes up to sqrt(p) steps
@@ -268,10 +269,12 @@ def _matrix_ring(base: FiniteRing, mats: np.ndarray, name: str) -> FiniteRing:
     return validate_ring(add, mul, int(np.searchsorted(codes, one)), name=name)
 
 
-def _supported_matrices(base: FiniteRing, dim: int, triangular: bool, name: str) -> np.ndarray:
+def _matrix_algebra(base: FiniteRing, dim: int, triangular: bool) -> FiniteRing:
     """Every full or upper-triangular dim x dim matrix over the base ring."""
+    dim = _integer(dim, "matrix dimension")
     if dim < 1:
         raise ValueError("matrix dimension must be positive")
+    name = base.name if dim == 1 else f"{'T' if triangular else 'M'}{dim}({base.name})"
     count = dim * (dim + 1) // 2 if triangular else dim * dim
     _check_order(base.order, name, count)  # before any list of dim^2 positions
     positions = [(i, j) for i in range(dim) for j in range(i if triangular else 0, dim)]
@@ -279,21 +282,19 @@ def _supported_matrices(base: FiniteRing, dim: int, triangular: bool, name: str)
     rows, cols = zip(*positions)
     mats = np.zeros((len(digits), dim, dim), dtype=np.int64)
     mats[:, rows, cols] = digits
-    return mats
+    return _matrix_ring(base, mats, name)
 
 
 def matrix_ring(base: FiniteRing, dim: int) -> FiniteRing:
     """Full dim x dim matrices over the base ring, indexed lexicographically
     on their row-major entry tuples."""
-    name = base.name if dim == 1 else f"M{dim}({base.name})"
-    return _matrix_ring(base, _supported_matrices(base, dim, False, name), name)
+    return _matrix_algebra(base, dim, triangular=False)
 
 
 def triangular_ring(base: FiniteRing, dim: int) -> FiniteRing:
     """Upper-triangular dim x dim matrices over the base ring, indexed
     lexicographically on their row-major entry tuples."""
-    name = base.name if dim == 1 else f"T{dim}({base.name})"
-    return _matrix_ring(base, _supported_matrices(base, dim, True, name), name)
+    return _matrix_algebra(base, dim, triangular=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +360,22 @@ def matrix_subring_closure(
     dim: int | None = None,
 ) -> FiniteRing:
     """Smallest subring of dim x dim matrices over ``base`` containing the
-    generators, 0 and the identity; re-indexed as a standalone ring. A
-    closure past ORDER_CAP, read at call time, raises ClosureTooLarge.
+    generators, 0 and the identity; re-indexed as a standalone ring. ``dim``
+    defaults to the generators' size (1 without generators), and generators
+    of another size raise ValueError. A closure past ORDER_CAP, read at call
+    time, raises ClosureTooLarge.
 
     Elements are sorted by entry tuple (row-major), which puts the zero
     matrix at index 0 as required. The sort key is an int64 code, so bases
     with |base|^(dim^2) >= 2^63 are refused with :class:`ClosureTooLarge`.
     """
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
-    if gens:
-        dim = len(gens[0])
-        for g in gens:
-            if len(g) != dim or any(len(row) != dim for row in g):
-                raise ValueError("generators must be square matrices of equal size")
-    elif dim is None:
-        dim = 1
+    size = len(gens[0]) if gens else 1
+    dim = size if dim is None else _integer(dim, "matrix dimension")
+    if dim < 1:
+        raise ValueError("matrix dimension must be positive")
+    if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
+        raise ValueError(f"generators must be {dim}x{dim} matrices")
     if any(not 0 <= x < base.order for g in gens for row in g for x in row):
         raise ValueError(f"generator entries must be element indices 0..{base.order - 1}")
     if base.order ** (dim * dim) >= 2**63:

@@ -148,12 +148,14 @@ class EntryResult:
 
     The ring's fields are None when the entry has no recipe. Of ``right`` and
     ``right_class_sizes``, the first holds the right line's signature and the
-    second the class sizes of its breakdown.
+    second the class sizes of its breakdown. ``comparison`` is the left
+    signature against the entry, as the report writes it.
     """
 
     entry: CatalogEntry
     fingerprint: RingFingerprint | None
     left: LineSignature | None
+    comparison: dict | None
     right: LineSignature | None
     right_class_sizes: dict[int, int] | None
     elapsed_ms: float
@@ -166,25 +168,6 @@ class EntryResult:
         order_s, zdiv_s = self.entry.paper_row.split("/")
         fp = self.fingerprint
         return fp.order == int(order_s) and fp.zero_divisor_count == int(zdiv_s)
-
-    @property
-    def comparison(self) -> dict | None:
-        """The left signature against the entry, as the report writes it. A
-        neighbourhood column passes only if it is also constant; the Jcb
-        candidates are matched against the informational Jcb but never fail it."""
-        if self.left is None:
-            return None
-        constant = {name: stat.constant for name, stat in self.left.stats().items()}
-        columns = {}
-        for name, seen, want in zip(COLUMNS, self.left.as_row(), self.entry.expected):
-            ok = seen == want and constant.get(name, True)
-            columns[name] = {"observed": seen, "expected": want, "pass": ok}
-        jcb = self.entry.jcb
-        return {
-            "perColumn": columns,
-            "jcb": None if jcb is None else {c: v == jcb for c, v in self.left.jcb.items()},
-            "pass": all(c["pass"] for c in columns.values()),
-        }
 
     @property
     def right_status(self) -> str:
@@ -240,6 +223,24 @@ def _class_sizes_record(class_sizes: dict[int, int]) -> dict[str, int]:
     return {str(size): count for size, count in sorted(class_sizes.items())}
 
 
+def _comparison(entry: CatalogEntry, left: LineSignature | None) -> dict | None:
+    """The left signature against the entry, as the report writes it. A
+    neighbourhood column passes only if it is also constant; the Jcb
+    candidates are matched against the informational Jcb but never fail it."""
+    if left is None:
+        return None
+    constant = {name: stat.constant for name, stat in left.stats().items()}
+    columns = {}
+    for name, seen, want in zip(COLUMNS, left.as_row(), entry.expected):
+        ok = seen == want and constant.get(name, True)
+        columns[name] = {"observed": seen, "expected": want, "pass": ok}
+    return {
+        "perColumn": columns,
+        "jcb": None if entry.jcb is None else {c: v == entry.jcb for c, v in left.jcb.items()},
+        "pass": all(c["pass"] for c in columns.values()),
+    }
+
+
 def row_status(results: Iterable[EntryResult]) -> str:
     """A Table-1 row's verdict: FAIL, else UNRESOLVED (also for no entry), else PASS."""
     statuses = {r.status for r in results} or {"UNRESOLVED"}
@@ -259,7 +260,8 @@ def evaluate_entry(entry: CatalogEntry) -> EntryResult:
         except RightLineBreakdown as exc:
             right_class_sizes = exc.class_sizes
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return EntryResult(entry, fp, left, right, right_class_sizes, elapsed_ms)
+    comparison = _comparison(entry, left)
+    return EntryResult(entry, fp, left, comparison, right, right_class_sizes, elapsed_ms)
 
 
 @dataclass(frozen=True)

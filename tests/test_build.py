@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import pathlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -235,6 +236,24 @@ class TestGf:
         with pytest.raises(NotPrime):
             ring_gf(4, 1)
 
+    @pytest.mark.parametrize(
+        "p, k, message",
+        [
+            (2.0, 2, "characteristic must be an integer, got 2.0"),
+            ("2", 2, "characteristic must be an integer, got '2'"),
+            (2, 2.0, "extension degree must be an integer, got 2.0"),
+        ],
+        ids=["float-p", "str-p", "float-k"],
+    )
+    def test_non_integer_arguments_refused(self, p, k, message):
+        """A float or string argument is refused by name, not met by a bare TypeError."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ring_gf(p, k)
+
+    def test_numpy_integer_arguments(self):
+        ring = ring_gf(np.int64(2), np.int32(2))
+        assert ring.name == "GF(4)" and same_tables(ring, ring_gf(2, 2))
+
 
 class TestDualNumbers:
     def test_over_gf2(self):
@@ -301,6 +320,19 @@ class TestMatrixRings:
     def test_cap(self):
         with pytest.raises(OrderTooLarge):
             matrix_ring(ring_zn(17), 2)  # 17^4 > ORDER_CAP
+
+    @pytest.mark.parametrize("construct", [matrix_ring, triangular_ring])
+    @pytest.mark.parametrize("dim", [2.0, "2"])
+    def test_non_integer_dimension_refused(self, construct, dim):
+        message = f"matrix dimension must be an integer, got {dim!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            construct(ring_zn(2), dim)
+
+    @pytest.mark.parametrize("construct", [matrix_ring, triangular_ring])
+    def test_numpy_integer_dimension(self, construct):
+        ring = construct(ring_zn(2), np.int64(2))
+        assert same_tables(ring, construct(ring_zn(2), 2))
+        assert ring.name == construct(ring_zn(2), 2).name
 
 
 class TestSkewDualNumbers:
@@ -455,6 +487,22 @@ class TestMatrixSubringClosure:
         monkeypatch.setattr(build, "ORDER_CAP", 64)
         with pytest.raises(ClosureTooLarge, match="exceeds 64"):
             matrix_subring_closure(gf4, gens)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_dimension_other_than_generators_refused(self, dim):
+        """dim=3 with 2x2 generators was read as dim=2 and built the 2x2 closure."""
+        with pytest.raises(ValueError, match=f"generators must be {dim}x{dim} matrices"):
+            matrix_subring_closure(ring_gf(2, 1), [((1, 0), (0, 0))], dim=dim)
+
+    def test_dimension_equal_to_generators_kept(self):
+        e11 = ((1, 0), (0, 0))
+        ring = matrix_subring_closure(ring_gf(2, 1), [e11], dim=2)
+        assert same_tables(ring, matrix_subring_closure(ring_gf(2, 1), [e11]))
+
+    @pytest.mark.parametrize("dim, error", [(0, "positive"), (2.0, "must be an integer")])
+    def test_bad_dimension_refused(self, dim, error):
+        with pytest.raises(ValueError, match=error):
+            matrix_subring_closure(ring_gf(2, 1), [], dim=dim)
 
     @pytest.mark.parametrize("entry", [2, -1])
     def test_generator_entry_outside_base_refused(self, entry):

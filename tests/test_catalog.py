@@ -14,10 +14,10 @@ from conftest import catalog_entry, line_of, result_of
 
 from ringline import (
     CatalogEntry,
-    EntryResult,
     RunReport,
     StatValue,
     builtin_catalog,
+    catalog,
     evaluate_entry,
     fingerprint,
     run_catalog,
@@ -247,7 +247,7 @@ class TestTableOrder:
 
 def _comparison(sig, expected, jcb=None) -> dict:
     entry = CatalogEntry("x", "8/6", "paper-row", "tri(gf:2,2)", expected, jcb=jcb)
-    return EntryResult(entry, None, sig, None, None, 0.0).comparison
+    return catalog._comparison(entry, sig)
 
 
 class TestCompareSignature:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import catalog_entry
+from conftest import catalog_entry, run_python
 from helpers import emit_ring_file_oracle
 
 from ringline import (
@@ -319,6 +319,40 @@ def test_catalog_table1_under_optimize():
     ]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+_THREADS_SCRIPT = """
+import os, sys
+{imports}
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as status:
+        threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(repr(os.environ.get("OPENBLAS_NUM_THREADS")), threads)
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, imports, seen",
+    [
+        (None, "import ringline", "1"),
+        ("3", "import ringline", "3"),
+        (None, "import numpy, ringline", None),
+    ],
+)
+def test_openblas_pool_pinned_before_numpy(monkeypatch, preset, imports, seen):
+    """Importing ringline before numpy pins OpenBLAS to one thread, so no
+    worker pool starts; a value the user set, or a process that imported
+    numpy first, is left alone."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    run = run_python([], _THREADS_SCRIPT.format(imports=imports))
+    assert run.returncode == 0, run.stderr
+    value, threads = run.stdout.split()
+    assert value == repr(seen)
+    if seen == "1" and sys.platform.startswith("linux"):
+        assert threads == "1"
 
 
 def test_acceptance_under_optimize():
