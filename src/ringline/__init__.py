@@ -3,7 +3,7 @@
 import os
 import sys
 
-# OpenBLAS starts a busy worker pool when numpy loads; ringline's products are at most 64x64.
+# OpenBLAS starts a busy worker pool when numpy loads; no ringline command calls BLAS.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

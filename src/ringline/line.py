@@ -20,6 +20,14 @@ no ring -> line -> ring cycle forms and a ring is freed by reference
 counting. On a commutative ring (ua, ub) = (au, bu), so the right line is
 the left line's arrays seen from the right side. Point objects are made
 only when a caller reads ``points``.
+
+The right line reads its distant relation off the left line. Row scaling
+by units preserves invertibility: [[ua, ub], [vc, vd]] = diag(u, v) *
+[[a, b], [c, d]]. So whether two admissible pairs are distant depends only
+on their left classes, and the right adjacency is the left adjacency
+gathered at the left points that hold the right representatives
+(left_points). _distant thus runs once per ring, and building a right line
+builds the left line too.
 """
 
 from __future__ import annotations
@@ -93,12 +101,16 @@ def orbit_labels(ring: FiniteRing, side: str) -> np.ndarray:
 
 
 def _admissible(ring: FiniteRing) -> np.ndarray:
-    """Mask over pair codes a*n+b: 1 in aR + bR; computed once per ring."""
+    """Mask over pair codes a*n+b: 1 in aR + bR; computed once per ring.
+
+    The product is over booleans, which numpy computes itself, exactly and
+    without BLAS.
+    """
     if "admissible" not in ring._cache:
-        principal = np.zeros_like(ring.mul, np.float32)  # [a, x]: x in aR
-        np.put_along_axis(principal, ring.mul, 1, axis=1)
+        principal = np.zeros_like(ring.mul, bool)  # [a, x]: x in aR
+        np.put_along_axis(principal, ring.mul, True, axis=1)
         one_minus = principal[:, ring.add[ring.one, ring.neg]]  # [b, x]: 1 - x in bR
-        ring._cache["admissible"] = (principal @ one_minus.T > 0).ravel()
+        ring._cache["admissible"] = (principal @ one_minus.T).ravel()
     return ring._cache["admissible"]
 
 
@@ -144,20 +156,38 @@ def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
     ring and side (see _line_arrays) and read from the ring's cache after.
 
     For side="right", aborts with RightLineBreakdown when the admissible
-    classes do not all have |units| members.
+    classes do not all have |units| members. A right line over a
+    non-commutative ring reads its adjacency off the left line, so the first
+    right line built over a ring builds and keeps the left line's arrays too.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     check_enumerable(ring, "line construction")
-    key = _line_key(ring, side)
+    return ProjectiveLine(ring, side, *_cached_arrays(ring, _line_key(ring, side)))
+
+
+def _cached_arrays(ring: FiniteRing, key: tuple[str, str]) -> tuple[np.ndarray, ...]:
     if key not in ring._cache:
         ring._cache[key] = _line_arrays(ring, key[1])
-    return ProjectiveLine(ring, side, *ring._cache[key])
+    return ring._cache[key]
+
+
+def left_points(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
+    """For each admissible pair code, the index of the left point whose class
+    holds it; raises when some code is in no left class."""
+    _, rows, _ = _cached_arrays(ring, ("line", "left"))
+    point_of = np.full(ring.order**2, -1)
+    point_of[rows] = np.arange(len(rows))[:, None]
+    points = point_of[codes]
+    if (points < 0).any():
+        raise AssertionError("admissible pair in no left point")
+    return points
 
 
 def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate admissible pairs, partition into unit orbits of the chosen
-    side, compute the distant adjacency between class representatives."""
+    side, compute the distant adjacency between class representatives (on
+    the right side, gather it from the left line; see the module docstring)."""
     admissible = _admissible(ring)
     labels = orbit_labels(ring, side)
     # admissibility is right-orbit invariant ((ar, br) completes with
@@ -165,7 +195,12 @@ def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, n
     if not (admissible[labels] == admissible).all():
         raise AssertionError("admissibility not orbit-invariant")
     members = np.flatnonzero(admissible)
-    codes, sizes = np.unique(labels[members], return_counts=True)
+    # one stable sort groups the classes, each row ascending from its label
+    member_labels = labels[members]
+    order = np.argsort(member_labels, kind="stable")
+    sorted_labels = member_labels[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    sizes = np.diff(np.r_[starts, len(members)])
 
     nunits = len(unit_elements(ring))
     if (sizes != nunits).any():
@@ -177,10 +212,14 @@ def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, n
         )
 
     # every class has |U| members, so the classes are rows of one array
-    rows = members[np.argsort(labels[members], kind="stable").reshape(-1, nunits)]
-    adjacency = _distant(ring, codes)
-    if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():
-        raise AssertionError("distant relation not symmetric and irreflexive")
+    codes, rows = sorted_labels[starts], members[order.reshape(-1, nunits)]
+    if side == "right":
+        held = left_points(ring, codes)
+        adjacency = _cached_arrays(ring, ("line", "left"))[2][np.ix_(held, held)]
+    else:
+        adjacency = _distant(ring, codes)
+        if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():
+            raise AssertionError("distant relation not symmetric and irreflexive")
     for array in (codes, rows, adjacency):
         array.flags.writeable = False
     return codes, rows, adjacency

@@ -31,6 +31,19 @@ build_line keeps on the ring is kept beside them, so a commutative ring's
 right line, which is its left line, reads its left line's signature. A line
 built by hand over other arrays is signed afresh on every call.
 
+A right line over a non-commutative ring reuses the left signature, with
+TpI read off its own codes, when a certificate holds: each twin class of
+the left line holds the left points of exactly as many right points as it
+has left points. Proof: the right adjacency is the left adjacency gathered
+at those left points (see ringline.line), and the left graph is its graph
+on twin classes with class c blown up to an independent set of |c| points,
+joined completely or not at all. So the right graph is the same class graph
+with class c blown up to the number of right points whose left point lies
+in c. Where those numbers equal the class sizes, sending the right points
+of each class one to one onto its left points is an isomorphism, and 1N,
+cap2N, cap3N, MD and Jcb A are invariants of the graph (B and C read the
+ring alone). Otherwise the right line is signed afresh.
+
 GL2(R) preserves distance and is transitive on pairwise-distant triples
 (each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so
 every neighbourhood column is constant and a False constancy flag can only
@@ -47,7 +60,7 @@ C, and no candidate matches gf4xz4 or gf4xdualf2 (both expect 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -56,7 +69,7 @@ import numpy as np
 from . import clique
 from .core import jacobson_radical, semisimple_blocks, unit_elements
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine, cached_key
+from .line import ProjectiveLine, build_line, cached_key, left_points
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 # the six signature columns, in row order
@@ -161,17 +174,20 @@ def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
     return StatValue.of(len(line) - 1 - line.adjacency.sum(axis=1))
 
 
-def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distant graph on twin classes (points with equal distant rows), and
-    each class's size.
+def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distant graph on twin classes (points with equal distant rows),
+    each point's class and each class's size.
 
     Twins are never distant: in an irreflexive graph, twins i, j would have
-    adj[i, j] = adj[j, j] = False. Rows are grouped by their packed bytes.
+    adj[i, j] = adj[j, j] = False. Rows are grouped by their packed bytes,
+    packed C-contiguous whatever the adjacency's layout.
     """
-    packed = np.packbits(adjacency, axis=1)
+    packed = np.ascontiguousarray(np.packbits(adjacency, axis=1))
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, sizes = np.unique(rows, return_index=True, return_counts=True)
-    return adjacency[np.ix_(first, first)], sizes
+    _, first, classes, sizes = np.unique(
+        rows, return_index=True, return_inverse=True, return_counts=True
+    )
+    return adjacency[np.ix_(first, first)], classes, sizes
 
 
 def _row_blocks(rows: int, width: int):
@@ -197,7 +213,7 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     The triples are gathered in blocks of the same size, and only each
     block's spread is kept.
     """
-    adj, sizes = _twin_classes(line.adjacency)
+    adj, _, sizes = _twin_classes(line.adjacency)
     later = np.triu(adj)  # [a, c]: c > a and distant from a
     near, weights = ~adj, sizes.astype(np.float32)
     a, b = _cells(later)
@@ -272,17 +288,37 @@ def signature(line: ProjectiveLine) -> LineSignature:
         return _signature(line)
     cache = line.ring._cache
     if ("signature", key) not in cache:
-        cache["signature", key] = _signature(line)
+        cache["signature", key] = _right_signature(line) if key[1] == "right" else _signature(line)
     return cache["signature", key]
+
+
+def _right_signature(line: ProjectiveLine) -> LineSignature:
+    """The left line's signature with the right TpI, when the certificate in
+    the module docstring holds; else the right line signed afresh."""
+    left = build_line(line.ring, "left")
+    if not _twins_matched(left.adjacency, left_points(line.ring, line.codes)):
+        return _signature(line)
+    return replace(signature(left), tpi=_type_one_count(line))
+
+
+def _twins_matched(adjacency: np.ndarray, held: np.ndarray) -> bool:
+    """Each twin class of the adjacency holds as many of the points ``held``
+    (with repeats) as it has points."""
+    _, classes, sizes = _twin_classes(adjacency)
+    return np.array_equal(np.bincount(classes[held], minlength=len(sizes)), sizes)
+
+
+def _type_one_count(line: ProjectiveLine) -> int:
+    a, b = np.divmod(line.codes, line.ring.order)
+    inv = line.ring.inv
+    return int(((inv[a] >= 0) | (inv[b] >= 0)).sum())
 
 
 def _signature(line: ProjectiveLine) -> LineSignature:
     cap2n, cap3n = _intersections(line)
-    a, b = np.divmod(line.codes, line.ring.order)
-    inv = line.ring.inv
     return LineSignature(
         tot=len(line),
-        tpi=int(((inv[a] >= 0) | (inv[b] >= 0)).sum()),
+        tpi=_type_one_count(line),
         one_n=one_neighbourhood_stat(line),
         cap2n=cap2n,
         cap3n=cap3n,

@@ -22,6 +22,8 @@ from ringline import (
     fingerprint,
     run_catalog,
 )
+from ringline import line as line_module
+from ringline import stats as stats_module
 from ringline.build import build_recipe
 from ringline.catalog import CSV_COLUMNS, TABLE1_ROW_ORDER, row_status
 from ringline.stats import COLUMNS, signature
@@ -232,6 +234,25 @@ class TestEntryEvaluation:
         assert result.status == "FAIL"
         report = run_catalog((entry,))
         assert not report.passed
+
+    def test_one_distant_kernel_and_one_signing_per_ring(self, monkeypatch):
+        """A catalog run computes one distant relation and signs one line per
+        entry with a recipe: a commutative ring's right line is its left line,
+        a non-commutative one's is gathered from it and reuses its signature,
+        and m2f2's right line breaks down."""
+        calls = {"_distant": [], "_signature": []}
+        for module, name in ((line_module, "_distant"), (stats_module, "_signature")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, f=original, n=name: calls[n].append(1) or f(*args)
+            )
+        report = run_catalog()
+        built = sum(e.recipe is not None for e in builtin_catalog())
+        assert built == 9
+        assert {name: len(made) for name, made in calls.items()} == {
+            "_distant": built, "_signature": built
+        }
+        assert report.passed
 
     def test_unexpected_breakdown_would_fail(self):
         entry = replace(catalog_entry("t2f2"), right_breakdown_expected=True)

@@ -1,5 +1,6 @@
 """Lines as arrays, built and signed once per ring and side; a commutative
-ring's right line is its left line."""
+ring's right line is its left line, and a non-commutative ring's right line
+reads its adjacency and, when certified, its signature off the left line."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_python
 from helpers import line_arrays_oracle, relabel
 
 from ringline import (
@@ -20,20 +22,50 @@ from ringline import (
     build_line,
     build_recipe,
     is_commutative,
+    semisimple_blocks,
     signature,
+    validate_ring,
 )
 from ringline import core as core_module
 from ringline import line as line_module
+from ringline import stats as stats_module
+from ringline.line import ProjectiveLine
 
 # read only: perfbench/capture_golden.py writes it from known-good sources
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
+GOLDEN_RINGS = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["rings"]
 COMMUTATIVE_GOLDEN = [
     recipe
-    for recipe, record in json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["rings"].items()
+    for recipe, record in GOLDEN_RINGS.items()
     if "left" in record and is_commutative(build_recipe(recipe))
 ]
+TABLES = ["plain", "relabelled", "opposite"]
+
+
+def fresh_ring(recipe: str, tables: str):
+    """A new ring, so nothing is cached: the recipe's plain tables, a
+    relabelling, or the opposite ring (mul.T)."""
+    ring = build_recipe(recipe)
+    if tables == "relabelled":
+        ring = relabel(ring, [0, *random.Random(recipe).sample(range(1, ring.order), ring.order - 1)])
+    elif tables == "opposite":
+        ring = validate_ring(ring.add, ring.mul.T, ring.one, name=f"{ring.name}^op")
+    return ring
+
+
+def right_line_or_none(ring):
+    """The ring's right line, built before its left line; None when it breaks
+    down, which on the golden rings is exactly when R/J has a matrix block."""
+    matrix_block = any(k > 1 for _, k in semisimple_blocks(ring))
+    try:
+        right = build_line(ring, "right")
+    except RightLineBreakdown:
+        assert matrix_block
+        return None
+    assert not matrix_block
+    return right
 
 
 class TestSharedRightLine:
@@ -126,3 +158,77 @@ class TestLineArrays:
         assert line.points is points
         assert [a * 8 + b for a, b in (p.rep for p in points)] == line.codes.tolist()
         assert all(p.members.base is line.rows for p in points)
+
+
+def counted(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records the arguments of each
+    call; the list of calls is returned."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+class TestRightLinePullback:
+    @pytest.mark.parametrize("tables", TABLES)
+    @pytest.mark.parametrize("recipe", sorted(GOLDEN_RINGS))
+    def test_adjacency_is_distant_on_right_codes(self, recipe, tables, monkeypatch):
+        """Built alone, the right line equals the one built after the left
+        line, and its gathered adjacency equals _distant on its own codes;
+        _distant runs once, for the left line."""
+        ring = fresh_ring(recipe, tables)
+        distant_calls = counted(monkeypatch, line_module, "_distant")
+        right = right_line_or_none(ring)
+        if right is None:
+            return
+        assert len(distant_calls) == 1
+        assert np.array_equal(right.adjacency, line_module._distant(ring, right.codes))
+        other = fresh_ring(recipe, tables)
+        build_line(other)
+        after_left = build_line(other, "right")
+        for mine, theirs in zip(
+            (right.codes, right.rows, right.adjacency),
+            (after_left.codes, after_left.rows, after_left.adjacency),
+        ):
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("certificate", ["held", "refused"])
+    @pytest.mark.parametrize("tables", TABLES)
+    @pytest.mark.parametrize("recipe", sorted(GOLDEN_RINGS))
+    def test_signature_equals_fresh_signing(self, recipe, tables, certificate, monkeypatch):
+        """The right signature equals _signature of a hand-built line over
+        the same arrays. One line is signed: with the certificate, a
+        non-commutative ring's left line; with it refused, the right line
+        itself, as on a commutative ring, where the two are one."""
+        ring = fresh_ring(recipe, tables)
+        right = right_line_or_none(ring)
+        if right is None:
+            return
+        if certificate == "refused":
+            monkeypatch.setattr(stats_module, "_twins_matched", lambda adjacency, held: False)
+        signing_calls = counted(monkeypatch, stats_module, "_signature")
+        got = signature(right)
+        assert len(signing_calls) == 1
+        (signed,) = signing_calls[0]
+        reused = certificate == "held" and not is_commutative(ring)
+        assert signed.side == ("left" if reused else "right")
+        hand_built = ProjectiveLine(ring, "right", right.codes, right.rows, right.adjacency)
+        assert got == stats_module._signature(hand_built)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_missing_left_point_raises(self, flags):
+        """A right representative outside every left class is refused, also
+        under python -O: the left line's first point is planted as a copy of
+        its second."""
+        script = (
+            "from ringline import build_line, build_recipe\n"
+            "ring = build_recipe('tri(gf:2,2)')\n"
+            "left = build_line(ring)\n"
+            "rows = left.rows.copy()\n"
+            "rows[0] = rows[1]\n"
+            "ring._cache['line', 'left'] = (left.codes, rows, left.adjacency)\n"
+            "build_line(ring, 'right')\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: admissible pair in no left point" in run.stderr
