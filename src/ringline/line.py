@@ -7,7 +7,10 @@ an inverse's first column solves a*x + b*z = 1, and finite rings have stable
 rank 1. Two routes check each other. One n x n product of principal right
 ideals finds the unimodular pairs, and for each point a search for t with
 a + b*t a unit shows that it completes; that t gives the change of basis
-which reads distance off one unit test (_distant); unit tests read ``inv``.
+which reads distance off one unit test (_distant). Both tests are of a sum,
+so _distant reads them off one unit-sum table, (inv >= 0)[add], whose cell
+[s, t] says whether s + t is a unit: the distance test is one flat gather
+of it over all pairs of points.
 Orbit representatives suffice because multiplying one row of a 2x2 matrix on
 the left by a unit (or both coordinates of a pair on the right by the same
 unit) preserves invertibility. Every class has |U| members, so all members
@@ -41,6 +44,8 @@ from .core import FiniteRing, check_enumerable, is_commutative, unit_elements
 from .errors import RightLineBreakdown
 
 Pair = tuple[int, int]
+# cells of one block of orbit_labels' (units x n^2) images
+LABEL_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +95,20 @@ def orbit_labels(ring: FiniteRing, side: str) -> np.ndarray:
     """For each pair code a*n+b, the least code in its unit orbit on the side.
 
     The left orbit of (a, b) is {(ua, ub)}, the right orbit {(au, bu)}, over
-    the units u; the label is the running minimum of their images.
+    the units u; the label is the running minimum of their images, taken
+    over blocks of units whose (units x n^2) images hold at most
+    LABEL_BLOCK_CELLS cells.
     """
-    n = ring.order
+    n, units = ring.order, np.array(unit_elements(ring))
     labels = np.arange(n * n)
-    for u in unit_elements(ring):
-        image = ring.mul[u] if side == "left" else ring.mul[:, u]  # x -> image of x
-        np.minimum(labels, (image[:, None] * n + image[None, :]).ravel(), out=labels)
+    step = max(1, LABEL_BLOCK_CELLS // (n * n))
+    for lo in range(0, len(units), step):
+        us = units[lo : lo + step]
+        images = ring.mul[us] if side == "left" else ring.mul[:, us].T  # [u, x]: image of x
+        block = (images[:, :, None] * n + images[:, None, :]).reshape(len(us), -1)
+        # a one-unit block (each block past order 181) is its own minimum
+        np.minimum(labels, block[0] if len(us) == 1 else block.min(axis=0), out=labels)
+        del block  # so the next block is not made beside it
     return labels
 
 
@@ -124,16 +136,18 @@ def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     is a unit. Raises when some unimodular row has no such t, which would
     break the stable-rank step.
     """
-    add, mul, neg, inv, one = ring.add, ring.mul, ring.neg, ring.inv, ring.one
-    a, b = np.divmod(codes, ring.order)
-    completes = inv[add[a[:, None], mul[b]]] >= 0  # [i, t]: a + b*t is a unit
+    n, add, mul, neg, inv, one = ring.order, ring.add, ring.mul, ring.neg, ring.inv, ring.one
+    unit_sum = (inv >= 0)[add]  # [s, t]: s + t is a unit
+    a, b = np.divmod(codes, n)
+    completes = unit_sum[a[:, None], mul[b]]  # [i, t]: a + b*t is a unit
     if not completes.any(axis=1).all():
         raise AssertionError("unimodular pair with no completion")
     t = completes.argmax(axis=1)
     x = neg[mul[inv[add[a, mul[b, t]]], b]]  # -u^-1*b
     z = add[one, mul[t, x]]
-    # [i, j]: (c, d) = codes[j] against (x, z) of p = codes[i]
-    return inv[add[mul[a[None, :], x[:, None]], mul[b[None, :], z[:, None]]]] >= 0
+    # [i, j]: c*x + d*z is a unit, for (c, d) = codes[j] and (x, z) of p = codes[i]
+    flat = mul.ravel()
+    return unit_sum.ravel()[flat[a * n + x[:, None]] * n + flat[b * n + z[:, None]]]
 
 
 def _line_key(ring: FiniteRing, side: str) -> tuple[str, str]:

@@ -8,23 +8,33 @@ literature's definition is not pinned down here, so candidates are reported
 side by side and never asserted).
 
 1N counts, in each row of ``line.adjacency``, the other points not
-distant. cap2N and cap3N come from one pass over twin classes, the points
-with equal distant rows (on a ring line, the fibres of P(R) -> P(R/J)),
-grouped from the adjacency alone, so the counts hold on any symmetric
-irreflexive graph. Twins are never distant, so the common neighbourhood of
-distant points depends only on their classes: it is the total size of the
-classes near all of them, and a class pair or triple stands for the product
-of its class sizes in point pairs or triples. The pass gathers class rows
-in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
-one point, and weighs them by class size in float32, exact since no count
-reaches 2**24. The weighted counts come from ``np.einsum``, not a matrix
-product: the BLAS product now and then raised a spurious invalid-value
-flag, which numpy printed as a RuntimeWarning. MD is the maximum clique,
-searched only up to the bound from R/J's blocks. Twin classes are grouped on packed distant rows, used only as
-keys; the masks of ringline.clique are the only bitmask form that is
-searched. Jcb candidate C counts orbits by Burnside's lemma, reading only
-the units' rows of the multiplication table. TpI is one gather of ``inv`` at
-both coordinates of the points' codes.
+distant. cap2N, cap3N and MD read the twin classes, the points with equal
+distant rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from
+the adjacency alone, so the counts hold on any symmetric irreflexive graph;
+a line over the arrays build_line keeps has its classes grouped once and
+kept, read-only, beside them. Twins are never distant, so the common
+neighbourhood of distant points depends only on their classes: it is the
+total size of the classes near all of them, and a class pair or triple
+stands for the product of its class sizes in point pairs or triples. The
+pass gathers class rows in blocks of BLOCK_CELLS cells, so memory stays
+bounded when every class is one point, and weighs them by class size in
+float32, exact since no count reaches 2**24. The weighted counts come from
+``np.einsum``, not a matrix product: the BLAS product now and then raised a
+spurious invalid-value flag, which numpy printed as a RuntimeWarning. A
+triple over a class pair with no class near both has count 0, so such
+triples are counted, not gathered (on a field, all of them).
+
+MD is the maximum clique, searched only up to the bound from R/J's blocks,
+on the graph of twin classes, each class standing for its first point. A
+clique meets each class at most once, and replacing each member by its
+class's first point keeps a clique (twins share distant rows) and raises no
+entry, so the line's lexicographically least maximum clique is of first
+points; the classes are numbered in their order, so it is the class graph's.
+Twin classes are grouped on packed distant rows, used only as keys; the
+masks of ringline.clique are the only bitmask form that is searched. Jcb
+candidate C counts orbits by Burnside's lemma, reading only the units' rows
+of the multiplication table. TpI is one gather of ``inv`` at both
+coordinates of the points' codes.
 
 Each ring and side is signed once: the signature of a line over the arrays
 build_line keeps on the ring is kept beside them, so a commutative ring's
@@ -174,9 +184,10 @@ def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
     return StatValue.of(len(line) - 1 - line.adjacency.sum(axis=1))
 
 
-def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distant graph on twin classes (points with equal distant rows),
-    each point's class and each class's size.
+    each point's class, and each class's size and first point, all
+    read-only; classes are numbered in the order of their first points.
 
     Twins are never distant: in an irreflexive graph, twins i, j would have
     adj[i, j] = adj[j, j] = False. Rows are grouped by their packed bytes,
@@ -187,7 +198,26 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     _, first, classes, sizes = np.unique(
         rows, return_index=True, return_inverse=True, return_counts=True
     )
-    return adjacency[np.ix_(first, first)], classes, sizes
+    order = np.argsort(first)  # np.unique numbers the classes in byte order
+    first = first[order]
+    number = np.argsort(order)  # the inverse permutation
+    twins = (adjacency[np.ix_(first, first)], number[classes], sizes[order], first)
+    for array in twins:
+        array.flags.writeable = False
+    return twins
+
+
+def _twins(line: ProjectiveLine) -> tuple[np.ndarray, ...]:
+    """_twin_classes of the line, kept in the ring's cache beside the arrays
+    build_line keeps; a line built by hand over other arrays is grouped
+    afresh on every call."""
+    key = cached_key(line)
+    if key is None:
+        return _twin_classes(line.adjacency)
+    cache = line.ring._cache
+    if ("twins", key) not in cache:
+        cache["twins", key] = _twin_classes(line.adjacency)
+    return cache["twins", key]
 
 
 def _row_blocks(rows: int, width: int):
@@ -210,10 +240,11 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     pair p, and the pair stands for |a| * |b| point pairs. A class c > b
     distant from both completes a triple, whose common neighbourhood is
     both[p] & near[c], and which stands for |a| * |b| * |c| point triples.
-    The triples are gathered in blocks of the same size, and only each
-    block's spread is kept.
+    Where both[p] is empty every such triple's count is 0, so those triples
+    are only counted; the others are gathered in blocks of the same size,
+    and only each block's spread is kept.
     """
-    adj, _, sizes = _twin_classes(line.adjacency)
+    adj, _, sizes, _ = _twins(line)
     later = np.triu(adj)  # [a, c]: c > a and distant from a
     near, weights = ~adj, sizes.astype(np.float32)
     a, b = _cells(later)
@@ -223,8 +254,12 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     for rows in _row_blocks(len(a), len(adj)):
         pa, pb = a[rows], b[rows]
         both, pair_sizes = near[pa] & near[pb], sizes[pa] * sizes[pb]
-        pairs.append(StatValue.of(np.einsum("ij,j->i", both, weights), pair_sizes))
-        p, c = _cells(later[pa] & later[pb])
+        common = np.einsum("ij,j->i", both, weights)
+        pairs.append(StatValue.of(common, pair_sizes))
+        third, empty = later[pa] & later[pb], common == 0
+        triples.append(StatValue(0, 0, int(pair_sizes[empty] @ (third[empty] @ sizes))))
+        third[empty] = False
+        p, c = _cells(third)
         for s in _row_blocks(len(c), len(adj)):
             common = np.einsum("ij,j->i", both[p[s]] & near[c[s]], weights)
             triples.append(StatValue.of(common, pair_sizes[p[s]] * sizes[c[s]]))
@@ -249,9 +284,12 @@ def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
     in GF(q)^2k, so it has at most q^k + 1 points; distance is decided mod J
     and block by block, so MD is at most the least q^k + 1 over the blocks
     of R/J. The search stops at that bound and fails if it cannot reach it.
+    It runs on the graph of twin classes, and each class of the clique
+    stands for its first point (see the module docstring).
     """
     stop = min(q**k + 1 for q, k in semisimple_blocks(line.ring))
-    return clique.max_clique(line.adjacency, stop)
+    adj, _, _, first = _twins(line)
+    return tuple(first[list(clique.max_clique(adj, stop))].tolist())
 
 
 def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
@@ -296,15 +334,15 @@ def _right_signature(line: ProjectiveLine) -> LineSignature:
     """The left line's signature with the right TpI, when the certificate in
     the module docstring holds; else the right line signed afresh."""
     left = build_line(line.ring, "left")
-    if not _twins_matched(left.adjacency, left_points(line.ring, line.codes)):
+    if not _twins_matched(left, left_points(line.ring, line.codes)):
         return _signature(line)
     return replace(signature(left), tpi=_type_one_count(line))
 
 
-def _twins_matched(adjacency: np.ndarray, held: np.ndarray) -> bool:
-    """Each twin class of the adjacency holds as many of the points ``held``
+def _twins_matched(line: ProjectiveLine, held: np.ndarray) -> bool:
+    """Each twin class of the line holds as many of the points ``held``
     (with repeats) as it has points."""
-    _, classes, sizes = _twin_classes(adjacency)
+    _, classes, sizes, _ = _twins(line)
     return np.array_equal(np.bincount(classes[held], minlength=len(sizes)), sizes)
 
 

@@ -236,12 +236,15 @@ class TestEntryEvaluation:
         assert not report.passed
 
     def test_one_distant_kernel_and_one_signing_per_ring(self, monkeypatch):
-        """A catalog run computes one distant relation and signs one line per
-        entry with a recipe: a commutative ring's right line is its left line,
-        a non-commutative one's is gathered from it and reuses its signature,
-        and m2f2's right line breaks down."""
-        calls = {"_distant": [], "_signature": []}
-        for module, name in ((line_module, "_distant"), (stats_module, "_signature")):
+        """A catalog run computes one distant relation, groups one line's twin
+        classes and signs one line per entry with a recipe: a commutative
+        ring's right line is its left line, a non-commutative one's is
+        gathered from it and reuses its twin classes and signature, and
+        m2f2's right line breaks down."""
+        calls = {"_distant": [], "_signature": [], "_twin_classes": []}
+        for module, name in (
+            (line_module, "_distant"), (stats_module, "_signature"), (stats_module, "_twin_classes")
+        ):
             original = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *args, f=original, n=name: calls[n].append(1) or f(*args)
@@ -250,7 +253,7 @@ class TestEntryEvaluation:
         built = sum(e.recipe is not None for e in builtin_catalog())
         assert built == 9
         assert {name: len(made) for name, made in calls.items()} == {
-            "_distant": built, "_signature": built
+            "_distant": built, "_signature": built, "_twin_classes": built
         }
         assert report.passed
 

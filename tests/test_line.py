@@ -275,6 +275,15 @@ class TestBuildLine:
         assert line_module.orbit_labels(ring, "left").tolist() == left
         assert line_module.orbit_labels(ring, "right").tolist() == right
 
+    @pytest.mark.parametrize("units_per_block", [1, 3])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_orbit_labels_in_many_unit_blocks(self, name, units_per_block, monkeypatch):
+        """The same labels when the units are taken one or three at a time:
+        many blocks, and with three a ragged last one on most rings."""
+        n = ring_of(name).order
+        monkeypatch.setattr(line_module, "LABEL_BLOCK_CELLS", units_per_block * n * n)
+        self.test_orbit_labels_match_plain_minimum(name)
+
     def test_memory_bounded_past_the_cap(self, monkeypatch):
         """Orbit labels take O(n^2) bytes and the line O(points * (n +
         points)); the units x n^2 and points x n^2 arrays they replace

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import line_of, ring_of, run_python
 from helpers import (
+    brute_lex_least_max_clique,
     closed_form_row,
     jacobson_c_oracle,
     maximal_ideals,
@@ -266,6 +267,61 @@ def test_twin_quotient_matches_point_oracles(adj):
     assert _lo_hi_count(triple_intersection_stat(line)) == triple_intersection_oracle(adj)
 
 
+@st.composite
+def mixed_graphs(draw) -> np.ndarray:
+    """A random graph on up to 6 vertices, then up to 2 vertices distant
+    from all of them and each other and up to 2 isolated ones, blown up to
+    1-4 twins each. A pair with a universal class has no common neighbour,
+    so its triples are counted, unless an isolated vertex is near both."""
+    base = draw(symmetric_graphs.filter(lambda adj: len(adj) <= 6))
+    universal, isolated = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    m, k = len(base), len(base) + universal
+    adj = np.zeros((k + isolated,) * 2, dtype=bool)
+    adj[:m, :m] = base
+    adj[m:k, :k] = adj[:k, m:k] = True
+    np.fill_diagonal(adj, False)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(adj), max_size=len(adj)))
+    order = draw(st.permutations(range(sum(sizes))))
+    return _blow_up(adj, sizes, list(order))
+
+
+# a triangle of classes of 1, 2 and 3 points, a class of 2 distant from the
+# whole triangle and a point distant from the triangle's first class only:
+# some distant pairs share a neighbour (that point), some share none
+MIXED = _blow_up(
+    _graph(5, [e in {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4)}
+               for e in combinations(range(5), 2)]),
+    [1, 2, 3, 2, 1],
+    [4, 0, 8, 1, 6, 2, 7, 3, 5],
+)
+
+
+@given(adj=mixed_graphs())
+@example(adj=MIXED)
+@settings(max_examples=120, deadline=None)
+def test_counted_triples_match_point_oracles(adj):
+    """cap2N and cap3N with the triples over pairs without a common
+    neighbour counted, against the per-point products."""
+    line = synthetic_line(adj)
+    if not adj.any():
+        with pytest.raises(NoDistantPair):
+            stats_module._intersections(line)
+        return
+    cap2n, cap3n = stats_module._intersections(line)
+    assert _lo_hi_count(cap2n) == pair_intersection_oracle(adj)
+    assert _lo_hi_count(cap3n) == triple_intersection_oracle(adj)
+
+
+def test_mixed_example_has_empty_and_full_pairs():
+    """MIXED has distant pairs with and without a common neighbour, and
+    triples over both kinds."""
+    near = ~MIXED & ~np.eye(len(MIXED), dtype=bool)
+    i, j = np.nonzero(np.triu(MIXED))
+    common = (near[i] & near[j]).any(axis=1)
+    later = MIXED[i] & MIXED[j] & (np.arange(len(MIXED)) > j[:, None])
+    assert later[common].any() and later[~common].any()
+
+
 class TestMaxDistantSet:
     def test_m2f2_five(self):
         chosen = max_distant_set(line_of("m2f2"))
@@ -360,6 +416,59 @@ class TestSecondRoutes:
             assert (twins == jacobson_stat(line, "B")).all(), line.side
 
 
+_GOLDEN = json.loads(_SPEC_PATH.with_name("golden.json").read_text(encoding="utf-8"))["rings"]
+# golden rings with a nonzero radical whose left line has at most 40 points
+SMALL_RADICAL_GOLDEN = sorted(
+    recipe
+    for recipe, record in _GOLDEN.items()
+    if "left" in record and record["left"]["row"][0] <= 40 and record["fingerprint"][4] > 1
+)
+# every field of order at most 64
+FIELD_RECIPES = [
+    f"gf:{q}"
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47,
+              49, 53, 59, 61, 64)
+]
+
+
+class TestMaxDistantSetOnClasses:
+    def test_small_radical_golden_rings(self):
+        assert SMALL_RADICAL_GOLDEN == [
+            "algebra:f2xy", "prod(gf:4,dual(gf:2))", "prod(gf:4,zn:4)", "skew(gf:4)", "tri(gf:2,2)"
+        ]
+
+    @pytest.mark.parametrize("recipe", SMALL_RADICAL_GOLDEN)
+    def test_least_clique_of_the_points(self, recipe):
+        """The class graph's clique, each class standing for its first
+        point, is the least maximum clique of the line's own graph."""
+        for line in _uncapped_lines(recipe):
+            assert len(stats_module._twins(line)[0]) < len(line), line.side
+            assert max_distant_set(line) == brute_lex_least_max_clique(line.adjacency), line.side
+
+    def test_hand_built_line(self):
+        """A line over other arrays than build_line keeps, with twin classes
+        of unequal sizes listed out of order, is grouped afresh."""
+        line = synthetic_line(PLANTED)
+        assert line_module.cached_key(line) is None
+        assert max_distant_set(line) == brute_lex_least_max_clique(PLANTED)
+
+    def test_cached_twin_arrays_read_only(self):
+        """The cached classes are numbered by their first points, and no
+        caller can write to them."""
+        line = build_line(build_recipe("prod(gf:4,zn:4)"))
+        twins = stats_module._twins(line)
+        assert stats_module._twins(line) is twins
+        assert twins is line.ring._cache["twins", line_module.cached_key(line)]
+        adj, classes, sizes, first = twins
+        assert np.array_equal(classes[first], np.arange(len(first)))
+        assert (np.diff(first) > 0).all() and first[0] == 0
+        assert np.array_equal(np.bincount(classes), sizes)
+        for array in twins:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+
+
 class TestTwinQuotientOnLines:
     @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
     def test_matches_point_oracles(self, recipe):
@@ -367,6 +476,22 @@ class TestTwinQuotientOnLines:
             adj = line.adjacency
             assert _lo_hi_count(pair_intersection_stat(line)) == pair_intersection_oracle(adj)
             assert _lo_hi_count(triple_intersection_stat(line)) == triple_intersection_oracle(adj)
+
+    @pytest.mark.parametrize("recipe", FIELD_RECIPES)
+    def test_field_triples_counted(self, recipe, monkeypatch):
+        """On a field the distant graph is complete, so no distant pair has
+        a common neighbour: every triple is counted and none is gathered.
+        The golden rings are among CLOSED_FORM_RECIPES above."""
+        cells = []
+        find = stats_module._cells
+        monkeypatch.setattr(stats_module, "_cells", lambda mask: cells.append(find(mask)) or cells[-1])
+        line = build_line(build_recipe(recipe))
+        cap2n, cap3n = stats_module._intersections(line)
+        assert _lo_hi_count(cap2n) == pair_intersection_oracle(line.adjacency)
+        assert _lo_hi_count(cap3n) == triple_intersection_oracle(line.adjacency)
+        assert cap3n.count == math.comb(len(line), 3)
+        assert len(cells[0][0]) == math.comb(len(line), 2)
+        assert all(len(rows) == 0 for rows, _ in cells[1:])
 
     def test_matches_point_oracles_past_the_cap(self, monkeypatch):
         """448 points in 64 twin classes of 7; the point oracle's cap3N
