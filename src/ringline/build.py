@@ -163,6 +163,7 @@ def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
     The iterates of x -> x^p on a finite ring repeat, so a large power is
     reduced along their cycle instead of being applied step by step.
     """
+    power = _integer(power, "Frobenius power")
     if power < 0:
         raise ValueError(f"Frobenius power must be non-negative, got {power}")
     p = characteristic(f)
@@ -182,7 +183,7 @@ def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
 
 
 def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
-    sig = tuple(int(s) for s in sigma)
+    sig = tuple(_integer(s, "sigma entry", NotAutomorphism) for s in sigma)
     n = f.order
     if len(sig) != n or sorted(sig) != list(range(n)):
         raise NotAutomorphism("sigma is not a permutation of the elements")
@@ -319,9 +320,10 @@ def structure_constants_algebra(
     name = name or f"Z{m}-algebra(rank {rank})"
     # before any numpy arithmetic with m, which may not fit in int64
     _check_order(m, name, rank)
-    const = np.asarray(mul_constants, dtype=np.int64) % m
-    if const.shape != (rank, rank, rank):
+    exact = np.asarray(mul_constants, dtype=object)
+    if exact.shape != (rank, rank, rank):
         raise ValueError(f"constants must be {rank}x{rank}x{rank} coefficient vectors")
+    const = np.reshape([_integer(c, "structure constant") % m for c in exact.flat], exact.shape)
     places = m ** np.arange(rank)
     coeffs = np.arange(m**rank)[:, None] // places % m
     # (sum ai ei)(sum bj ej) = sum_ij ai bj (ei ej), summed one coordinate at
@@ -369,7 +371,9 @@ def matrix_subring_closure(
     matrix at index 0 as required. The sort key is an int64 code, so bases
     with |base|^(dim^2) >= 2^63 are refused with :class:`ClosureTooLarge`.
     """
-    gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
+    gens = [
+        tuple(tuple(_integer(x, "generator entry") for x in row) for row in g) for g in generators
+    ]
     size = len(gens[0]) if gens else 1
     dim = size if dim is None else _integer(dim, "matrix dimension")
     if dim < 1:

@@ -17,25 +17,27 @@ unit) preserves invertibility. Every class has |U| members, so all members
 are the rows of one read-only (points x |U|) array of pair codes a*n+b.
 
 A line is arrays: each point's least code, the member rows and the distant
-adjacency, all read-only. build_line makes them once per ring and side and
-keeps them in the ring's cache. The cache holds arrays, never a line, so
-no ring -> line -> ring cycle forms and a ring is freed by reference
-counting. On a commutative ring (ua, ub) = (au, bu), so the right line is
-the left line's arrays seen from the right side. Point objects are made
-only when a caller reads ``points``.
+adjacency, all read-only. build_line makes one record per ring and side,
+those arrays and a dict of values derived from them (the twin classes and
+signature of ringline.stats, the right line's ``held``), and keeps it in
+the ring's cache as ``ring._cache["line", side]``. The record holds arrays
+and values, never a line, so no ring -> line -> ring cycle forms and a
+ring is freed by reference counting. On a commutative ring (ua, ub) =
+(au, bu), so the right line is a line over the left record. Point objects
+are made only when a caller reads ``points``.
 
 The right line reads its distant relation off the left line. Row scaling
 by units preserves invertibility: [[ua, ub], [vc, vd]] = diag(u, v) *
 [[a, b], [c, d]]. So whether two admissible pairs are distant depends only
 on their left classes, and the right adjacency is the left adjacency
-gathered at the left points that hold the right representatives
-(left_points). _distant thus runs once per ring, and building a right line
-builds the left line too.
+gathered at ``held``, the left points that hold the right representatives.
+_distant thus runs once per ring, and building a right line builds the
+left line too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -66,7 +68,10 @@ class ProjectiveLine:
 
     ``codes`` holds each point's least pair code a*n+b, ascending; ``rows``
     the (points x |U|) array of its members' codes; ``adjacency`` the
-    symmetric distant relation, with a False diagonal.
+    symmetric distant relation, with a False diagonal. ``derived`` keeps
+    values computed from those arrays (ringline.stats memoizes on it): a
+    line from build_line shares its record's dict, and a line built by hand
+    or by dataclasses.replace starts with an empty one of its own.
     """
 
     ring: FiniteRing
@@ -74,6 +79,7 @@ class ProjectiveLine:
     codes: np.ndarray
     rows: np.ndarray
     adjacency: np.ndarray
+    derived: dict = field(default_factory=dict, init=False)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -150,58 +156,35 @@ def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     return unit_sum.ravel()[flat[a * n + x[:, None]] * n + flat[b * n + z[:, None]]]
 
 
-def _line_key(ring: FiniteRing, side: str) -> tuple[str, str]:
-    """The ring-cache key of the side's line arrays; a commutative ring's
-    right line is its left line."""
-    return ("line", "left" if side == "left" or is_commutative(ring) else "right")
-
-
-def cached_key(line: ProjectiveLine) -> tuple[str, str] | None:
-    """The ring-cache key of the arrays the line is over, or None for a line
-    over arrays that build_line did not make."""
-    key = _line_key(line.ring, line.side)
-    arrays = line.ring._cache.get(key, ())
-    mine = (line.codes, line.rows, line.adjacency)
-    return key if len(arrays) == 3 and all(x is y for x, y in zip(arrays, mine)) else None
-
-
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
-    """The line of the side: its arrays are built on the first call for the
-    ring and side (see _line_arrays) and read from the ring's cache after.
+    """The line of the side: its record is built on the first call for the
+    ring and side (see _line_record) and read from the ring's cache after.
 
     For side="right", aborts with RightLineBreakdown when the admissible
     classes do not all have |units| members. A right line over a
     non-commutative ring reads its adjacency off the left line, so the first
-    right line built over a ring builds and keeps the left line's arrays too.
+    right line built over a ring builds and keeps the left line's record too.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     check_enumerable(ring, "line construction")
-    return ProjectiveLine(ring, side, *_cached_arrays(ring, _line_key(ring, side)))
+    *arrays, derived = _record(ring, "left" if side == "left" or is_commutative(ring) else "right")
+    line = ProjectiveLine(ring, side, *arrays)
+    object.__setattr__(line, "derived", derived)  # the record's own dict, not a fresh one
+    return line
 
 
-def _cached_arrays(ring: FiniteRing, key: tuple[str, str]) -> tuple[np.ndarray, ...]:
-    if key not in ring._cache:
-        ring._cache[key] = _line_arrays(ring, key[1])
-    return ring._cache[key]
+def _record(ring: FiniteRing, side: str) -> tuple:
+    if ("line", side) not in ring._cache:
+        ring._cache["line", side] = _line_record(ring, side)
+    return ring._cache["line", side]
 
 
-def left_points(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
-    """For each admissible pair code, the index of the left point whose class
-    holds it; raises when some code is in no left class."""
-    _, rows, _ = _cached_arrays(ring, ("line", "left"))
-    point_of = np.full(ring.order**2, -1)
-    point_of[rows] = np.arange(len(rows))[:, None]
-    points = point_of[codes]
-    if (points < 0).any():
-        raise AssertionError("admissible pair in no left point")
-    return points
-
-
-def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate admissible pairs, partition into unit orbits of the chosen
-    side, compute the distant adjacency between class representatives (on
-    the right side, gather it from the left line; see the module docstring)."""
+def _line_record(ring: FiniteRing, side: str) -> tuple:
+    """The side's record (see the module docstring): enumerate admissible
+    pairs, partition into unit orbits of the chosen side, compute the
+    distant adjacency between class representatives (on the right side,
+    gather it from the left line at ``held``)."""
     admissible = _admissible(ring)
     labels = orbit_labels(ring, side)
     # admissibility is right-orbit invariant ((ar, br) completes with
@@ -227,22 +210,32 @@ def _line_arrays(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray, n
 
     # every class has |U| members, so the classes are rows of one array
     codes, rows = sorted_labels[starts], members[order.reshape(-1, nunits)]
+    derived = {}
     if side == "right":
-        held = left_points(ring, codes)
-        adjacency = _cached_arrays(ring, ("line", "left"))[2][np.ix_(held, held)]
+        left = _record(ring, "left")
+        point_of = np.full(ring.order**2, -1)
+        point_of[left[1]] = np.arange(len(left[1]))[:, None]
+        held = derived["held"] = point_of[codes]
+        if (held < 0).any():
+            raise AssertionError("admissible pair in no left point")
+        adjacency = left[2][np.ix_(held, held)]
     else:
         adjacency = _distant(ring, codes)
         if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():
             raise AssertionError("distant relation not symmetric and irreflexive")
-    for array in (codes, rows, adjacency):
+    for array in (codes, rows, adjacency, *derived.values()):
         array.flags.writeable = False
-    return codes, rows, adjacency
+    return codes, rows, adjacency, derived
+
+
+def type_one(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
+    """For each pair code a*n+b, whether a or b is a unit: the point of that
+    representative is of Type I. Class-invariant: unit multiples of units
+    are units."""
+    a, b = divmod(codes, ring.order)
+    return (ring.inv[a] >= 0) | (ring.inv[b] >= 0)
 
 
 def point_type(line: ProjectiveLine, i: int) -> str:
-    """'TypeI' when a representative coordinate is a unit, else 'TypeII'.
-
-    Class-invariant: unit multiples of units are units.
-    """
-    (a, b), inv = divmod(int(line.codes[i]), line.ring.order), line.ring.inv
-    return "TypeI" if inv[a] >= 0 or inv[b] >= 0 else "TypeII"
+    """'TypeI' when a representative coordinate is a unit, else 'TypeII'."""
+    return "TypeI" if type_one(line.ring, int(line.codes[i])) else "TypeII"

@@ -11,18 +11,18 @@ side by side and never asserted).
 distant. cap2N, cap3N and MD read the twin classes, the points with equal
 distant rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from
 the adjacency alone, so the counts hold on any symmetric irreflexive graph;
-a line over the arrays build_line keeps has its classes grouped once and
-kept, read-only, beside them. Twins are never distant, so the common
-neighbourhood of distant points depends only on their classes: it is the
-total size of the classes near all of them, and a class pair or triple
-stands for the product of its class sizes in point pairs or triples. The
-pass gathers class rows in blocks of BLOCK_CELLS cells, so memory stays
-bounded when every class is one point, and weighs them by class size in
-float32, exact since no count reaches 2**24. The weighted counts come from
-``np.einsum``, not a matrix product: the BLAS product now and then raised a
-spurious invalid-value flag, which numpy printed as a RuntimeWarning. A
-triple over a class pair with no class near both has count 0, so such
-triples are counted, not gathered (on a field, all of them).
+a line's classes are grouped once and kept, read-only, in its ``derived``
+dict. Twins are never distant, so the common neighbourhood of distant
+points depends only on their classes: it is the total size of the classes
+near all of them, and a class pair or triple stands for the product of its
+class sizes in point pairs or triples. The pass gathers class rows in
+blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
+one point, and weighs them by class size in float32, exact since no count
+reaches 2**24. The weighted counts come from ``np.einsum``, not a matrix
+product: the BLAS product now and then raised a spurious invalid-value
+flag, which numpy printed as a RuntimeWarning. A triple over a class pair
+with no class near both has count 0, so such triples are counted, not
+gathered (on a field, all of them).
 
 MD is the maximum clique, searched only up to the bound from R/J's blocks,
 on the graph of twin classes, each class standing for its first point. A
@@ -36,23 +36,40 @@ candidate C counts orbits by Burnside's lemma, reading only the units' rows
 of the multiplication table. TpI is one gather of ``inv`` at both
 coordinates of the points' codes.
 
-Each ring and side is signed once: the signature of a line over the arrays
-build_line keeps on the ring is kept beside them, so a commutative ring's
-right line, which is its left line, reads its left line's signature. A line
-built by hand over other arrays is signed afresh on every call.
+Each ring and side is signed once: the signature is kept in the line's
+``derived`` dict, which build_line gives every line over one cached
+record, so a commutative ring's right line, which is its left line, reads
+its left line's signature. A line built by hand, or by
+dataclasses.replace, has a dict of its own and is signed from its arrays.
 
-A right line over a non-commutative ring reuses the left signature, with
-TpI read off its own codes, when a certificate holds: each twin class of
-the left line holds the left points of exactly as many right points as it
-has left points. Proof: the right adjacency is the left adjacency gathered
-at those left points (see ringline.line), and the left graph is its graph
-on twin classes with class c blown up to an independent set of |c| points,
-joined completely or not at all. So the right graph is the same class graph
-with class c blown up to the number of right points whose left point lies
-in c. Where those numbers equal the class sizes, sending the right points
-of each class one to one onto its left points is an isomorphism, and 1N,
-cap2N, cap3N, MD and Jcb A are invariants of the graph (B and C read the
-ring alone). Otherwise the right line is signed afresh.
+A right line over a non-commutative ring is signed as the left line's
+signature with TpI read off its own codes. Its record's ``held`` gives the
+left point of each right point, and a certificate is checked: each twin
+class of the left line holds as many of those left points as it has
+points. The right adjacency is the left adjacency gathered at them (see
+ringline.line), and the left graph is its graph on twin classes with
+class c blown up to an independent set of |c| points, joined completely
+or not at all. So the right graph is the same class graph with class c
+blown up to the number of right points whose left point lies in c; under
+the certificate, sending the right points of each class one to one onto
+its left points is an isomorphism, and 1N, cap2N, cap3N, MD and Jcb A are
+invariants of the graph (B and C read the ring alone). The certificate
+holds on every right line that exists, so a failure raises
+AssertionError. Proof:
+- If R/J has a block M_k(GF(q)) with k >= 2, the right line breaks down.
+  Matrix units lift modulo the nil ideal J. Take a = 1 - e22, b = e21 and
+  u = 1 + e21: (a, b) is admissible, as a + b*e12 = 1, and (au, bu) =
+  (a, b) with u != 1, so its right class has fewer than |U| members.
+- Otherwise R/J is a product of fields, and the right line exists. Over
+  the commutative R/J an admissible (a, b) is unimodular on both sides,
+  so some xa + zb is 1 mod J, hence a unit. Then au = a and bu = b give
+  (xa + zb)(u - 1) = 0, so u = 1.
+- There the certificate holds. Distance is decided mod J, and each
+  P(GF(q)) has at least 3 points, so the left twin classes are exactly
+  the fibres of P(R) -> P(R/J). The image of (au, bu) in P(R/J) is
+  u(a, b) mod J, the same point as (a, b), so every right class lies in
+  one fibre. A fibre c holds |c| * |U| admissible pairs, which right
+  classes of |U| pairs split into |c| right points.
 
 GL2(R) preserves distance and is transitive on pairwise-distant triples
 (each goes to (1,0), (0,1), (1,1)), hence on distant pairs and on points, so
@@ -79,7 +96,7 @@ import numpy as np
 from . import clique
 from .core import jacobson_radical, semisimple_blocks, unit_elements
 from .errors import NoDistantPair, UnknownCandidate
-from .line import ProjectiveLine, build_line, cached_key, left_points
+from .line import ProjectiveLine, build_line, type_one
 
 JACOBSON_CANDIDATES = ("A", "B", "C")
 # the six signature columns, in row order
@@ -208,16 +225,10 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _twins(line: ProjectiveLine) -> tuple[np.ndarray, ...]:
-    """_twin_classes of the line, kept in the ring's cache beside the arrays
-    build_line keeps; a line built by hand over other arrays is grouped
-    afresh on every call."""
-    key = cached_key(line)
-    if key is None:
-        return _twin_classes(line.adjacency)
-    cache = line.ring._cache
-    if ("twins", key) not in cache:
-        cache["twins", key] = _twin_classes(line.adjacency)
-    return cache["twins", key]
+    """_twin_classes of the line, kept in its ``derived`` dict."""
+    if "twins" not in line.derived:
+        line.derived["twins"] = _twin_classes(line.adjacency)
+    return line.derived["twins"]
 
 
 def _row_blocks(rows: int, width: int):
@@ -319,44 +330,29 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
 
 
 def signature(line: ProjectiveLine) -> LineSignature:
-    """Aggregate all Table-1 statistics of the line, once per line arrays
-    that build_line keeps on the ring (see the module docstring)."""
-    key = cached_key(line)
-    if key is None:
-        return _signature(line)
-    cache = line.ring._cache
-    if ("signature", key) not in cache:
-        cache["signature", key] = _right_signature(line) if key[1] == "right" else _signature(line)
-    return cache["signature", key]
-
-
-def _right_signature(line: ProjectiveLine) -> LineSignature:
-    """The left line's signature with the right TpI, when the certificate in
-    the module docstring holds; else the right line signed afresh."""
-    left = build_line(line.ring, "left")
-    if not _twins_matched(left, left_points(line.ring, line.codes)):
-        return _signature(line)
-    return replace(signature(left), tpi=_type_one_count(line))
-
-
-def _twins_matched(line: ProjectiveLine, held: np.ndarray) -> bool:
-    """Each twin class of the line holds as many of the points ``held``
-    (with repeats) as it has points."""
-    _, classes, sizes, _ = _twins(line)
-    return np.array_equal(np.bincount(classes[held], minlength=len(sizes)), sizes)
-
-
-def _type_one_count(line: ProjectiveLine) -> int:
-    a, b = np.divmod(line.codes, line.ring.order)
-    inv = line.ring.inv
-    return int(((inv[a] >= 0) | (inv[b] >= 0)).sum())
+    """Aggregate all Table-1 statistics of the line, kept in its ``derived``
+    dict; a non-commutative ring's right line takes the left line's
+    signature with its own TpI (see the module docstring)."""
+    derived = line.derived
+    if "signature" not in derived:
+        if "held" in derived:
+            left = build_line(line.ring)
+            _, classes, sizes, _ = _twins(left)
+            counts = np.bincount(classes[derived["held"]], minlength=len(sizes))
+            if not np.array_equal(counts, sizes):
+                raise AssertionError("right points do not fill the left twin classes")
+            tpi = int(type_one(line.ring, line.codes).sum())
+            derived["signature"] = replace(signature(left), tpi=tpi)
+        else:
+            derived["signature"] = _signature(line)
+    return derived["signature"]
 
 
 def _signature(line: ProjectiveLine) -> LineSignature:
     cap2n, cap3n = _intersections(line)
     return LineSignature(
         tot=len(line),
-        tpi=_type_one_count(line),
+        tpi=int(type_one(line.ring, line.codes).sum()),
         one_n=one_neighbourhood_stat(line),
         cap2n=cap2n,
         cap3n=cap3n,

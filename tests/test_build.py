@@ -366,6 +366,14 @@ class TestSkewDualNumbers:
         with pytest.raises(NotAutomorphism):
             skew_dual_numbers(gf4, (0, 1, 2, 2))  # not a bijection
 
+    @pytest.mark.parametrize("entry", [3.9, 3.0, "3"])
+    def test_non_integer_sigma_refused(self, entry):
+        """int(s) read 3.9 as 3, so sigma (0, 1, 3.9, 2) built the skew ring
+        on the Frobenius map."""
+        message = re.escape(f"sigma entry must be an integer, got {entry!r}")
+        with pytest.raises(NotAutomorphism, match=message):
+            skew_dual_numbers(ring_gf(2, 2), [0, 1, entry, 2])
+
     def test_field_base_required(self):
         with pytest.raises(ValueError):
             skew_dual_numbers(ring_zn(4), (0, 1, 2, 3))
@@ -430,6 +438,18 @@ class TestStructureConstants:
     def test_numpy_integer_modulus_and_rank(self):
         ring = structure_constants_algebra(np.int64(4), np.int32(1), [[[1]]])
         assert ring.name == "Z4-algebra(rank 1)" and same_tables(ring, ring_zn(4))
+
+    @pytest.mark.parametrize("constant", [1.9, 1.0, "1", None])
+    def test_non_integer_constant_refused(self, constant):
+        """An int64 cast read 1.9 and "1" as 1, so both built Z3."""
+        message = re.escape(f"structure constant must be an integer, got {constant!r}")
+        with pytest.raises(ValueError, match=message):
+            structure_constants_algebra(3, 1, [[[constant]]])
+
+    def test_constants_reduced_exactly(self):
+        """Constants are reduced mod m as Python integers, past the int64 range."""
+        ring = structure_constants_algebra(3, 1, [[[3 * 2**70 + 1]]])
+        assert same_tables(ring, ring_zn(3))
 
     def test_bad_constants_fail_validation(self):
         # x^2 = 1 and x*1 = 0 cannot give a unital ring
@@ -508,6 +528,13 @@ class TestMatrixSubringClosure:
     def test_generator_entry_outside_base_refused(self, entry):
         with pytest.raises(ValueError, match="element indices"):
             matrix_subring_closure(ring_gf(2, 1), [((entry, 0), (0, 0))])
+
+    @pytest.mark.parametrize("entry", [1.7, 1.0, "1"])
+    def test_non_integer_generator_entry_refused(self, entry):
+        """int(x) read 1.7 as 1, so ((1, 1.7), (0, 1)) built a ring of order 4."""
+        message = re.escape(f"generator entry must be an integer, got {entry!r}")
+        with pytest.raises(ValueError, match=message):
+            matrix_subring_closure(ring_gf(2, 1), [((1, entry), (0, 1))])
 
     def test_codes_beyond_int64_refused_before_allocation(self):
         shift = tuple(tuple(int(j == i + 1) for j in range(8)) for i in range(8))
@@ -1102,6 +1129,13 @@ class TestRecipes:
         Frobenius map (0, 1, 3, 2), and -2 an IndexError."""
         with pytest.raises(ValueError, match="non-negative"):
             frobenius_automorphism(ring_gf(2, k), power)
+
+    @pytest.mark.parametrize("power", [1.0, "1"])
+    def test_non_integer_frobenius_power_refused(self, power):
+        """1.0 ended in a bare TypeError from indexing the list of powers."""
+        message = re.escape(f"Frobenius power must be an integer, got {power!r}")
+        with pytest.raises(ValueError, match=message):
+            frobenius_automorphism(ring_gf(2, 2), power)
 
     def test_skew_identity_equals_dual(self):
         assert same_tables(

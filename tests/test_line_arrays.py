@@ -1,6 +1,7 @@
 """Lines as arrays, built and signed once per ring and side; a commutative
 ring's right line is its left line, and a non-commutative ring's right line
-reads its adjacency and, when certified, its signature off the left line."""
+reads its adjacency and its checked signature off the left line, which
+exists exactly when R/J has no matrix block."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_python
-from helpers import line_arrays_oracle, relabel
+from helpers import is_admissible, line_arrays_oracle, relabel
 
 from ringline import (
     OrderTooLarge,
@@ -24,6 +26,7 @@ from ringline import (
     is_commutative,
     semisimple_blocks,
     signature,
+    unit_elements,
     validate_ring,
 )
 from ringline import core as core_module
@@ -140,6 +143,25 @@ class TestLineArrays:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
 
+    def test_replaced_and_hand_built_lines_signed_from_their_own_adjacency(self):
+        """A line made by dataclasses.replace, or built by hand over the same
+        arrays, never shares the record's dict: each is signed afresh."""
+        ring = build_recipe("tri(gf:2,2)")
+        line = build_line(ring)
+        kept = signature(line)
+        assert build_line(ring).derived is line.derived and line.derived["signature"] is kept
+        cut = line.adjacency.copy()  # one distant pair made near
+        i, j = np.argwhere(cut)[0]
+        cut[i, j] = cut[j, i] = False
+        replaced = replace(line, adjacency=cut)
+        hand_built = ProjectiveLine(ring, "left", line.codes, line.rows, line.adjacency)
+        for other in (replaced, hand_built, replace(line)):
+            assert other.derived == {}
+        assert signature(replaced) == stats_module._signature(replaced)
+        assert (signature(replaced).one_n.hi, kept.one_n.hi) == (10, 9)
+        assert signature(hand_built) == kept and signature(hand_built) is not kept
+        assert line.derived["signature"] is kept
+
     def test_cached_line_still_capped(self, monkeypatch):
         ring = build_recipe("prod(gf:4,zn:4)")
         build_line(ring)
@@ -192,28 +214,45 @@ class TestRightLinePullback:
         ):
             assert np.array_equal(mine, theirs)
 
-    @pytest.mark.parametrize("certificate", ["held", "refused"])
     @pytest.mark.parametrize("tables", TABLES)
     @pytest.mark.parametrize("recipe", sorted(GOLDEN_RINGS))
-    def test_signature_equals_fresh_signing(self, recipe, tables, certificate, monkeypatch):
+    def test_signature_equals_fresh_signing(self, recipe, tables, monkeypatch):
         """The right signature equals _signature of a hand-built line over
-        the same arrays. One line is signed: with the certificate, a
-        non-commutative ring's left line; with it refused, the right line
-        itself, as on a commutative ring, where the two are one."""
+        the same arrays. One line is signed: a non-commutative ring's left
+        line, or a commutative ring's right line, which is its left line."""
         ring = fresh_ring(recipe, tables)
         right = right_line_or_none(ring)
         if right is None:
             return
-        if certificate == "refused":
-            monkeypatch.setattr(stats_module, "_twins_matched", lambda adjacency, held: False)
         signing_calls = counted(monkeypatch, stats_module, "_signature")
         got = signature(right)
         assert len(signing_calls) == 1
         (signed,) = signing_calls[0]
-        reused = certificate == "held" and not is_commutative(ring)
-        assert signed.side == ("left" if reused else "right")
+        assert signed.side == ("right" if is_commutative(ring) else "left")
         hand_built = ProjectiveLine(ring, "right", right.codes, right.rows, right.adjacency)
         assert got == stats_module._signature(hand_built)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_unfilled_twin_classes_raise(self, flags):
+        """A right line whose left points do not fill the left twin classes
+        is refused, also under python -O: the right points held by the
+        second twin class are planted in the first, which then holds twice
+        as many as it has points."""
+        script = (
+            "import numpy as np\n"
+            "from ringline import build_line, build_recipe, signature\n"
+            "from ringline.stats import _twins\n"
+            "ring = build_recipe('tri(gf:2,2)')\n"
+            "right = build_line(ring, 'right')\n"
+            "_, classes, sizes, first = _twins(build_line(ring))\n"
+            "held = right.derived['held']\n"
+            "assert sizes[0] == sizes[1]\n"
+            "right.derived['held'] = np.where(classes[held] == 1, first[0], held)\n"
+            "signature(right)\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: right points do not fill the left twin classes" in run.stderr
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
     def test_missing_left_point_raises(self, flags):
@@ -232,3 +271,43 @@ class TestRightLinePullback:
         run = run_python(flags, script)
         assert run.returncode == 1
         assert "AssertionError: admissible pair in no left point" in run.stderr
+
+
+class TestRightLineTheorem:
+    """build_line(ring, "right") breaks down exactly when R/J has a block
+    M_k(GF(q)) with k >= 2 (the proof is in the ringline.stats docstring)."""
+
+    def test_rings_include_matrix_products(self):
+        assert {"prod(zn:2,mat(gf:2,2))", "prod(zn:4,mat(gf:2,2))"} <= set(GOLDEN_RINGS)
+
+    @pytest.mark.parametrize("tables", TABLES)
+    @pytest.mark.parametrize("recipe", sorted(GOLDEN_RINGS))
+    def test_breakdown_exactly_on_matrix_blocks(self, recipe, tables):
+        ring = fresh_ring(recipe, tables)
+        matrix_block = any(k >= 2 for _, k in semisimple_blocks(ring))
+        try:
+            build_line(ring, "right")
+        except RightLineBreakdown as info:
+            assert matrix_block
+            assert min(info.class_sizes) < len(unit_elements(ring))
+        else:
+            assert not matrix_block
+
+    def test_matrix_block_witness(self):
+        """On M_2(GF(2)), (a, b) = (1 - E22, E21) is admissible, as a + b*E12
+        = 1, and fixed on the right by the unit u = 1 + E21 != 1, so its right
+        class has fewer than |U| members."""
+        ring = build_recipe("mat(gf:2,2)")
+        # an element's index is its row-major entry tuple read in base 2
+        one, e22, e21, e12 = (
+            int(np.ravel(m) @ [8, 4, 2, 1])
+            for m in ([[1, 0], [0, 1]], [[0, 0], [0, 1]], [[0, 0], [1, 0]], [[0, 1], [0, 0]])
+        )
+        assert ring.one == one
+        a, b, u = ring.add[one, ring.neg[e22]], e21, ring.add[one, e21]
+        assert ring.add[a, ring.mul[b, e12]] == one and is_admissible(ring, (a, b))
+        assert ring.inv[u] >= 0 and u != one
+        assert (ring.mul[a, u], ring.mul[b, u]) == (a, b)
+        labels = line_module.orbit_labels(ring, "right")
+        orbit = labels == labels[a * ring.order + b]
+        assert orbit.sum() < len(unit_elements(ring))

@@ -446,11 +446,13 @@ class TestMaxDistantSetOnClasses:
             assert max_distant_set(line) == brute_lex_least_max_clique(line.adjacency), line.side
 
     def test_hand_built_line(self):
-        """A line over other arrays than build_line keeps, with twin classes
-        of unequal sizes listed out of order, is grouped afresh."""
+        """A line built by hand, with twin classes of unequal sizes listed
+        out of order, is grouped into a record of its own."""
         line = synthetic_line(PLANTED)
-        assert line_module.cached_key(line) is None
+        assert line.derived == {}
         assert max_distant_set(line) == brute_lex_least_max_clique(PLANTED)
+        assert list(line.derived) == ["twins"]
+        assert synthetic_line(PLANTED).derived == {}
 
     def test_cached_twin_arrays_read_only(self):
         """The cached classes are numbered by their first points, and no
@@ -458,7 +460,7 @@ class TestMaxDistantSetOnClasses:
         line = build_line(build_recipe("prod(gf:4,zn:4)"))
         twins = stats_module._twins(line)
         assert stats_module._twins(line) is twins
-        assert twins is line.ring._cache["twins", line_module.cached_key(line)]
+        assert twins is line.derived["twins"] is line.ring._cache["line", "left"][3]["twins"]
         adj, classes, sizes, first = twins
         assert np.array_equal(classes[first], np.arange(len(first)))
         assert (np.diff(first) > 0).all() and first[0] == 0
