@@ -13,7 +13,6 @@ from .build import (
     direct_product,
     emit_ring_file,
     matrix_ring,
-    matrix_subring_closure,
     parse_recipe,
     parse_ring_file,
     quotient_dual_numbers,
@@ -47,7 +46,6 @@ from .core import (
     zero_divisor_count,
 )
 from .errors import (
-    ClosureTooLarge,
     NoDistantPair,
     NotAbelianGroup,
     NotAssociative,

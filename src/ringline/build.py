@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import FiniteRing, _integer, characteristic, is_commutative, validate_ring
 from .errors import (
-    ClosureTooLarge,
     NotAutomorphism,
     NotPrime,
     OrderTooLarge,
@@ -34,7 +33,6 @@ from .errors import (
 ORDER_CAP = 1024  # largest ring any constructor builds; its tables hold n^2 entries
 RECIPE_DEPTH_CAP = 64  # nested constructor calls; the deepest shipped recipe has 4
 
-Matrix = tuple[tuple[int, ...], ...]
 _MATRIX_BLOCK = 2**16  # matrix pairs per step when filling matrix ring tables
 
 
@@ -237,41 +235,18 @@ def _matrix_mul(base: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _matrix_codes(base: FiniteRing, mats: np.ndarray) -> np.ndarray:
-    """Entries read row-major as digits base |base|, first entry most
-    significant, so code order is lexicographic order on entry tuples."""
-    cells = mats.shape[-1] * mats.shape[-2]
-    places = base.order ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    return mats.reshape(*mats.shape[:-2], cells) @ places
+def _matrix_algebra(base: FiniteRing, dim: int, triangular: bool) -> FiniteRing:
+    """Every full or upper-triangular dim x dim matrix over the base ring.
 
-
-def _matrix_ring(base: FiniteRing, mats: np.ndarray, name: str) -> FiniteRing:
-    """Ring on a stack of distinct matrices closed under sum and product.
-
-    Index is the rank of the matrix's code (:func:`_matrix_codes`), which
-    puts the zero matrix at index 0. Tables are filled a block of rows at a
-    time, so the working memory beyond the tables themselves is
+    The matrices are enumerated in lexicographic order of their free entries,
+    row-major, so a matrix's index is those entries read as digits base
+    |base|, first entry most significant, and the zero matrix is index 0.
+    Sums and products of upper-triangular matrices stay upper-triangular, so
+    the entries left out are always 0 and a table cell is read off the free
+    entries alone. Tables are filled a block of rows at a time, so the
+    working memory beyond the tables themselves is
     O(max(n, _MATRIX_BLOCK) * dim^2), not O(n^2 * dim^2).
     """
-    codes = _matrix_codes(base, mats)
-    by_code = np.argsort(codes)
-    mats, codes = mats[by_code], codes[by_code]
-    n = len(codes)
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    step = max(1, _MATRIX_BLOCK // n)
-    for i in range(0, n, step):
-        block = mats[i : i + step]
-        sums = base.add[block[:, None], mats[None]]
-        add[i : i + step] = np.searchsorted(codes, _matrix_codes(base, sums))
-        prods = _matrix_mul(base, block, mats)
-        mul[i : i + step] = np.searchsorted(codes, _matrix_codes(base, prods))
-    one = _matrix_codes(base, np.eye(mats.shape[-1], dtype=np.int64) * base.one)
-    return validate_ring(add, mul, int(np.searchsorted(codes, one)), name=name)
-
-
-def _matrix_algebra(base: FiniteRing, dim: int, triangular: bool) -> FiniteRing:
-    """Every full or upper-triangular dim x dim matrix over the base ring."""
     dim = _integer(dim, "matrix dimension")
     if dim < 1:
         raise ValueError("matrix dimension must be positive")
@@ -279,11 +254,21 @@ def _matrix_algebra(base: FiniteRing, dim: int, triangular: bool) -> FiniteRing:
     count = dim * (dim + 1) // 2 if triangular else dim * dim
     _check_order(base.order, name, count)  # before any list of dim^2 positions
     positions = [(i, j) for i in range(dim) for j in range(i if triangular else 0, dim)]
+    rows, cols = (list(axis) for axis in zip(*positions))
+    places = base.order ** np.arange(count - 1, -1, -1, dtype=np.int64)
     digits = np.array(list(iter_product(range(base.order), repeat=count)), dtype=np.int64)
-    rows, cols = zip(*positions)
-    mats = np.zeros((len(digits), dim, dim), dtype=np.int64)
+    n = len(digits)
+    mats = np.zeros((n, dim, dim), dtype=np.int64)
     mats[:, rows, cols] = digits
-    return _matrix_ring(base, mats, name)
+    add = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
+    step = max(1, _MATRIX_BLOCK // n)
+    for i in range(0, n, step):
+        add[i : i + step] = base.add[digits[i : i + step, None], digits[None]] @ places
+        prods = _matrix_mul(base, mats[i : i + step], mats)
+        mul[i : i + step] = prods[..., rows, cols] @ places
+    one = np.eye(dim, dtype=np.int64)[rows, cols] * base.one @ places
+    return validate_ring(add, mul, int(one), name=name)
 
 
 def matrix_ring(base: FiniteRing, dim: int) -> FiniteRing:
@@ -350,65 +335,6 @@ NAMED_ALGEBRAS = {
         lambda: structure_constants_algebra(2, 4, _f2xy_constants(), name="F2<x,y>/(x2,y2,yx)")
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# matrix subring closure
-
-
-def matrix_subring_closure(
-    base: FiniteRing,
-    generators: Sequence[Matrix],
-    dim: int | None = None,
-) -> FiniteRing:
-    """Smallest subring of dim x dim matrices over ``base`` containing the
-    generators, 0 and the identity; re-indexed as a standalone ring. ``dim``
-    defaults to the generators' size (1 without generators), and generators
-    of another size raise ValueError. A closure past ORDER_CAP, read at call
-    time, raises ClosureTooLarge.
-
-    Elements are sorted by entry tuple (row-major), which puts the zero
-    matrix at index 0 as required. The sort key is an int64 code, so bases
-    with |base|^(dim^2) >= 2^63 are refused with :class:`ClosureTooLarge`.
-    """
-    gens = [
-        tuple(tuple(_integer(x, "generator entry") for x in row) for row in g) for g in generators
-    ]
-    size = len(gens[0]) if gens else 1
-    dim = size if dim is None else _integer(dim, "matrix dimension")
-    if dim < 1:
-        raise ValueError("matrix dimension must be positive")
-    if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
-        raise ValueError(f"generators must be {dim}x{dim} matrices")
-    if any(not 0 <= x < base.order for g in gens for row in g for x in row):
-        raise ValueError(f"generator entries must be element indices 0..{base.order - 1}")
-    if base.order ** (dim * dim) >= 2**63:
-        raise ClosureTooLarge(
-            f"{dim}x{dim} matrices over {base.name} have codes outside the int64 range"
-        )
-    one = np.eye(dim, dtype=np.int64) * base.one
-    basis = np.concatenate([one[None], np.array(gens, dtype=np.int64).reshape(-1, dim, dim)])
-    span = np.zeros((1, dim, dim), dtype=np.int64)
-    span_codes = np.zeros(1, dtype=np.int64)
-
-    def fresh(mats: np.ndarray) -> np.ndarray:
-        """The distinct matrices of the stack that are not yet in the span."""
-        codes, first = np.unique(_matrix_codes(base, mats), return_index=True)
-        return mats[first[~np.isin(codes, span_codes)]]
-
-    new = basis
-    while len(new):
-        # the span is a group, so span + <new> is reached from it by adding new
-        frontier, steps = span, new
-        while len(frontier):
-            frontier = fresh(base.add[frontier[:, None], steps[None]].reshape(-1, dim, dim))
-            if len(span) + len(frontier) > ORDER_CAP:
-                raise ClosureTooLarge(f"closure exceeds {ORDER_CAP} elements")
-            span = np.concatenate([span, frontier])
-            span_codes = np.concatenate([span_codes, _matrix_codes(base, frontier)])
-        new = fresh(_matrix_mul(base, basis, basis).reshape(-1, dim, dim))
-        basis = np.concatenate([basis, new])
-    return _matrix_ring(base, span, name=f"closure({base.name},{dim}x{dim})")
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ class NotAutomorphism(RinglineError):
     pass
 
 
-class ClosureTooLarge(RinglineError):
-    """Matrix subring closure exceeded its size cap."""
-
-
 class RingSyntaxError(RinglineError):
     """Malformed ring file. ``line`` is the 1-based offending line number."""
 

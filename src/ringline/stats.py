@@ -7,16 +7,16 @@ distant points, and a family of candidate "Jacobson point" statistics (the
 literature's definition is not pinned down here, so candidates are reported
 side by side and never asserted).
 
-1N counts, in each row of ``line.adjacency``, the other points not
-distant. cap2N, cap3N and MD read the twin classes, the points with equal
-distant rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from
-the adjacency alone, so the counts hold on any symmetric irreflexive graph;
-a line's classes are grouped once and kept, read-only, in its ``derived``
-dict. Twins are never distant, so the common neighbourhood of distant
-points depends only on their classes: it is the total size of the classes
-near all of them, and a class pair or triple stands for the product of its
-class sizes in point pairs or triples. The pass gathers class rows in
-blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
+1N counts, in each row of ``line.adjacency``, the other points not distant.
+cap2N, cap3N and MD read the twin classes, the points with equal distant
+rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from the
+adjacency alone, so 1N, cap2N and cap3N hold on any symmetric irreflexive
+graph; a line's classes are grouped once and kept, read-only, in its
+``derived`` dict. Twins are never distant, so the common neighbourhood of
+distant points depends only on their classes: it is the total size of the
+classes near all of them, and a class pair or triple stands for the product
+of its class sizes in point pairs or triples. The pass gathers class rows
+in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
 one point, and weighs them by class size in float32, exact since no count
 reaches 2**24. The weighted counts come from ``np.einsum``, not a matrix
 product: the BLAS product now and then raised a spurious invalid-value
@@ -24,23 +24,27 @@ flag, which numpy printed as a RuntimeWarning. A triple over a class pair
 with no class near both has count 0, so such triples are counted, not
 gathered (on a field, all of them).
 
-MD is the maximum clique, searched only up to the bound from R/J's blocks,
-on the graph of twin classes, each class standing for its first point. A
-clique meets each class at most once, and replacing each member by its
-class's first point keeps a clique (twins share distant rows) and raises no
-entry, so the line's lexicographically least maximum clique is of first
-points; the classes are numbered in their order, so it is the class graph's.
-Twin classes are grouped on packed distant rows, used only as keys; the
-masks of ringline.clique are the only bitmask form that is searched. Jcb
-candidate C counts orbits by Burnside's lemma, reading only the units' rows
-of the multiplication table. TpI is one gather of ``inv`` at both
-coordinates of the points' codes.
+MD is the maximum clique, searched only up to the bound from the ring's R/J
+blocks and certified against it (a search that ends at another size raises
+AssertionError), on the graph of twin classes, each class standing for its
+first point. A clique meets each class at most once, and replacing each
+member by its class's first point keeps a clique (twins share distant rows)
+and raises no entry, so the line's lexicographically least maximum clique
+is of first points; the classes are numbered in their order, so it is the
+class graph's. Twin classes are grouped on packed distant rows, used only
+as keys; the masks of ringline.clique are the only bitmask form that is
+searched. Jcb candidate C counts orbits by Burnside's lemma, reading only
+the units' rows of the multiplication table. TpI is one gather of ``inv``
+at both coordinates of the points' codes.
 
 Each ring and side is signed once: the signature is kept in the line's
 ``derived`` dict, which build_line gives every line over one cached
 record, so a commutative ring's right line, which is its left line, reads
 its left line's signature. A line built by hand, or by
-dataclasses.replace, has a dict of its own and is signed from its arrays.
+dataclasses.replace, has a dict of its own and is signed from its arrays:
+its 1N, cap2N and cap3N are those of its adjacency, but its MD is still
+certified against its ring's R/J bound, so a graph that is not its ring's
+line can raise AssertionError.
 
 A right line over a non-commutative ring is signed as the left line's
 signature with TpI read off its own codes. Its record's ``held`` gives the
@@ -294,7 +298,9 @@ def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
     A mutually distant set of P(M_k(GF(q))) is a partial spread of k-spaces
     in GF(q)^2k, so it has at most q^k + 1 points; distance is decided mod J
     and block by block, so MD is at most the least q^k + 1 over the blocks
-    of R/J. The search stops at that bound and fails if it cannot reach it.
+    of R/J. The search stops at that bound, and the bound certifies the
+    clique: a search that ends at any other size raises AssertionError, so
+    MD holds on the ring's line, not on any graph.
     It runs on the graph of twin classes, and each class of the clique
     stands for its first point (see the module docstring).
     """
@@ -332,7 +338,9 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
 def signature(line: ProjectiveLine) -> LineSignature:
     """Aggregate all Table-1 statistics of the line, kept in its ``derived``
     dict; a non-commutative ring's right line takes the left line's
-    signature with its own TpI (see the module docstring)."""
+    signature with its own TpI (see the module docstring). MD is certified
+    against the ring's R/J bound (:func:`max_distant_set`), so a hand-built
+    adjacency that is not the ring's line can raise AssertionError."""
     derived = line.derived
     if "signature" not in derived:
         if "held" in derived:

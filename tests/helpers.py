@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from ringline import (
-    ClosureTooLarge,
     NotAutomorphism,
     RingRecipe,
     ideal_lattice,
@@ -432,19 +431,18 @@ def _mat_mul(base, a, b):
     return tuple(out)
 
 
-def tuple_subring_closure(base, generators, dim=None, cap=1024):
-    """Matrix subring closure on Python tuples of tuples: additive spans by
-    breadth-first search, products entry by entry, tables filled pair by pair.
-    Same contract as :func:`ringline.matrix_subring_closure`.
+def tuple_subring_closure(base, generators):
+    """Smallest subring of square matrices over ``base`` holding the
+    generators, 0 and the identity, on Python tuples of tuples: additive
+    spans by breadth-first search, products entry by entry, tables filled
+    pair by pair. Elements are indexed in sorted order of their row-major
+    entry tuples, the order :func:`ringline.matrix_ring` and
+    :func:`ringline.triangular_ring` give the matrices they hold.
     """
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
-    if gens:
-        dim = len(gens[0])
-        for g in gens:
-            if len(g) != dim or any(len(row) != dim for row in g):
-                raise ValueError("generators must be square matrices of equal size")
-    elif dim is None:
-        dim = 1
+    dim = len(gens[0])
+    if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
+        raise ValueError("generators must be square matrices of equal size")
     zero = tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
     one = tuple(
         tuple(base.one if i == j else 0 for j in range(dim)) for i in range(dim)
@@ -462,10 +460,6 @@ def tuple_subring_closure(base, generators, dim=None, cap=1024):
                 for b in bs:
                     s = _mat_add(base, x, b)
                     if s not in span:
-                        if len(span) >= cap:
-                            raise ClosureTooLarge(
-                                f"closure exceeds {cap} elements"
-                            )
                         span.add(s)
                         nxt.append(s)
             frontier = nxt

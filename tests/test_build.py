@@ -8,7 +8,6 @@ import json
 import pathlib
 import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from helpers import (
 )
 
 from ringline import (
-    ClosureTooLarge,
     NotAutomorphism,
     NotClosed,
     NotPrime,
@@ -35,6 +33,7 @@ from ringline import (
     RingRecipe,
     RingSyntaxError,
     RinglineError,
+    build_line,
     build_recipe,
     builtin_catalog,
     direct_product,
@@ -42,19 +41,18 @@ from ringline import (
     fingerprint,
     is_commutative,
     matrix_ring,
-    matrix_subring_closure,
     parse_recipe,
     parse_ring_file,
     quotient_dual_numbers,
     ring_gf,
     ring_zn,
+    signature,
     skew_dual_numbers,
     structure_constants_algebra,
     triangular_ring,
     unit_elements,
     validate_ring,
 )
-from ringline import build
 from ringline.build import (
     ORDER_CAP,
     _check_automorphism,
@@ -460,142 +458,62 @@ class TestStructureConstants:
             structure_constants_algebra(2, 2, constants)
 
 
-class TestMatrixSubringClosure:
-    def test_e11_e12_closes_to_upper_triangular(self):
-        f2 = ring_gf(2, 1)
-        e11 = ((1, 0), (0, 0))
-        e12 = ((0, 1), (0, 0))
-        ring = matrix_subring_closure(f2, [e11, e12])
-        assert ring.order == 8
-        assert fingerprint(ring) == fingerprint(ring_of("t2f2"))
-
-    def test_empty_generators_give_prime_ring(self):
-        for base, char in ((ring_gf(2, 1), 2), (ring_zn(6), 6)):
-            ring = matrix_subring_closure(base, [], dim=2)
-            assert ring.order == char
-
-    def test_all_units_generate_full_matrix_ring(self):
-        m2 = ring_of("m2f2")
-        f2 = ring_gf(2, 1)
-        unit_mats = []
-        for u in unit_elements(m2):
-            entries = [(u >> shift) & 1 for shift in (3, 2, 1, 0)]
-            unit_mats.append(((entries[0], entries[1]), (entries[2], entries[3])))
-        ring = matrix_subring_closure(f2, unit_mats)
-        assert ring.order == 16
-        assert fingerprint(ring) == fingerprint(m2)
-
-    def test_idempotent(self):
-        f2 = ring_gf(2, 1)
-        ring = matrix_subring_closure(f2, [((1, 0), (0, 0)), ((0, 1), (0, 0))])
-        # closing the closure adds nothing: regenerate from all its matrices
-        masks = [(v >> 2 & 1, v >> 1 & 1, v & 1) for v in range(8)]
-        mats = [((a, b), (0, c)) for a, b, c in masks]
-        again = matrix_subring_closure(f2, mats)
-        assert again.order == ring.order
-
-    def test_closure_too_large(self, monkeypatch):
-        """These generators close to all 256 matrices over GF(4): built under
-        the shipped cap, refused once ORDER_CAP is patched to 64."""
-        gf4 = ring_gf(2, 2)
-        gens = [
-            ((1, 1), (0, 0)),
-            ((0, 0), (1, 1)),
-            ((0, 2), (3, 0)),  # arbitrary field elements to force growth
-        ]
-        assert matrix_subring_closure(gf4, gens).order == 256
-        monkeypatch.setattr(build, "ORDER_CAP", 64)
-        with pytest.raises(ClosureTooLarge, match="exceeds 64"):
-            matrix_subring_closure(gf4, gens)
-
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_dimension_other_than_generators_refused(self, dim):
-        """dim=3 with 2x2 generators was read as dim=2 and built the 2x2 closure."""
-        with pytest.raises(ValueError, match=f"generators must be {dim}x{dim} matrices"):
-            matrix_subring_closure(ring_gf(2, 1), [((1, 0), (0, 0))], dim=dim)
-
-    def test_dimension_equal_to_generators_kept(self):
-        e11 = ((1, 0), (0, 0))
-        ring = matrix_subring_closure(ring_gf(2, 1), [e11], dim=2)
-        assert same_tables(ring, matrix_subring_closure(ring_gf(2, 1), [e11]))
-
-    @pytest.mark.parametrize("dim, error", [(0, "positive"), (2.0, "must be an integer")])
-    def test_bad_dimension_refused(self, dim, error):
-        with pytest.raises(ValueError, match=error):
-            matrix_subring_closure(ring_gf(2, 1), [], dim=dim)
-
-    @pytest.mark.parametrize("entry", [2, -1])
-    def test_generator_entry_outside_base_refused(self, entry):
-        with pytest.raises(ValueError, match="element indices"):
-            matrix_subring_closure(ring_gf(2, 1), [((entry, 0), (0, 0))])
-
-    @pytest.mark.parametrize("entry", [1.7, 1.0, "1"])
-    def test_non_integer_generator_entry_refused(self, entry):
-        """int(x) read 1.7 as 1, so ((1, 1.7), (0, 1)) built a ring of order 4."""
-        message = re.escape(f"generator entry must be an integer, got {entry!r}")
-        with pytest.raises(ValueError, match=message):
-            matrix_subring_closure(ring_gf(2, 1), [((1, entry), (0, 1))])
-
-    def test_codes_beyond_int64_refused_before_allocation(self):
-        shift = tuple(tuple(int(j == i + 1) for j in range(8)) for i in range(8))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ClosureTooLarge, match="int64"):
-                matrix_subring_closure(ring_gf(2, 1), [shift])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * ORDER_CAP**2  # less than one int64 table of order 1024
-
-    @pytest.mark.parametrize(
-        "recipe, dim, kind",
-        [(r, d, k) for r in ("gf:2", "gf:3", "zn:4") for d in (1, 2) for k in ("mat", "tri")]
-        + [("gf:2", 3, "mat"), ("gf:2", 3, "tri")],
-    )
-    def test_unit_closure_equals_constructor(self, recipe, dim, kind):
-        """Over a prime ring the matrix units generate the whole support.
-
-        Over any other base the closure lacks the base's non-prime scalars,
-        so the cross-check is limited to bases that are their own prime ring.
-        """
-        base = ring_of_recipe(recipe)
-        one = base.one
-        units_ = [
-            tuple(tuple(one if (r, c) == (i, j) else 0 for c in range(dim)) for r in range(dim))
-            for i in range(dim)
-            for j in range(i if kind == "tri" else 0, dim)
-        ]
-        expected = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
-        assert same_tables(matrix_subring_closure(base, units_), expected)
-
-
-CLOSURE_BASES = ["gf:2", "gf:3", "zn:4", "gf:4", "dual(gf:2)"]
-
-
-@given(
-    recipe=st.sampled_from(CLOSURE_BASES),
-    dim=st.integers(1, 3),
-    cap=st.sampled_from([8, 64]),
-    data=st.data(),
+@pytest.mark.parametrize(
+    "recipe, dim, kind",
+    [(r, d, k) for r in ("gf:2", "gf:3", "zn:4") for d in (1, 2) for k in ("mat", "tri")]
+    + [("gf:2", 3, "mat"), ("gf:2", 3, "tri")],
 )
-@settings(max_examples=60, deadline=None)
-def test_closure_matches_tuple_oracle(recipe, dim, cap, data):
-    """Same (order, one, name, add, mul) as closure on tuples, or both refuse."""
+def test_unit_closure_equals_constructor(recipe, dim, kind):
+    """Over a prime ring the matrix units generate the whole support, so
+    their subring closure on tuples has the constructor's tables.
+
+    Over any other base the closure lacks the base's non-prime scalars,
+    so the cross-check is limited to bases that are their own prime ring.
+    """
     base = ring_of_recipe(recipe)
-    entry = st.integers(0, base.order - 1)
-    matrix = st.tuples(*[st.tuples(*[entry] * dim)] * dim)
-    gens = data.draw(st.lists(matrix, min_size=1, max_size=3))
+    one = base.one
+    units_ = [
+        tuple(tuple(one if (r, c) == (i, j) else 0 for c in range(dim)) for r in range(dim))
+        for i in range(dim)
+        for j in range(i if kind == "tri" else 0, dim)
+    ]
+    expected = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
+    assert same_tables(tuple_subring_closure(base, units_), expected)
 
-    def outcome(closure):
-        try:
-            ring = closure()
-        except ClosureTooLarge as exc:
-            return ("refused", str(exc))
-        return (ring.order, ring.one, ring.name, ring.add.tobytes(), ring.mul.tobytes())
 
-    with mock.patch.object(build, "ORDER_CAP", cap):  # the closure reads it when called
-        got = outcome(lambda: matrix_subring_closure(base, gens))
-    assert got == outcome(lambda: tuple_subring_closure(base, gens, cap=cap))
+def test_row_16_12_as_structure_constants():
+    """Row 16/12's ring, the subring of M3(GF(2)) generated by E00, E01 and
+    E02, is the structure-constant algebra on 1, e, u, w with e^2 = e,
+    e*u = u, e*w = w and every other product of e, u, w zero: index
+    sum(ci * 2^i) maps to c0*I + c1*E00 + c2*E01 + c3*E02, and both tables
+    carry over. Its label is 16/12, and both lines give the row."""
+    e = lambda k: [int(i == k) for i in range(4)]
+    zero = [0, 0, 0, 0]
+    constants = [
+        [e(0), e(1), e(2), e(3)],  # 1 * {1, e, u, w}
+        [e(1), e(1), e(2), e(3)],  # e * {...}
+        [e(2), zero, zero, zero],  # u * {...}
+        [e(3), zero, zero, zero],  # w * {...}
+    ]
+    algebra = structure_constants_algebra(2, 4, constants)
+    unit = lambda j: tuple(tuple(int((r, c) == (0, j)) for c in range(3)) for r in range(3))
+    closure = tuple_subring_closure(ring_gf(2, 1), [unit(0), unit(1), unit(2)])
+
+    def matrix(k: int) -> tuple:
+        c0, c1, c2, c3 = (k >> i & 1 for i in range(4))
+        return ((c0 ^ c1, c2, c3), (0, c0, 0), (0, 0, c0))
+
+    ranked = sorted(map(matrix, range(16)))  # the closure's order of its elements
+    index = np.array([ranked.index(matrix(k)) for k in range(16)])
+    assert closure.order == algebra.order == 16
+    assert np.array_equal(closure.add[np.ix_(index, index)], index[algebra.add])
+    assert np.array_equal(closure.mul[np.ix_(index, index)], index[algebra.mul])
+    entry = next(e for e in builtin_catalog() if e.name == "row16_12")
+    fp = fingerprint(algebra)
+    assert entry.paper_row == f"{fp.order}/{fp.zero_divisor_count}" == "16/12"
+    for side in ("left", "right"):
+        row = signature(build_line(algebra, side)).as_row()
+        assert row == entry.expected == (36, 28, 19, 8, 0, 3), side
 
 
 TABLE_DIGESTS = json.loads((DATA / "table_digests.json").read_text())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -605,6 +606,21 @@ class TestOncePerLine:
         assert signature(build_line(line.ring)) is cached
         copied = ProjectiveLine(line.ring, "left", own.codes, own.rows, own.adjacency.copy())
         assert signature(copied) is not cached and signature(copied) == cached
+
+    def test_hand_built_graph_counts_but_md_is_certified(self):
+        """1N, cap2N and cap3N of a hand-built line read its adjacency alone,
+        but MD is certified against the ring's R/J bound: the complete graph
+        on T2(GF(2))'s 18 points has an 18-clique past the bound 3, so
+        signing it raises."""
+        own = build_line(build_recipe("tri(gf:2,2)"))
+        n = len(own)
+        line = dataclasses.replace(own, adjacency=~np.eye(n, dtype=bool))
+        assert one_neighbourhood_stat(line) == StatValue(0, 0, n)
+        assert pair_intersection_stat(line) == StatValue(0, 0, math.comb(n, 2))
+        assert triple_intersection_stat(line) == StatValue(0, 0, math.comb(n, 3))
+        message = "clique search ended at size 18, not at the bound 3"
+        with pytest.raises(AssertionError, match=message):
+            signature(line)
 
 
 class TestCliqueStop:
