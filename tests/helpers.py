@@ -34,6 +34,7 @@ from ringline import (
     jacobson_radical,
     validate_ring,
 )
+from ringline.core import _integer
 from ringline.line import orbit_labels
 
 
@@ -431,18 +432,29 @@ def _mat_mul(base, a, b):
     return tuple(out)
 
 
-def tuple_subring_closure(base, generators):
-    """Smallest subring of square matrices over ``base`` holding the
+def tuple_subring_closure(base, generators, dim=None):
+    """Smallest subring of dim x dim matrices over ``base`` holding the
     generators, 0 and the identity, on Python tuples of tuples: additive
     spans by breadth-first search, products entry by entry, tables filled
-    pair by pair. Elements are indexed in sorted order of their row-major
-    entry tuples, the order :func:`ringline.matrix_ring` and
-    :func:`ringline.triangular_ring` give the matrices they hold.
+    pair by pair. ``dim`` defaults to the generators' size (1 without
+    generators); generators of another size, or with entries that are not
+    integer element indices, raise ValueError. Elements are indexed in
+    sorted order of their row-major entry tuples, the order
+    :func:`ringline.matrix_ring` and :func:`ringline.triangular_ring` give
+    the matrices they hold.
     """
-    gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
-    dim = len(gens[0])
+    gens = [
+        tuple(tuple(_integer(x, "generator entry") for x in row) for row in g)
+        for g in generators
+    ]
+    size = len(gens[0]) if gens else 1
+    dim = size if dim is None else _integer(dim, "matrix dimension")
+    if dim < 1:
+        raise ValueError("matrix dimension must be positive")
     if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
-        raise ValueError("generators must be square matrices of equal size")
+        raise ValueError(f"generators must be {dim}x{dim} matrices")
+    if any(not 0 <= x < base.order for g in gens for row in g for x in row):
+        raise ValueError(f"generator entries must be element indices 0..{base.order - 1}")
     zero = tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
     one = tuple(
         tuple(base.one if i == j else 0 for j in range(dim)) for i in range(dim)

@@ -458,27 +458,134 @@ class TestStructureConstants:
             structure_constants_algebra(2, 2, constants)
 
 
+class TestMatrixSubringClosure:
+    """The subring closure on tuples that cross-checks the matrix constructors."""
+
+    def test_e11_e12_closes_to_upper_triangular(self):
+        f2 = ring_gf(2, 1)
+        e11 = ((1, 0), (0, 0))
+        e12 = ((0, 1), (0, 0))
+        ring = tuple_subring_closure(f2, [e11, e12])
+        assert ring.order == 8
+        assert fingerprint(ring) == fingerprint(ring_of("t2f2"))
+
+    def test_empty_generators_give_prime_ring(self):
+        for base, char in ((ring_gf(2, 1), 2), (ring_zn(6), 6)):
+            ring = tuple_subring_closure(base, [], dim=2)
+            assert ring.order == char
+
+    def test_all_units_generate_full_matrix_ring(self):
+        m2 = ring_of("m2f2")
+        f2 = ring_gf(2, 1)
+        unit_mats = []
+        for u in unit_elements(m2):
+            entries = [(u >> shift) & 1 for shift in (3, 2, 1, 0)]
+            unit_mats.append(((entries[0], entries[1]), (entries[2], entries[3])))
+        ring = tuple_subring_closure(f2, unit_mats)
+        assert ring.order == 16
+        assert fingerprint(ring) == fingerprint(m2)
+
+    def test_idempotent(self):
+        f2 = ring_gf(2, 1)
+        ring = tuple_subring_closure(f2, [((1, 0), (0, 0)), ((0, 1), (0, 0))])
+        # closing the closure adds nothing: regenerate from all its matrices
+        masks = [(v >> 2 & 1, v >> 1 & 1, v & 1) for v in range(8)]
+        mats = [((a, b), (0, c)) for a, b, c in masks]
+        again = tuple_subring_closure(f2, mats)
+        assert same_tables(again, ring)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_dimension_other_than_generators_refused(self, dim):
+        """dim=3 with 2x2 generators must not build the 2x2 closure."""
+        with pytest.raises(ValueError, match=f"generators must be {dim}x{dim} matrices"):
+            tuple_subring_closure(ring_gf(2, 1), [((1, 0), (0, 0))], dim=dim)
+
+    def test_dimension_equal_to_generators_kept(self):
+        e11 = ((1, 0), (0, 0))
+        ring = tuple_subring_closure(ring_gf(2, 1), [e11], dim=2)
+        assert same_tables(ring, tuple_subring_closure(ring_gf(2, 1), [e11]))
+
+    @pytest.mark.parametrize("dim, error", [(0, "positive"), (2.0, "must be an integer")])
+    def test_bad_dimension_refused(self, dim, error):
+        with pytest.raises(ValueError, match=error):
+            tuple_subring_closure(ring_gf(2, 1), [], dim=dim)
+
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_generator_entry_outside_base_refused(self, entry):
+        with pytest.raises(ValueError, match="element indices"):
+            tuple_subring_closure(ring_gf(2, 1), [((entry, 0), (0, 0))])
+
+    @pytest.mark.parametrize("entry", [1.7, 1.0, "1"])
+    def test_non_integer_generator_entry_refused(self, entry):
+        """int(x) would read 1.7 as 1, so ((1, 1.7), (0, 1)) would close to order 4."""
+        message = re.escape(f"generator entry must be an integer, got {entry!r}")
+        with pytest.raises(ValueError, match=message):
+            tuple_subring_closure(ring_gf(2, 1), [((1, entry), (0, 1))])
+
+    @pytest.mark.parametrize(
+        "recipe, dim, kind",
+        [(r, d, k) for r in ("gf:2", "gf:3", "zn:4") for d in (1, 2) for k in ("mat", "tri")]
+        + [("gf:2", 3, "mat"), ("gf:2", 3, "tri")],
+    )
+    def test_unit_closure_equals_constructor(self, recipe, dim, kind):
+        """Over a prime ring the matrix units generate the whole support, so
+        their subring closure on tuples has the constructor's tables.
+
+        Over any other base the closure lacks the base's non-prime scalars,
+        so the cross-check is limited to bases that are their own prime ring.
+        """
+        base = ring_of_recipe(recipe)
+        one = base.one
+        units_ = [
+            tuple(tuple(one if (r, c) == (i, j) else 0 for c in range(dim)) for r in range(dim))
+            for i in range(dim)
+            for j in range(i if kind == "tri" else 0, dim)
+        ]
+        expected = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
+        assert same_tables(tuple_subring_closure(base, units_), expected)
+
+
 @pytest.mark.parametrize(
     "recipe, dim, kind",
-    [(r, d, k) for r in ("gf:2", "gf:3", "zn:4") for d in (1, 2) for k in ("mat", "tri")]
-    + [("gf:2", 3, "mat"), ("gf:2", 3, "tri")],
+    [(r, 2, k) for r in ("gf:2", "zn:4", "gf:4", "dual(gf:2)") for k in ("mat", "tri")]
+    + [("gf:2", 3, "tri")],
 )
-def test_unit_closure_equals_constructor(recipe, dim, kind):
-    """Over a prime ring the matrix units generate the whole support, so
-    their subring closure on tuples has the constructor's tables.
-
-    Over any other base the closure lacks the base's non-prime scalars,
-    so the cross-check is limited to bases that are their own prime ring.
-    """
+def test_matrix_index_reads_free_entries(recipe, dim, kind):
+    """A matrix ring's index k is the matrix whose free entries, row-major,
+    are the digits of k base |base|, first entry most significant; every
+    cell of both tables is the index of the sum or product so read, and the
+    entries a triangular ring leaves out stay 0. Covers the bases that are
+    not their own prime ring, which the closure cross-check cannot."""
     base = ring_of_recipe(recipe)
-    one = base.one
-    units_ = [
-        tuple(tuple(one if (r, c) == (i, j) else 0 for c in range(dim)) for r in range(dim))
-        for i in range(dim)
-        for j in range(i if kind == "tri" else 0, dim)
-    ]
-    expected = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
-    assert same_tables(tuple_subring_closure(base, units_), expected)
+    ring = (matrix_ring if kind == "mat" else triangular_ring)(base, dim)
+    free = [(i, j) for i in range(dim) for j in range(i if kind == "tri" else 0, dim)]
+    q = base.order
+
+    def matrix(k: int) -> list[list[int]]:
+        mat = [[0] * dim for _ in range(dim)]
+        for place, (i, j) in enumerate(reversed(free)):
+            mat[i][j] = k // q**place % q
+        return mat
+
+    def index(mat: list[list[int]]) -> int:
+        fixed = {(i, j) for i in range(dim) for j in range(dim)} - set(free)
+        assert all(mat[i][j] == 0 for i, j in fixed)
+        return sum(mat[i][j] * q**place for place, (i, j) in enumerate(reversed(free)))
+
+    mats = [matrix(k) for k in range(ring.order)]
+    add, mul = base.add.tolist(), base.mul.tolist()
+    assert ring.order == q ** len(free)
+    assert ring.one == index([[base.one * (i == j) for j in range(dim)] for i in range(dim)])
+    for a, x in enumerate(mats):
+        for b, y in enumerate(mats):
+            total = [[add[x[i][j]][y[i][j]] for j in range(dim)] for i in range(dim)]
+            prod = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(dim):
+                    for k in range(dim):
+                        prod[i][j] = add[prod[i][j]][mul[x[i][k]][y[k][j]]]
+            assert ring.add[a, b] == index(total)
+            assert ring.mul[a, b] == index(prod)
 
 
 def test_row_16_12_as_structure_constants():
