@@ -27,7 +27,7 @@ from .catalog import (
 )
 from .core import fingerprint
 from .errors import RightLineBreakdown, RinglineError
-from .line import build_line, point_type
+from .line import build_line, type_one
 from .stats import signature
 
 
@@ -97,16 +97,17 @@ def _cmd_line_compute(args) -> int:
         sig = signature(line)
         _print_signature(sig)
         if args.export:
+            n, types = ring.order, type_one(ring, line.codes).tolist()
             payload.update(
                 signature=sig.to_json_dict(),
                 jacobsonCandidates=dict(sig.jcb),
                 points=[
                     {
-                        "rep": list(p.rep),
-                        "members": [list(divmod(c, ring.order)) for c in p.members.tolist()],
-                        "type": point_type(line, i),
+                        "rep": list(divmod(code, n)),
+                        "members": [list(divmod(c, n)) for c in row],
+                        "type": "TypeI" if t else "TypeII",
                     }
-                    for i, p in enumerate(line.points)
+                    for code, row, t in zip(line.codes.tolist(), line.rows.tolist(), types)
                 ],
                 distantAdjacency=line.adjacency.astype(int).tolist(),
             )

@@ -12,17 +12,16 @@ cap2N, cap3N and MD read the twin classes, the points with equal distant
 rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from the
 adjacency alone, so 1N, cap2N and cap3N hold on any symmetric irreflexive
 graph; a line's classes are grouped once and kept, read-only, in its
-``derived`` dict. Twins are never distant, so the common neighbourhood of
-distant points depends only on their classes: it is the total size of the
-classes near all of them, and a class pair or triple stands for the product
-of its class sizes in point pairs or triples. The pass gathers class rows
-in blocks of BLOCK_CELLS cells, so memory stays bounded when every class is
-one point, and weighs them by class size in float32, exact since no count
-reaches 2**24. The weighted counts come from ``np.einsum``, not a matrix
-product: the BLAS product now and then raised a spurious invalid-value
-flag, which numpy printed as a RuntimeWarning. A triple over a class pair
-with no class near both has count 0, so such triples are counted, not
-gathered (on a field, all of them).
+``derived`` dict. They are grouped on the near rows (``~adjacency``)
+packed eight points a byte, and those of their first points are kept.
+Twins are never distant, so the common neighbourhood of distant points
+depends only on their classes: its size is the popcount of the AND of their
+first points' packed rows, and a class pair or triple stands for the
+product of its class sizes in point pairs or triples. The pass gathers
+packed rows in blocks of BLOCK_CELLS cells, so memory stays bounded when
+every class is one point. A triple over a class pair with no point near
+both has count 0, so such triples are counted, not gathered (on a field,
+all of them).
 
 MD is the maximum clique, searched only up to the bound from the ring's R/J
 blocks and certified against it (a search that ends at another size raises
@@ -31,11 +30,10 @@ first point. A clique meets each class at most once, and replacing each
 member by its class's first point keeps a clique (twins share distant rows)
 and raises no entry, so the line's lexicographically least maximum clique
 is of first points; the classes are numbered in their order, so it is the
-class graph's. Twin classes are grouped on packed distant rows, used only
-as keys; the masks of ringline.clique are the only bitmask form that is
-searched. Jcb candidate C counts orbits by Burnside's lemma, reading only
-the units' rows of the multiplication table. TpI is one gather of ``inv``
-at both coordinates of the points' codes.
+class graph's. The masks of ringline.clique, packed from the class graph,
+are the only bitmask form that is searched. Jcb candidate C counts orbits
+by Burnside's lemma, reading only the units' rows of the multiplication
+table. TpI is one gather of ``inv`` at both coordinates of the points' codes.
 
 Each ring and side is signed once: the signature is kept in the line's
 ``derived`` dict, which build_line gives every line over one cached
@@ -207,14 +205,16 @@ def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
 
 def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distant graph on twin classes (points with equal distant rows),
-    each point's class, and each class's size and first point, all
-    read-only; classes are numbered in the order of their first points.
+    each point's class, each class's size and first point, and the first
+    points' packed near rows, all read-only; classes are numbered in the
+    order of their first points.
 
     Twins are never distant: in an irreflexive graph, twins i, j would have
-    adj[i, j] = adj[j, j] = False. Rows are grouped by their packed bytes,
+    adj[i, j] = adj[j, j] = False. Classes are grouped on the near rows
+    (``~adjacency``, packed after negating, so the padding bits are 0),
     packed C-contiguous whatever the adjacency's layout.
     """
-    packed = np.ascontiguousarray(np.packbits(adjacency, axis=1))
+    packed = np.ascontiguousarray(np.packbits(~adjacency, axis=1))
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, classes, sizes = np.unique(
         rows, return_index=True, return_inverse=True, return_counts=True
@@ -222,7 +222,7 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     order = np.argsort(first)  # np.unique numbers the classes in byte order
     first = first[order]
     number = np.argsort(order)  # the inverse permutation
-    twins = (adjacency[np.ix_(first, first)], number[classes], sizes[order], first)
+    twins = (adjacency[np.ix_(first, first)], number[classes], sizes[order], first, packed[first])
     for array in twins:
         array.flags.writeable = False
     return twins
@@ -251,17 +251,16 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     """cap2N and cap3N in one pass over the twin classes.
 
     Distant class pairs a < b are taken in blocks of BLOCK_CELLS (pair,
-    class) cells. Row p of ``both`` marks the classes near both classes of
-    pair p, and the pair stands for |a| * |b| point pairs. A class c > b
-    distant from both completes a triple, whose common neighbourhood is
-    both[p] & near[c], and which stands for |a| * |b| * |c| point triples.
-    Where both[p] is empty every such triple's count is 0, so those triples
-    are only counted; the others are gathered in blocks of the same size,
-    and only each block's spread is kept.
+    class) cells. Row p of ``both`` packs the points near both classes of
+    pair p, counted by popcount; the pair stands for |a| * |b| point pairs.
+    A class c > b distant from both completes a triple, whose common
+    neighbourhood is both[p] & near[c], and which stands for |a| * |b| * |c|
+    point triples. Where both[p] is empty every such triple's count is 0, so
+    those triples are only counted; the others are gathered in blocks of the
+    same size, and only each block's spread is kept.
     """
-    adj, _, sizes, _ = _twins(line)
+    adj, _, sizes, _, near = _twins(line)
     later = np.triu(adj)  # [a, c]: c > a and distant from a
-    near, weights = ~adj, sizes.astype(np.float32)
     a, b = _cells(later)
     if not len(a):
         raise NoDistantPair(f"line over {line.ring.name} has no distant pair")
@@ -269,14 +268,14 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     for rows in _row_blocks(len(a), len(adj)):
         pa, pb = a[rows], b[rows]
         both, pair_sizes = near[pa] & near[pb], sizes[pa] * sizes[pb]
-        common = np.einsum("ij,j->i", both, weights)
+        common = np.bitwise_count(both).sum(axis=1)
         pairs.append(StatValue.of(common, pair_sizes))
         third, empty = later[pa] & later[pb], common == 0
         triples.append(StatValue(0, 0, int(pair_sizes[empty] @ (third[empty] @ sizes))))
         third[empty] = False
         p, c = _cells(third)
         for s in _row_blocks(len(c), len(adj)):
-            common = np.einsum("ij,j->i", both[p[s]] & near[c[s]], weights)
+            common = np.bitwise_count(both[p[s]] & near[c[s]]).sum(axis=1)
             triples.append(StatValue.of(common, pair_sizes[p[s]] * sizes[c[s]]))
     return StatValue.union(pairs), StatValue.union(triples)
 
@@ -305,7 +304,7 @@ def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
     stands for its first point (see the module docstring).
     """
     stop = min(q**k + 1 for q, k in semisimple_blocks(line.ring))
-    adj, _, _, first = _twins(line)
+    adj, _, _, first, _ = _twins(line)
     return tuple(first[list(clique.max_clique(adj, stop))].tolist())
 
 
@@ -345,7 +344,7 @@ def signature(line: ProjectiveLine) -> LineSignature:
     if "signature" not in derived:
         if "held" in derived:
             left = build_line(line.ring)
-            _, classes, sizes, _ = _twins(left)
+            _, classes, sizes, _, _ = _twins(left)
             counts = np.bincount(classes[derived["held"]], minlength=len(sizes))
             if not np.array_equal(counts, sizes):
                 raise AssertionError("right points do not fill the left twin classes")

@@ -462,7 +462,7 @@ class TestMaxDistantSetOnClasses:
         twins = stats_module._twins(line)
         assert stats_module._twins(line) is twins
         assert twins is line.derived["twins"] is line.ring._cache["line", "left"][3]["twins"]
-        adj, classes, sizes, first = twins
+        adj, classes, sizes, first, _ = twins
         assert np.array_equal(classes[first], np.arange(len(first)))
         assert (np.diff(first) > 0).all() and first[0] == 0
         assert np.array_equal(np.bincount(classes), sizes)
@@ -470,6 +470,28 @@ class TestMaxDistantSetOnClasses:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "tri(gf:2,2)",
+            "gf:32",
+            "mat(gf:2,2)",
+            "prod(zn:2,mat(gf:2,2))",
+            "prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,gf:2)))))",
+        ],
+    )
+    def test_packed_near_rows(self, recipe):
+        """The fifth twin array packs the near rows of the classes' first
+        points (each point near itself), read-only, with every padding bit
+        past the last point 0; no point count here is a multiple of 8."""
+        line = build_line(build_recipe(recipe))
+        _, _, _, first, near = stats_module._twins(line)
+        assert len(line) % 8
+        assert near.dtype == np.uint8 and near.shape == (len(first), -(-len(line) // 8))
+        assert np.array_equal(np.unpackbits(near, axis=1, count=len(line)), ~line.adjacency[first])
+        assert not np.unpackbits(near, axis=1)[:, len(line) :].any()
+        assert not near.flags.writeable
 
 
 class TestTwinQuotientOnLines:
@@ -509,7 +531,8 @@ class TestTwinQuotientOnLines:
 
     def test_cap3n_memory_bounded(self):
         """On the 729-point line over (F2)^6 every twin class is one point;
-        the (distant pairs x points) product this replaces peaked at 133 MB."""
+        the (distant pairs x points) product this replaces peaked at 133 MB,
+        and blocks sized by packed bytes instead of classes peak at 27 MB."""
         ring = build_recipe("prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,prod(gf:2,gf:2)))))")
         line = build_line(ring)
         tracemalloc.start()
@@ -519,7 +542,7 @@ class TestTwinQuotientOnLines:
         finally:
             tracemalloc.stop()
         assert (cap3n.value, cap3n.constant, cap3n.count) == (540, True, 7776)
-        assert peak < 32 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestSemisimpleBlocks:
