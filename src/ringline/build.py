@@ -341,14 +341,17 @@ NAMED_ALGEBRAS = {
 # ring files
 
 
-_PLAIN_ROW = re.compile(r"[0-9 \t]+")  # no sign, '_', '.' or non-ASCII digit
+# non-empty rows, one a line: no sign, '_', '.' or non-ASCII digit
+_PLAIN_ROWS = re.compile(r"[0-9 \t]+(?:\n[0-9 \t]+)*")
 
 
 def _plain_table(rows: list[str], n: int) -> np.ndarray | None:
     """The n x n table of n rows of ASCII digits, spaces and tabs, read by one
     np.loadtxt call, which reads such rows to the integers int() reads token
-    by token; None for other rows, an entry past int64 or another shape."""
-    if len(rows) != n or not all(map(_PLAIN_ROW.fullmatch, rows)):
+    by token; None for other rows, an entry past int64 or another shape. The
+    rows are lines of a file, so none holds a newline, and one match over
+    them joined by newlines screens them all."""
+    if len(rows) != n or not _PLAIN_ROWS.fullmatch("\n".join(rows)):
         return None
     try:
         table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)

@@ -100,6 +100,7 @@ def max_clique(adjacency: np.ndarray, stop: int | None = None) -> tuple[int, ...
     if stop is not None and len(best) != stop:
         raise AssertionError(f"clique search ended at size {len(best)}, not at the bound {stop}")
     # certificate: pairwise adjacent
-    if not (adjacency[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all():
+    members = np.array(best, dtype=int)
+    if not (adjacency[members[:, None], members] | (members[:, None] == members)).all():
         raise AssertionError("returned set is not a clique")
     return tuple(best)

@@ -19,6 +19,13 @@ and the ideals are plain ``frozenset``s of element indices, the units an
 ascending tuple; tables are read by indexing ``add``, ``mul``, ``neg`` and
 ``inv``, the last from one compare, ``mul == one``: a finite ring is
 Dedekind-finite, so every right inverse is two-sided.
+
+At these orders a numpy call's fixed cost, not its cell count, sets the
+time, so the code that evaluates one ring, here and in line, stats and
+clique, calls ndarray methods and indexes by broadcasting, as in
+``add[a[:, None], b]`` and ``mask.nonzero()[0]``, rather than through
+numpy's Python-level helpers such as ``np.ix_`` and ``np.flatnonzero``;
+only the slow paths that name a failed axiom's witness use them.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ class FiniteRing:
         self.one = one
         self.name = name
         # additive inverse: the unique zero in each row of the addition table
-        self.neg = np.argmax(add == 0, axis=1)
+        self.neg = (add == 0).argmax(axis=1)
         self.neg.flags.writeable = False
         # inverse: the y with x*y == 1, or -1 for a non-unit. A finite ring is Dedekind-finite,
         # so y is two-sided: y*a = y*b gives a = b on multiplying by x, so a -> y*a is injective,
@@ -107,7 +114,7 @@ def _as_table(table: Sequence[Sequence[int]] | np.ndarray, what: str) -> np.ndar
         raise NotClosed(f"{what} table has rows of unequal length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotClosed(f"{what} table is not square: shape {arr.shape}")
-    if np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind in "iu":
         arr = arr.astype(np.int64, order="C")  # a copy even when already int64
     else:
         # exact Python numbers, so the int64 cast raises instead of rounding or wrapping
@@ -169,22 +176,24 @@ def validate_ring(
 
     idx = np.arange(n)
     for sums in (add[0], add[:, 0]):  # 0 + x, then x + 0
-        if not np.array_equal(sums, idx):
-            bad = int(np.flatnonzero(sums != idx)[0])
+        if not (sums == idx).all():
+            bad = int((sums != idx).argmax())
             raise ZeroIndexNotZero(
                 f"element 0 is not the additive identity (witness element {bad})",
                 witness=(bad,),
             )
 
-    if not np.array_equal(add, add.T):
+    if not _symmetric(add):
         a, b = np.argwhere(add != add.T)[0]
         raise NotAbelianGroup(
             f"addition not commutative: {a}+{b} != {b}+{a}", witness=(int(a), int(b))
         )
-    # each row must be a permutation (gives inverses; identity already checked)
-    bad_rows = (np.sort(add, axis=1) != idx).any(axis=1)
-    if bad_rows.any():
-        a = int(np.flatnonzero(bad_rows)[0])
+    # each row must be a permutation (gives inverses; identity already checked):
+    # hit[x*n + y] marks y in row x
+    hit = np.zeros(n * n, bool)
+    hit[add + idx[:, None] * n] = True
+    if not hit.all():
+        a = int(hit.reshape(n, n).all(axis=1).argmin())
         raise NotAbelianGroup(f"addition row {a} is not a permutation", witness=(a,))
     if not _axioms_hold_on_generators(add, mul):
         # name the lexicographically first witness of the failed axiom
@@ -195,7 +204,7 @@ def validate_ring(
 
     one = _integer(one_index, "unity index", NoUnity)
     if not (0 < one < n) or not (
-        np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)
+        (mul[one] == idx).all() and (mul[:, one] == idx).all()
     ):
         raise NoUnity(f"index {one} is not a two-sided multiplicative identity", witness=(one,))
 
@@ -294,15 +303,15 @@ def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
     if not all(_symmetric(add[add[g]]) for g in gens):
         return False
     for g in gens:  # (x+g)*z == x*z + g*z
-        if not np.array_equal(mul[add[g]], add.ravel()[mul * n + mul[g]]):
+        if not (mul[add[g]] == add.ravel()[mul * n + mul[g]]).all():
             return False
     g = np.array(gens)
     rows = mul[g]  # (i, x) -> gi*x
     # gi*(x+gj) == gi*x + gi*gj
-    if not np.array_equal(rows[:, add[:, g]], add[rows[:, :, None], rows[:, None, g]]):
+    if not (rows[:, add[:, g]] == add[rows[:, :, None], rows[:, None, g]]).all():
         return False
     prod = rows[:, g]  # (i, j) -> gi*gj
-    return np.array_equal(mul[prod[:, :, None], g], mul[g[:, None, None], prod])
+    return bool((mul[prod[:, :, None], g] == mul[g[:, None, None], prod]).all())
 
 
 def _symmetric(table: np.ndarray) -> bool:
@@ -322,7 +331,7 @@ def check_enumerable(ring: FiniteRing, what: str) -> None:
 
 def unit_elements(ring: FiniteRing) -> tuple[int, ...]:
     """Units in ascending index order."""
-    return tuple(np.flatnonzero(ring.inv >= 0).tolist())
+    return tuple((ring.inv >= 0).nonzero()[0].tolist())
 
 
 def zero_divisor_count(ring: FiniteRing) -> int:
@@ -336,40 +345,46 @@ def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
         add, mul = ring.add, ring.mul
         one_minus = add[ring.one, ring.neg[mul]]  # (r, x) -> 1 - r*x
         inside = (ring.inv[one_minus] >= 0).all(axis=0)
-        members = np.flatnonzero(inside)
+        members = inside.nonzero()[0]
         # ideal axioms must hold; failure means corrupt tables
         if not (inside[mul[:, members]].all() and inside[mul[members]].all()):
             raise AssertionError("radical is not a two-sided ideal")
-        if not inside[add[np.ix_(members, members)]].all():
+        if not inside[add[members[:, None], members]].all():
             raise AssertionError("radical is not additively closed")
         ring._cache["radical"] = frozenset(members.tolist())
     return ring._cache["radical"]
+
+
+def _radical_cosets(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of each coset of J, ascending, and each element's
+    coset, numbered by the rank of its least member (coset 0 is J)."""
+    label = ring.add[:, list(jacobson_radical(ring))].min(axis=1)  # x -> least of x + J
+    rep = label == np.arange(ring.order)  # a coset's label is its least member
+    return rep.nonzero()[0], (rep.cumsum() - 1)[label]
 
 
 def semisimple_blocks(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
     """(q, k) for each block M_k(GF(q)) of R/J(R), in ascending order.
 
     Each coset of J is labelled by its least member, which gives R/J's
-    multiplication table. The blocks are e*(R/J) for the primitive central
-    idempotents e, the minimal nonzero ones under f <= e iff f*e = f. A
-    block is simple, so its centre e*Z(R/J) is a field GF(q) with identity
-    e, and the block has q^(k^2) elements. Raises AssertionError when a
-    block is not such a full matrix ring.
+    multiplication table (:func:`_radical_cosets`). The blocks are e*(R/J)
+    for the primitive central idempotents e, the minimal nonzero ones under
+    f <= e iff f*e = f. A block is simple, so its centre e*Z(R/J) is a field
+    GF(q) with identity e, and the block has q^(k^2) elements. Raises
+    AssertionError when a block is not such a full matrix ring.
     """
     if "blocks" not in ring._cache:
-        radical = np.array(sorted(jacobson_radical(ring)))
-        label = ring.add[:, radical].min(axis=1)  # x -> least member of x + J
-        reps, coset = np.unique(label, return_inverse=True)  # coset 0 is J
-        mul = coset[ring.mul[np.ix_(reps, reps)]]
-        centre = np.flatnonzero((mul == mul.T).all(axis=1))
+        reps, coset = _radical_cosets(ring)
+        mul = coset[ring.mul[reps[:, None], reps]]
+        centre = (mul == mul.T).all(axis=1).nonzero()[0]
         idem = centre[(mul[centre, centre] == centre) & (centre != 0)]
-        below = mul[np.ix_(idem, idem)] == idem[:, None]  # [f, e]: f <= e
+        below = mul[idem[:, None], idem] == idem[:, None]  # [f, e]: f <= e
         blocks = []
         for e in idem[below.sum(axis=0) == 1]:
-            field = np.flatnonzero(np.bincount(mul[e, centre]))[1:]  # e*Z less 0
+            field = np.bincount(mul[e, centre]).nonzero()[0][1:]  # e*Z less 0
             q, size = len(field) + 1, np.count_nonzero(np.bincount(mul[e]))
             k = math.isqrt(round(math.log(size, q)))
-            if q ** (k * k) != size or not (mul[np.ix_(field, field)] == e).any(axis=1).all():
+            if q ** (k * k) != size or not (mul[field[:, None], field] == e).any(axis=1).all():
                 raise AssertionError("block of R/J is not a full matrix ring")
             blocks.append((q, k))
         ring._cache["blocks"] = tuple(sorted(blocks))
@@ -405,7 +420,7 @@ def _left_ideals(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> set[froze
             if key not in ideals:
                 ideals.add(key)
                 worklist.append(key)
-    return {frozenset(np.flatnonzero(np.frombuffer(k, dtype=bool)).tolist()) for k in ideals}
+    return {frozenset(np.frombuffer(k, dtype=bool).nonzero()[0].tolist()) for k in ideals}
 
 
 def ideal_lattice(ring: FiniteRing, side: str = "two_sided") -> list[frozenset[int]]:
@@ -456,14 +471,17 @@ def characteristic(ring: FiniteRing) -> int:
 
 
 def is_commutative(ring: FiniteRing) -> bool:
-    return bool(np.array_equal(ring.mul, ring.mul.T))
+    """Whether ``mul`` is symmetric, compared once and kept in the ring's cache."""
+    if "commutative" not in ring._cache:
+        ring._cache["commutative"] = _symmetric(ring.mul)
+    return ring._cache["commutative"]
 
 
 def fingerprint(ring: FiniteRing) -> RingFingerprint:
     """Deterministic aggregation of the invariants above."""
     return RingFingerprint(
         order=ring.order,
-        unit_count=len(unit_elements(ring)),
+        unit_count=int(np.count_nonzero(ring.inv >= 0)),
         zero_divisor_count=zero_divisor_count(ring),
         characteristic=characteristic(ring),
         radical_size=len(jacobson_radical(ring)),

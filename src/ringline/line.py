@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteRing, check_enumerable, is_commutative, unit_elements
+from .core import FiniteRing, check_enumerable, is_commutative
 from .errors import RightLineBreakdown
 
 Pair = tuple[int, int]
@@ -105,7 +105,7 @@ def orbit_labels(ring: FiniteRing, side: str) -> np.ndarray:
     over blocks of units whose (units x n^2) images hold at most
     LABEL_BLOCK_CELLS cells.
     """
-    n, units = ring.order, np.array(unit_elements(ring))
+    n, units = ring.order, (ring.inv >= 0).nonzero()[0]
     labels = np.arange(n * n)
     step = max(1, LABEL_BLOCK_CELLS // (n * n))
     for lo in range(0, len(units), step):
@@ -125,8 +125,8 @@ def _admissible(ring: FiniteRing) -> np.ndarray:
     without BLAS.
     """
     if "admissible" not in ring._cache:
-        principal = np.zeros_like(ring.mul, bool)  # [a, x]: x in aR
-        np.put_along_axis(principal, ring.mul, True, axis=1)
+        principal = np.zeros(ring.mul.shape, bool)  # [a, x]: x in aR
+        principal[np.arange(ring.order)[:, None], ring.mul] = True
         one_minus = principal[:, ring.add[ring.one, ring.neg]]  # [b, x]: 1 - x in bR
         ring._cache["admissible"] = (principal @ one_minus.T).ravel()
     return ring._cache["admissible"]
@@ -151,9 +151,10 @@ def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     t = completes.argmax(axis=1)
     x = neg[mul[inv[add[a, mul[b, t]]], b]]  # -u^-1*b
     z = add[one, mul[t, x]]
-    # [i, j]: c*x + d*z is a unit, for (c, d) = codes[j] and (x, z) of p = codes[i]
-    flat = mul.ravel()
-    return unit_sum.ravel()[flat[a * n + x[:, None]] * n + flat[b * n + z[:, None]]]
+    # [j, i]: c*x + d*z is a unit, for (c, d) = codes[j] and (x, z) of p = codes[i], so
+    # codes[i] over codes[j] is invertible, as is codes[j] over codes[i] (swap the rows);
+    # mul[:, x] is the (n x points) table [c, i]: c*x_i, gathered at the points' a
+    return unit_sum[mul[:, x][a], mul[:, z][b]]
 
 
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
@@ -191,25 +192,29 @@ def _line_record(ring: FiniteRing, side: str) -> tuple:
     # (cr, dr) via M * diag(r, r)), so orbits never straddle the set
     if not (admissible[labels] == admissible).all():
         raise AssertionError("admissibility not orbit-invariant")
-    members = np.flatnonzero(admissible)
+    members = admissible.nonzero()[0]
     # one stable sort groups the classes, each row ascending from its label
     member_labels = labels[members]
-    order = np.argsort(member_labels, kind="stable")
+    order = member_labels.argsort(kind="stable")
     sorted_labels = member_labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    sizes = np.diff(np.r_[starts, len(members)])
 
-    nunits = len(unit_elements(ring))
-    if (sizes != nunits).any():
+    # every class has |U| members iff the sorted labels fold into rows of |U|,
+    # each of one label (its first equals its last) and each after the last
+    nunits = int(np.count_nonzero(ring.inv >= 0))
+    grid = sorted_labels.reshape(-1, nunits) if len(members) % nunits == 0 else None
+    if grid is None or not (
+        (grid[:, 0] == grid[:, -1]).all() and (grid[1:, 0] != grid[:-1, -1]).all()
+    ):
         if side == "left":  # (ua, ub) = (a, b) with a*x + b*z = 1 forces u = 1
             raise AssertionError("left class-size law violated")
+        sizes = np.unique(sorted_labels, return_counts=True)[1]
         size_values, class_counts = np.unique(sizes, return_counts=True)
         raise RightLineBreakdown(
             ring.name, dict(zip(size_values.tolist(), class_counts.tolist()))
         )
 
-    # every class has |U| members, so the classes are rows of one array
-    codes, rows = sorted_labels[starts], members[order.reshape(-1, nunits)]
+    # the classes are the rows of one array
+    codes, rows = grid[:, 0].copy(), members[order.reshape(-1, nunits)]
     derived = {}
     if side == "right":
         left = _record(ring, "left")
@@ -218,7 +223,7 @@ def _line_record(ring: FiniteRing, side: str) -> tuple:
         held = derived["held"] = point_of[codes]
         if (held < 0).any():
             raise AssertionError("admissible pair in no left point")
-        adjacency = left[2][np.ix_(held, held)]
+        adjacency = left[2][held[:, None], held]
     else:
         adjacency = _distant(ring, codes)
         if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():

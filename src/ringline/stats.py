@@ -40,9 +40,11 @@ Each ring and side is signed once: the signature is kept in the line's
 record, so a commutative ring's right line, which is its left line, reads
 its left line's signature. A line built by hand, or by
 dataclasses.replace, has a dict of its own and is signed from its arrays:
-its 1N, cap2N and cap3N are those of its adjacency, but its MD is still
-certified against its ring's R/J bound, so a graph that is not its ring's
-line can raise AssertionError.
+its adjacency must be a symmetric boolean (points x points) array with a
+False diagonal, else ValueError names the defect; its 1N, cap2N and cap3N
+are those of its adjacency, but its MD is still certified against its
+ring's R/J bound, so a graph that is not its ring's line can raise
+AssertionError.
 
 A right line over a non-commutative ring is signed as the left line's
 signature with TpI read off its own codes. Its record's ``held`` gives the
@@ -96,7 +98,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import clique
-from .core import jacobson_radical, semisimple_blocks, unit_elements
+from .core import jacobson_radical, semisimple_blocks
 from .errors import NoDistantPair, UnknownCandidate
 from .line import ProjectiveLine, build_line, type_one
 
@@ -219,20 +221,40 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     _, first, classes, sizes = np.unique(
         rows, return_index=True, return_inverse=True, return_counts=True
     )
-    order = np.argsort(first)  # np.unique numbers the classes in byte order
+    order = first.argsort()  # np.unique numbers the classes in byte order
     first = first[order]
-    number = np.argsort(order)  # the inverse permutation
-    twins = (adjacency[np.ix_(first, first)], number[classes], sizes[order], first, packed[first])
+    number = order.argsort()  # the inverse permutation
+    twins = (adjacency[first[:, None], first], number[classes], sizes[order], first, packed[first])
     for array in twins:
         array.flags.writeable = False
     return twins
 
 
 def _twins(line: ProjectiveLine) -> tuple[np.ndarray, ...]:
-    """_twin_classes of the line, kept in its ``derived`` dict."""
+    """_twin_classes of the line, kept in its ``derived`` dict. An adjacency
+    other than a build_line record's (the left one checked when made, the
+    right one gathered from it) is checked first (:func:`_check_adjacency`)."""
     if "twins" not in line.derived:
+        records = (line.ring._cache.get(("line", side)) for side in ("left", "right"))
+        if not any(record is not None and record[2] is line.adjacency for record in records):
+            _check_adjacency(line.adjacency, len(line))
         line.derived["twins"] = _twin_classes(line.adjacency)
     return line.derived["twins"]
+
+
+def _check_adjacency(adjacency: np.ndarray, points: int) -> None:
+    """Refuse with ValueError, naming the defect, an adjacency that is not a
+    (points x points) boolean array, symmetric with a False diagonal."""
+    if adjacency.dtype != bool or adjacency.shape != (points, points):
+        raise ValueError(
+            f"adjacency of {points} points has dtype {adjacency.dtype} and shape "
+            f"{adjacency.shape}, not bool and {(points, points)}"
+        )
+    if adjacency.diagonal().any():
+        raise ValueError(f"adjacency has a True diagonal at point {adjacency.diagonal().argmax()}")
+    if not (adjacency == adjacency.T).all():
+        i, j = np.argwhere(adjacency != adjacency.T)[0].tolist()
+        raise ValueError(f"adjacency is not symmetric at [{i}, {j}]")
 
 
 def _row_blocks(rows: int, width: int):
@@ -244,7 +266,7 @@ def _row_blocks(rows: int, width: int):
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each True cell, row-major (flat indices are far
     cheaper to find than np.nonzero's pair of index arrays)."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+    return np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
 
 
 def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
@@ -260,7 +282,8 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     same size, and only each block's spread is kept.
     """
     adj, _, sizes, _, near = _twins(line)
-    later = np.triu(adj)  # [a, c]: c > a and distant from a
+    span = np.arange(len(adj))
+    later = adj & (span[:, None] < span)  # [a, c]: c > a and distant from a
     a, b = _cells(later)
     if not len(a):
         raise NoDistantPair(f"line over {line.ring.name} has no distant pair")
@@ -324,9 +347,9 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     if candidate == "B":
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":
-        radical = sorted(jacobson_radical(ring))
-        units = unit_elements(ring)
-        fixed = (ring.mul[np.ix_(units, radical)] == radical).sum(axis=1)
+        radical = np.array(sorted(jacobson_radical(ring)))
+        units = (ring.inv >= 0).nonzero()[0]
+        fixed = (ring.mul[units[:, None], radical] == radical).sum(axis=1)
         orbits, rest = divmod(int((fixed**2).sum()), len(units))
         if rest:
             raise AssertionError("Burnside count of the orbits on J x J is not whole")
@@ -337,16 +360,18 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
 def signature(line: ProjectiveLine) -> LineSignature:
     """Aggregate all Table-1 statistics of the line, kept in its ``derived``
     dict; a non-commutative ring's right line takes the left line's
-    signature with its own TpI (see the module docstring). MD is certified
-    against the ring's R/J bound (:func:`max_distant_set`), so a hand-built
-    adjacency that is not the ring's line can raise AssertionError."""
+    signature with its own TpI (see the module docstring). A hand-built
+    adjacency that is no symmetric irreflexive relation on the points raises
+    ValueError; MD is certified against the ring's R/J bound
+    (:func:`max_distant_set`), so one that is not the ring's line can raise
+    AssertionError."""
     derived = line.derived
     if "signature" not in derived:
         if "held" in derived:
             left = build_line(line.ring)
             _, classes, sizes, _, _ = _twins(left)
             counts = np.bincount(classes[derived["held"]], minlength=len(sizes))
-            if not np.array_equal(counts, sizes):
+            if (counts != sizes).any():
                 raise AssertionError("right points do not fill the left twin classes")
             tpi = int(type_one(line.ring, line.codes).sum())
             derived["signature"] = replace(signature(left), tpi=tpi)

@@ -14,7 +14,10 @@ of pairs, the route the library's lines take, not by Burnside's lemma.
 Ring files are written with one str() per entry and read with one int()
 per token, the per-token route the library's whole-array reader replaced.
 The additive generators are closed by numpy breadth-first steps, the route
-the library's closure over lists replaced.
+the library's closure over lists replaced. The cosets of the radical are
+numbered by np.unique, and the blocks of R/J read off them through np.ix_
+gathers, the route the library's running count and broadcast gathers
+replaced; unit-orbit class sizes are counted by Counter.
 Rings are relabelled along a permutation of their elements and compared
 table by table, and recipes are written back to text, by the tools at the
 top of this module.
@@ -22,6 +25,8 @@ top of this module.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from itertools import combinations
 from typing import Sequence
 
@@ -93,6 +98,41 @@ def additive_generators_oracle(add: np.ndarray) -> list[int]:
             reached |= fresh
             frontier = np.flatnonzero(fresh)
     return gens
+
+
+def radical_cosets_oracle(ring) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of each coset of J, ascending, and each element's
+    coset number, by np.unique over the least members: the route
+    core._radical_cosets replaced with a running count."""
+    label = ring.add[:, sorted(jacobson_radical(ring))].min(axis=1)
+    return np.unique(label, return_inverse=True)
+
+
+def semisimple_blocks_oracle(ring) -> tuple[tuple[int, int], ...]:
+    """core.semisimple_blocks on the cosets of radical_cosets_oracle, with
+    every gather through np.ix_ and flatnonzero, the helpers the library's
+    route no longer calls."""
+    reps, coset = radical_cosets_oracle(ring)
+    mul = coset[ring.mul[np.ix_(reps, reps)]]
+    centre = np.flatnonzero((mul == mul.T).all(axis=1))
+    idem = centre[(mul[centre, centre] == centre) & (centre != 0)]
+    below = mul[np.ix_(idem, idem)] == idem[:, None]  # [f, e]: f <= e
+    blocks = []
+    for e in idem[below.sum(axis=0) == 1]:
+        field = np.flatnonzero(np.bincount(mul[e, centre]))[1:]
+        q, size = len(field) + 1, np.count_nonzero(np.bincount(mul[e]))
+        k = math.isqrt(round(math.log(size, q)))
+        if q ** (k * k) != size or not (mul[np.ix_(field, field)] == e).any(axis=1).all():
+            raise AssertionError("block of R/J is not a full matrix ring")
+        blocks.append((q, k))
+    return tuple(sorted(blocks))
+
+
+def class_size_histogram(labels: np.ndarray, admissible: np.ndarray) -> dict[int, int]:
+    """{class size: number of classes} of the admissible pair codes grouped
+    by label, counted by Counter instead of from sorted labels."""
+    sizes = Counter(labels[admissible].tolist())
+    return dict(Counter(sizes.values()))
 
 
 def brute_units(ring) -> set[int]:

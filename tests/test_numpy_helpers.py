@@ -1,0 +1,98 @@
+"""The path that evaluates one ring calls numpy's kernels directly: no
+Python-level numpy helper appears in line.py, stats.py or clique.py, nor in
+core.py outside the slow paths that name a witness once a check has failed.
+At catalog sizes a helper's fixed cost per call, not its cell count, sets
+the time (np.ix_ costs about 2.8 us more per gather than ``a[:, None], b``)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringline"
+HELPERS = {"ix_", "flatnonzero", "triu", "r_", "put_along_axis", "issubdtype"}
+PER_RING_MODULES = ("line.py", "stats.py", "clique.py")
+# core.py functions that run only after a failed check, to name its witness
+SLOW_PATHS = {"_check_associative", "_check_distributive"}
+
+
+def helper_uses(source: str, skip: set[str] = frozenset()) -> list[str]:
+    """Each helper name, attribute or import in the source, outside the
+    functions named in ``skip``."""
+    tree = ast.parse(source)
+    skipped = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in skip
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in HELPERS:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in HELPERS:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.alias) and node.name in HELPERS:
+            found.append(f"line {node.lineno}: import {node.name}")
+    return found
+
+
+def read(module: str) -> str:
+    return (PACKAGE / module).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("module", PER_RING_MODULES)
+def test_per_ring_modules_call_no_helper(module):
+    assert helper_uses(read(module)) == []
+
+
+def test_core_calls_helpers_only_on_slow_paths():
+    assert helper_uses(read("core.py"), SLOW_PATHS) == []
+
+
+def test_slow_paths_exist():
+    """The skipped names are functions of core.py, so a rename cannot widen the scan's gap."""
+    tree = ast.parse(read("core.py"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert SLOW_PATHS <= defined
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = add[np.ix_(a, b)]",
+        "x = numpy.flatnonzero(mask)",
+        "x = np.triu(adj)",
+        "starts = np.r_[True, x[1:] != x[:-1]]",
+        "np.put_along_axis(principal, mul, True, axis=1)",
+        "ok = np.issubdtype(arr.dtype, np.integer)",
+        "from numpy import ix_",
+        "from numpy import flatnonzero as nz",
+        "x = triu(adj)",
+        "def validate_ring():\n    return add[np.ix_(a, b)]",
+        "class FiniteRing:\n    def __init__(self):\n        self.neg = np.flatnonzero(x)",
+        "def _check_associative():\n    pass\ndef semisimple_blocks():\n    np.ix_(a, a)",
+    ],
+)
+def test_each_helper_use_is_found(source):
+    assert helper_uses(source, SLOW_PATHS)
+
+
+def test_slow_paths_are_skipped():
+    source = (
+        "def _check_distributive(add, row):\n"
+        "    return add[np.ix_(row, row)]\n"
+        "def _check_associative(table):\n"
+        "    return np.flatnonzero(table)\n"
+    )
+    assert helper_uses(source, SLOW_PATHS) == []
+    assert len(helper_uses(source)) == 2
+
+
+def test_plain_indexing_passes():
+    source = "x = add[a[:, None], b]; y = mask.nonzero()[0]; z = adj & (i[:, None] < i)"
+    assert helper_uses(source) == []

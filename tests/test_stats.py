@@ -799,6 +799,51 @@ class TestSignature:
         other = ProjectiveLine(line.ring, "left", line.codes, line.rows, adjacency)
         assert signature(other) == signature(line)
 
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("diagonal", "True diagonal at point 0"),
+            ("asymmetric", r"not symmetric at \[0, 1\]"),
+            ("shape", r"5 points has dtype bool and shape \(4, 4\)"),
+            ("dtype", r"5 points has dtype int64 and shape \(5, 5\)"),
+        ],
+    )
+    def test_bad_hand_built_adjacency_refused(self, defect, message):
+        """A hand-built adjacency that is not a symmetric boolean (points x
+        points) array with a False diagonal is refused, with the defect
+        named; a True diagonal was once signed with 1N = -1."""
+        line = line_of("gf4")
+        adjacency = line.adjacency.copy()
+        if defect == "diagonal":
+            adjacency[0, 0] = True
+        elif defect == "asymmetric":
+            adjacency[0, 1] = False
+        elif defect == "shape":
+            adjacency = adjacency[:-1, :-1]
+        else:
+            adjacency = adjacency.astype(int)
+        other = ProjectiveLine(line.ring, "left", line.codes, line.rows, adjacency)
+        with pytest.raises(ValueError, match=message):
+            signature(other)
+
+    def test_record_adjacency_not_checked_again(self, monkeypatch):
+        """The adjacency of a line from build_line, or of a line built by hand
+        over it, is not read again before signing; a copy is checked once."""
+        calls = []
+        check = stats_module._check_adjacency
+        monkeypatch.setattr(
+            stats_module,
+            "_check_adjacency",
+            lambda adj, points: calls.append(points) or check(adj, points),
+        )
+        ring = build_recipe("tri(gf:2,2)")  # a fresh ring: nothing cached
+        left, right = build_line(ring), build_line(ring, "right")
+        signature(left), signature(right), pair_intersection_stat(right)
+        signature(ProjectiveLine(ring, "left", left.codes, left.rows, left.adjacency))
+        assert calls == []
+        signature(ProjectiveLine(ring, "left", left.codes, left.rows, left.adjacency.copy()))
+        assert calls == [len(left)]
+
     def test_one_bitmask_build(self, monkeypatch):
         """The distant graph's bitmasks are built once, inside the clique search."""
         calls = []
