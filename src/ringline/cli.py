@@ -13,8 +13,10 @@ Exit codes: 0 all comparisons pass, 1 input error, 2 comparison failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from typing import NoReturn
 
 from .build import emit_ring_file, parse_ring_file, ring_from_spec
 from .catalog import (
@@ -244,5 +246,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def entry() -> NoReturn:
+    """Run main on the process's arguments and exit with its status: the one
+    entry of ``python -m ringline`` and the ``ringline`` script.
+
+    The heap is frozen first, so the interpreter's final collection skips
+    every object alive when main returned, most of them made by importing
+    numpy and ringline, whose memory the OS reclaims anyway. Exit handlers
+    and stream flushes run as before. main itself never freezes, so an
+    in-process caller still collects its garbage.
+    """
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)

@@ -41,7 +41,8 @@ record, so a commutative ring's right line, which is its left line, reads
 its left line's signature. A line built by hand, or by
 dataclasses.replace, has a dict of its own and is signed from its arrays:
 its adjacency must be a symmetric boolean (points x points) array with a
-False diagonal, else ValueError names the defect; its 1N, cap2N and cap3N
+False diagonal, else each statistic that reads it raises ValueError
+naming the defect; its 1N, cap2N and cap3N
 are those of its adjacency, but its MD is still certified against its
 ring's R/J bound, so a graph that is not its ring's line can raise
 AssertionError.
@@ -202,7 +203,7 @@ class LineSignature:
 
 
 def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
-    return StatValue.of(len(line) - 1 - line.adjacency.sum(axis=1))
+    return StatValue.of(len(line) - 1 - _adjacency(line).sum(axis=1))
 
 
 def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -231,15 +232,25 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _twins(line: ProjectiveLine) -> tuple[np.ndarray, ...]:
-    """_twin_classes of the line, kept in its ``derived`` dict. An adjacency
-    other than a build_line record's (the left one checked when made, the
-    right one gathered from it) is checked first (:func:`_check_adjacency`)."""
+    """_twin_classes of the line, kept in its ``derived`` dict."""
+    if "twins" not in line.derived:
+        line.derived["twins"] = _twin_classes(_adjacency(line))
+    return line.derived["twins"]
+
+
+def _adjacency(line: ProjectiveLine) -> np.ndarray:
+    """The line's adjacency, the one route by which every statistic reads
+    it. It is checked first (:func:`_check_adjacency`) unless it is a
+    build_line record's (the left one checked when made, the right one
+    gathered from it) or its twin classes are kept (grouped after the
+    check), so a build_line line is never checked and a line built by hand
+    is checked once per signature."""
+    adjacency = line.adjacency
     if "twins" not in line.derived:
         records = (line.ring._cache.get(("line", side)) for side in ("left", "right"))
-        if not any(record is not None and record[2] is line.adjacency for record in records):
-            _check_adjacency(line.adjacency, len(line))
-        line.derived["twins"] = _twin_classes(line.adjacency)
-    return line.derived["twins"]
+        if not any(record is not None and record[2] is adjacency for record in records):
+            _check_adjacency(adjacency, len(line))
+    return adjacency
 
 
 def _check_adjacency(adjacency: np.ndarray, points: int) -> None:
@@ -311,7 +322,7 @@ def pair_intersection_stat(line: ProjectiveLine) -> StatValue:
 def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
     """|N(P) ∩ N(Q) ∩ N(S)| over all pairwise-distant triples (see
     _intersections); vacuous (count 0) on a line without one."""
-    return _intersections(line)[1] if line.adjacency.any() else StatValue.union(())
+    return _intersections(line)[1] if _adjacency(line).any() else StatValue.union(())
 
 
 def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
@@ -343,7 +354,7 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     """
     ring = line.ring
     if candidate == "A":
-        return int((~line.adjacency.any(axis=1)).sum())  # distant from no point
+        return int((~_adjacency(line).any(axis=1)).sum())  # distant from no point
     if candidate == "B":
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":

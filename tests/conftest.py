@@ -24,13 +24,18 @@ RECIPES.update(
 )
 
 
-def run_python(flags: list[str], script: str, timeout: float = 120) -> subprocess.CompletedProcess:
-    """Run a script with the interpreter flags, on this checkout's sources."""
+def src_env() -> dict:
+    """The environment for a subprocess that imports ringline from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(flags: list[str], script: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a script with the interpreter flags, on this checkout's sources."""
     return subprocess.run(
         [sys.executable, *flags, "-c", script],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=timeout,
+        env=src_env(), capture_output=True, text=True, timeout=timeout,
     )
 
 

@@ -1,10 +1,12 @@
-"""Command-line interface end to end (in process, plus subprocess checks
-under python -O)."""
+"""Command-line interface end to end (in process, plus subprocess checks of
+`python -m ringline`, its exit path and python -O)."""
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
-import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import catalog_entry, run_python
+from conftest import catalog_entry, run_python, src_env
 from helpers import emit_ring_file_oracle
 
 from ringline import (
@@ -25,13 +27,6 @@ from ringline import (
 )
 from ringline.cli import _format_entry_line, main
 from ringline.catalog import CatalogEntry, RunReport
-
-
-def _src_env() -> dict:
-    """The environment for a subprocess that imports ringline from src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_ring_show_recipe(capsys):
@@ -72,12 +67,54 @@ def test_ring_show_bad_recipe(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_ENTRY_SCRIPT = """
+import gc, runpy, sys
+sys.argv = ["ringline", *{argv!r}]
+try:
+    runpy.run_module("ringline", run_name="__main__")
+except SystemExit as exc:
+    status = exc.code
+print(gc.get_freeze_count() > 0, status)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, status", [(["ring", "show", "zn:4"], 0), (["ring", "show", "nonsense:9"], 1)]
+)
+def test_python_m_freezes_the_heap_before_exit(argv, status):
+    """`python -m ringline` freezes the heap once main has returned, so the
+    interpreter's final collection skips it, and exits with main's status."""
+    run = run_python([], _ENTRY_SCRIPT.format(argv=argv))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"True {status}"
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    """main, which tests and the traced benchmark call in process, freezes
+    nothing: a frozen heap would keep its garbage cycles for good."""
+    frozen = gc.get_freeze_count()
+    assert main(["ring", "show", "zn:4"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_python_m_entry(monkeypatch):
+    """The `ringline` script that pyproject.toml names is the function that
+    `python -m ringline` calls."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["ringline"].partition(":")
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(name))
+    runpy.run_module("ringline", run_name="__main__")
+    assert calls == [name]
+
+
 def _assert_input_error(*argv: str) -> str:
     """The CLI in a subprocess exits 1 with an error line, no traceback;
     returns its stderr."""
     run = subprocess.run(
         [sys.executable, "-m", "ringline", *argv],
-        env=_src_env(), capture_output=True, text=True, timeout=300,
+        env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 1
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
@@ -313,7 +350,7 @@ def test_catalog_table1_under_optimize():
     runs = [
         subprocess.run(
             [sys.executable, *flags, "-m", "ringline", "catalog", "table1"],
-            env=_src_env(), capture_output=True, text=True, timeout=300,
+            env=src_env(), capture_output=True, text=True, timeout=300,
         )
         for flags in ([], ["-O"])
     ]
@@ -362,7 +399,7 @@ def test_acceptance_under_optimize():
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "tests/test_acceptance.py"],
         cwd=Path(__file__).resolve().parent.parent,
-        env=_src_env(), capture_output=True, text=True, timeout=600,
+        env=src_env(), capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 

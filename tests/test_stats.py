@@ -764,6 +764,21 @@ class TestJacobsonCandidates:
             jacobson_stat(line_of("z4"), "D")
 
 
+def _defective_line(defect: str) -> ProjectiveLine:
+    """A hand-built line over gf:4 whose adjacency has the named defect."""
+    line = line_of("gf4")
+    adjacency = line.adjacency.copy()
+    if defect == "diagonal":
+        adjacency[0, 0] = True
+    elif defect == "asymmetric":
+        adjacency[0, 1] = False
+    elif defect == "shape":
+        adjacency = adjacency[:-1, :-1]
+    else:
+        adjacency = adjacency.astype(int)
+    return ProjectiveLine(line.ring, "left", line.codes, line.rows, adjacency)
+
+
 class TestSignature:
     @pytest.mark.parametrize("name,row", sorted(EXPECTED_ROWS.items()))
     def test_frozen_rows(self, name, row):
@@ -812,19 +827,30 @@ class TestSignature:
         """A hand-built adjacency that is not a symmetric boolean (points x
         points) array with a False diagonal is refused, with the defect
         named; a True diagonal was once signed with 1N = -1."""
-        line = line_of("gf4")
-        adjacency = line.adjacency.copy()
-        if defect == "diagonal":
-            adjacency[0, 0] = True
-        elif defect == "asymmetric":
-            adjacency[0, 1] = False
-        elif defect == "shape":
-            adjacency = adjacency[:-1, :-1]
-        else:
-            adjacency = adjacency.astype(int)
-        other = ProjectiveLine(line.ring, "left", line.codes, line.rows, adjacency)
         with pytest.raises(ValueError, match=message):
-            signature(other)
+            signature(_defective_line(defect))
+
+    @pytest.mark.parametrize("defect", ["diagonal", "asymmetric", "dtype"])
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            one_neighbourhood_stat,
+            lambda line: jacobson_stat(line, "A"),
+            pair_intersection_stat,
+            triple_intersection_stat,
+            max_distant_set,
+        ],
+        ids=["oneN", "jcbA", "cap2N", "cap3N", "md"],
+    )
+    def test_every_reader_refuses_bad_adjacency(self, reader, defect):
+        """Each statistic that reads the adjacency refuses a malformed one on
+        its own, with the message signature gives; 1N once read a True
+        diagonal as -1 and an asymmetric relation without a word."""
+        with pytest.raises(ValueError) as expected:
+            signature(_defective_line(defect))
+        with pytest.raises(ValueError) as seen:
+            reader(_defective_line(defect))
+        assert str(seen.value) == str(expected.value)
 
     def test_record_adjacency_not_checked_again(self, monkeypatch):
         """The adjacency of a line from build_line, or of a line built by hand
