@@ -16,6 +16,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -32,8 +33,6 @@ from .errors import (
 
 ORDER_CAP = 1024  # largest ring any constructor builds; its tables hold n^2 entries
 RECIPE_DEPTH_CAP = 64  # nested constructor calls; the deepest shipped recipe has 4
-
-_MATRIX_BLOCK = 2**16  # matrix pairs per step when filling matrix ring tables
 
 
 def _check_order(order: int, what: str, power: int = 1) -> None:
@@ -198,11 +197,16 @@ def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
     return sig
 
 
-def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
-    """a + b*x with x^2 = 0 and x*a = sigma(a)*x; noncommutative iff sigma != id."""
+def _check_skew_base(f: FiniteRing) -> None:
+    """Refuse a skew base that is too large or not a field, before any map of it is built."""
     _check_order(f.order**2, f"{f.name}[x;s]/(x^2)")
     if (f.inv[1:] < 0).any():
         raise ValueError("skew dual numbers require a field base")
+
+
+def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
+    """a + b*x with x^2 = 0 and x*a = sigma(a)*x; noncommutative iff sigma != id."""
+    _check_skew_base(f)
     sig = _check_automorphism(f, sigma)
     add, mul = _pair_tables(f, sig)
     tag = "id" if sig == tuple(range(f.order)) else "s"
@@ -226,26 +230,17 @@ def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
 # matrix rings
 
 
-def _matrix_mul(base: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stacked products over the base ring: ``out[i, j] = x[i] @ y[j]``."""
-    prod = None
-    for k in range(x.shape[-1]):
-        term = base.mul[x[:, None, :, k, None], y[None, :, None, k, :]]
-        prod = term if prod is None else base.add[prod, term]
-    return prod
-
-
 def _matrix_algebra(base: FiniteRing, dim: int, triangular: bool) -> FiniteRing:
     """Every full or upper-triangular dim x dim matrix over the base ring.
 
     The matrices are enumerated in lexicographic order of their free entries,
     row-major, so a matrix's index is those entries read as digits base
     |base|, first entry most significant, and the zero matrix is index 0.
-    Sums and products of upper-triangular matrices stay upper-triangular, so
-    the entries left out are always 0 and a table cell is read off the free
-    entries alone. Tables are filled a block of rows at a time, so the
-    working memory beyond the tables themselves is
-    O(max(n, _MATRIX_BLOCK) * dim^2), not O(n^2 * dim^2).
+    The tables are filled one free entry (i, j) at a time, like the
+    structure-constant algebras, so each temporary is one n x n table. A
+    product's entry sums base.mul over every k in a full ring, over i <= k <= j
+    in a triangular one: an entry left out of a triangular ring is 0 and
+    base.mul[0, x] = 0, so skipping it changes nothing.
     """
     dim = _integer(dim, "matrix dimension")
     if dim < 1:
@@ -253,22 +248,19 @@ def _matrix_algebra(base: FiniteRing, dim: int, triangular: bool) -> FiniteRing:
     name = base.name if dim == 1 else f"{'T' if triangular else 'M'}{dim}({base.name})"
     count = dim * (dim + 1) // 2 if triangular else dim * dim
     _check_order(base.order, name, count)  # before any list of dim^2 positions
-    positions = [(i, j) for i in range(dim) for j in range(i if triangular else 0, dim)]
-    rows, cols = (list(axis) for axis in zip(*positions))
-    places = base.order ** np.arange(count - 1, -1, -1, dtype=np.int64)
-    digits = np.array(list(iter_product(range(base.order), repeat=count)), dtype=np.int64)
-    n = len(digits)
-    mats = np.zeros((n, dim, dim), dtype=np.int64)
-    mats[:, rows, cols] = digits
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    step = max(1, _MATRIX_BLOCK // n)
-    for i in range(0, n, step):
-        add[i : i + step] = base.add[digits[i : i + step, None], digits[None]] @ places
-        prods = _matrix_mul(base, mats[i : i + step], mats)
-        mul[i : i + step] = prods[..., rows, cols] @ places
-    one = np.eye(dim, dtype=np.int64)[rows, cols] * base.one @ places
-    return validate_ring(add, mul, int(one), name=name)
+    free = [(i, j) for i in range(dim) for j in range(i if triangular else 0, dim)]
+    places = [base.order**e for e in range(count - 1, -1, -1)]
+    idx = np.arange(base.order**count)
+    digit = {ij: idx // p % base.order for ij, p in zip(free, places)}
+    add = np.zeros((len(idx), len(idx)), dtype=np.int64)
+    mul = np.zeros_like(add)
+    for (i, j), p in zip(free, places):  # table[x][:, y] is faster than table[x[:, None], y]
+        add += base.add[digit[i, j]][:, digit[i, j]] * p
+        ks = range(i, j + 1) if triangular else range(dim)
+        terms = (base.mul[digit[i, k]][:, digit[k, j]] for k in ks)
+        mul += reduce(lambda s, t: base.add[s, t], terms) * p
+    one = base.one * sum(p for (i, j), p in zip(free, places) if i == j)
+    return validate_ring(add, mul, one, name=name)
 
 
 def matrix_ring(base: FiniteRing, dim: int) -> FiniteRing:
@@ -486,6 +478,7 @@ def _named_algebra(name: str) -> FiniteRing:
 
 def _skew(f: FiniteRing, power: int = 1) -> FiniteRing:
     """Skew dual numbers over f twisted by x -> x^(p^power); power 0 is the identity."""
+    _check_skew_base(f)  # before the Frobenius map refuses a composite characteristic
     sigma = tuple(range(f.order)) if power == 0 else frobenius_automorphism(f, power)
     return skew_dual_numbers(f, sigma)
 

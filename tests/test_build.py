@@ -299,10 +299,12 @@ class TestMatrixRings:
         assert len(unit_elements(ring)) == 6
         assert not is_commutative(ring)
 
-    def test_m1_is_base(self):
+    @pytest.mark.parametrize("construct", [matrix_ring, triangular_ring])
+    def test_m1_is_base(self, construct):
         base = ring_zn(6)
-        ring = matrix_ring(base, 1)
+        ring = construct(base, 1)
         assert same_tables(ring, base)
+        assert ring.name == base.name
 
     def test_t2f2(self):
         ring = triangular_ring(ring_gf(2, 1), 2)
@@ -375,6 +377,16 @@ class TestSkewDualNumbers:
     def test_field_base_required(self):
         with pytest.raises(ValueError):
             skew_dual_numbers(ring_zn(4), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "recipe", ["skew(zn:4)", "skew(zn:4,2)", "skew(zn:9)", "skew(zn:4,0)", "skew(dual(gf:2))"]
+    )
+    def test_recipe_base_no_field_one_error(self, recipe):
+        """The base is tested before the Frobenius map is built: a base of
+        composite characteristic once got "characteristic 4 is not prime"
+        with a power above 0 and this error with power 0."""
+        with pytest.raises(ValueError, match="skew dual numbers require a field base"):
+            build_recipe(recipe)
 
 
 def automorphism_outcome(check, ring, sigma) -> tuple:
@@ -652,17 +664,18 @@ def test_structure_constants_memory_bounded():
     assert peak < 96 * 2**20
 
 
-def test_matrix_construction_memory_bounded():
-    """Tables are filled a block of rows at a time: order 1024 without
-    n^2 * dim^2 stacks."""
+@pytest.mark.parametrize(("recipe", "order"), [("tri(gf:2,4)", 1024), ("mat(gf:2,3)", 512)])
+def test_matrix_construction_memory_bounded(recipe, order):
+    """Tables are filled one free entry at a time, each temporary one n x n
+    table, so no n^2 * dim^2 array is held."""
     tracemalloc.start()
     try:
-        ring = build_recipe("tri(gf:2,4)")
+        ring = build_recipe(recipe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ring.order == 1024
-    assert peak < 16 * 8 * ORDER_CAP**2  # 16 int64 tables of order 1024
+    assert ring.order == order
+    assert peak < 16 * 8 * order**2  # 16 int64 tables of the ring's order
 
 
 class TestRingFiles:
