@@ -49,7 +49,6 @@ from .errors import (
     NoDistantPair,
     NotAbelianGroup,
     NotAssociative,
-    NotAutomorphism,
     NotClosed,
     NotDistributive,
     NotPrime,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import FiniteRing, _integer, characteristic, is_commutative, validate_ring
 from .errors import (
-    NotAutomorphism,
     NotPrime,
     OrderTooLarge,
     RecipeError,
@@ -136,11 +135,11 @@ def _pair_tables(f: FiniteRing, sigma: Sequence[int]) -> tuple[np.ndarray, np.nd
     idx = np.arange(n * n)
     a_of = idx % n
     b_of = idx // n
-    sig = np.asarray(sigma)
-    add = f.add[np.ix_(a_of, a_of)] + f.add[np.ix_(b_of, b_of)] * n
+    sig_a = np.asarray(sigma)[a_of]
+    add = f.add[a_of][:, a_of] + f.add[b_of][:, b_of] * n
     # (a1 + b1 x)(a2 + b2 x) = a1 a2 + (a1 b2 + b1 sigma(a2)) x
-    xa = f.mul[np.ix_(a_of, a_of)]
-    xb = f.add[f.mul[np.ix_(a_of, b_of)], f.mul[np.ix_(b_of, sig[a_of])]]
+    xa = f.mul[a_of][:, a_of]
+    xb = f.add[f.mul[a_of][:, b_of], f.mul[b_of][:, sig_a]]
     mul = xa + xb * n
     return add, mul
 
@@ -155,61 +154,37 @@ def quotient_dual_numbers(f: FiniteRing) -> FiniteRing:
 
 
 def frobenius_automorphism(f: FiniteRing, power: int = 1) -> tuple[int, ...]:
-    """x -> x^(p^power) where p is the characteristic, for power >= 0.
+    """x -> x^(p^power) on a finite field f of characteristic p, for power >= 0.
 
-    The iterates of x -> x^p on a finite ring repeat, so a large power is
-    reduced along their cycle instead of being applied step by step.
+    Every automorphism of GF(p^k) is one of these maps. x -> x^p has order
+    k there, so the power is read mod k.
     """
     power = _integer(power, "Frobenius power")
     if power < 0:
         raise ValueError(f"Frobenius power must be non-negative, got {power}")
+    if (f.inv[1:] < 0).any():
+        raise ValueError(f"Frobenius automorphisms are taken on a field, not on {f.name}")
     p = characteristic(f)
-    if not _is_prime(p):
-        raise NotAutomorphism(f"characteristic {p} is not prime")
+    k = round(math.log(f.order, p))  # the order is exactly p^k
     frob, idx = np.full(f.order, f.one), np.arange(f.order)
     for _ in range(p):  # frob[x] = x^p, one multiplication of every element per step
         frob = f.mul[frob, idx]
-    maps = [tuple(range(f.order))]  # maps[i] is x -> x^(p^i)
-    while len(maps) <= power:
-        step = tuple(frob[list(maps[-1])].tolist())
-        if step in maps:
-            start = maps.index(step)
-            return maps[start + (power - start) % (len(maps) - start)]
-        maps.append(step)
-    return maps[power]
+    sigma = idx
+    for _ in range(power % k):
+        sigma = frob[sigma]
+    return tuple(sigma.tolist())
 
 
-def _check_automorphism(f: FiniteRing, sigma: Sequence[int]) -> tuple[int, ...]:
-    sig = tuple(_integer(s, "sigma entry", NotAutomorphism) for s in sigma)
-    n = f.order
-    if len(sig) != n or sorted(sig) != list(range(n)):
-        raise NotAutomorphism("sigma is not a permutation of the elements")
-    if sig[f.one] != f.one or sig[0] != 0:
-        raise NotAutomorphism("sigma does not fix 0 and 1")
-    s = np.array(sig)
-    breaks_add = s[f.add] != f.add[np.ix_(s, s)]
-    breaks_mul = s[f.mul] != f.mul[np.ix_(s, s)]
-    broken = np.argwhere(breaks_add | breaks_mul)
-    if len(broken):  # first witness in row-major order; addition is checked first
-        a, b = (int(v) for v in broken[0])
-        what = "addition" if breaks_add[a, b] else "multiplication"
-        raise NotAutomorphism(f"sigma breaks {what} at ({a}, {b})")
-    return sig
-
-
-def _check_skew_base(f: FiniteRing) -> None:
-    """Refuse a skew base that is too large or not a field, before any map of it is built."""
+def skew_dual_numbers(f: FiniteRing, power: int = 1) -> FiniteRing:
+    """a + b*x over a field f with x^2 = 0 and x*a = sigma(a)*x, where sigma is
+    x -> x^(p^power) (:func:`frobenius_automorphism`); power 0 is the identity.
+    Noncommutative iff sigma != id; index of a + b*x is a + b*|f|."""
     _check_order(f.order**2, f"{f.name}[x;s]/(x^2)")
     if (f.inv[1:] < 0).any():
         raise ValueError("skew dual numbers require a field base")
-
-
-def skew_dual_numbers(f: FiniteRing, sigma: Sequence[int]) -> FiniteRing:
-    """a + b*x with x^2 = 0 and x*a = sigma(a)*x; noncommutative iff sigma != id."""
-    _check_skew_base(f)
-    sig = _check_automorphism(f, sigma)
-    add, mul = _pair_tables(f, sig)
-    tag = "id" if sig == tuple(range(f.order)) else "s"
+    sigma = frobenius_automorphism(f, power)
+    add, mul = _pair_tables(f, sigma)
+    tag = "id" if sigma == tuple(range(f.order)) else "s"
     return validate_ring(add, mul, f.one, name=f"{f.name}[x;{tag}]/(x^2)")
 
 
@@ -220,8 +195,8 @@ def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     idx = np.arange(n1 * n2)
     i1 = idx // n2
     i2 = idx % n2
-    add = r1.add[np.ix_(i1, i1)] * n2 + r2.add[np.ix_(i2, i2)]
-    mul = r1.mul[np.ix_(i1, i1)] * n2 + r2.mul[np.ix_(i2, i2)]
+    add = r1.add[i1][:, i1] * n2 + r2.add[i2][:, i2]
+    mul = r1.mul[i1][:, i1] * n2 + r2.mul[i2][:, i2]
     one = r1.one * n2 + r2.one
     return validate_ring(add, mul, one, name=f"{r1.name}x{r2.name}")
 
@@ -476,13 +451,6 @@ def _named_algebra(name: str) -> FiniteRing:
     return NAMED_ALGEBRAS[name]()
 
 
-def _skew(f: FiniteRing, power: int = 1) -> FiniteRing:
-    """Skew dual numbers over f twisted by x -> x^(p^power); power 0 is the identity."""
-    _check_skew_base(f)  # before the Frobenius map refuses a composite characteristic
-    sigma = tuple(range(f.order)) if power == 0 else frobenius_automorphism(f, power)
-    return skew_dual_numbers(f, sigma)
-
-
 # recipe head -> (the argument kinds it accepts, its constructor); an atom
 # takes one integer or name after ':', a call rings and integers in parentheses
 _RECIPE_HEADS = {
@@ -490,7 +458,7 @@ _RECIPE_HEADS = {
     "gf": ((("integer",),), _gf_of_order),
     "algebra": ((("name",),), _named_algebra),
     "dual": ((("ring",),), quotient_dual_numbers),
-    "skew": ((("ring",), ("ring", "integer")), _skew),
+    "skew": ((("ring",), ("ring", "integer")), skew_dual_numbers),
     "mat": ((("ring", "integer"),), matrix_ring),
     "tri": ((("ring", "integer"),), triangular_ring),
     "prod": ((("ring", "ring"),), direct_product),

@@ -51,10 +51,6 @@ class NotPrime(RinglineError):
     pass
 
 
-class NotAutomorphism(RinglineError):
-    pass
-
-
 class RingSyntaxError(RinglineError):
     """Malformed ring file. ``line`` is the 1-based offending line number."""
 

@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from ringline import (
-    NotAutomorphism,
     RingRecipe,
     ideal_lattice,
     jacobson_radical,
@@ -434,22 +433,18 @@ def brute_lex_least_max_clique(adj) -> tuple[int, ...]:
     )
 
 
-def check_automorphism_per_pair(f, sigma) -> tuple[int, ...]:
-    """Scan every pair (a, b) in row-major order, addition before
-    multiplication, and raise on the first one sigma does not respect."""
-    sig = tuple(int(s) for s in sigma)
+def check_automorphism_per_pair(f, sigma) -> bool:
+    """Whether sigma is a permutation of f's elements that fixes 0 and 1 and
+    respects addition and multiplication at every pair (a, b)."""
+    sig = tuple(sigma)
     n = f.order
-    if len(sig) != n or sorted(sig) != list(range(n)):
-        raise NotAutomorphism("sigma is not a permutation of the elements")
-    if sig[f.one] != f.one or sig[0] != 0:
-        raise NotAutomorphism("sigma does not fix 0 and 1")
-    for a in range(n):
-        for b in range(n):
-            if sig[f.add[a, b]] != f.add[sig[a], sig[b]]:
-                raise NotAutomorphism(f"sigma breaks addition at ({a}, {b})")
-            if sig[f.mul[a, b]] != f.mul[sig[a], sig[b]]:
-                raise NotAutomorphism(f"sigma breaks multiplication at ({a}, {b})")
-    return sig
+    if sorted(sig) != list(range(n)) or sig[0] != 0 or sig[f.one] != f.one:
+        return False
+    return all(
+        sig[f.add[a, b]] == f.add[sig[a], sig[b]] and sig[f.mul[a, b]] == f.mul[sig[a], sig[b]]
+        for a in range(n)
+        for b in range(n)
+    )
 
 
 def _mat_add(base, a, b):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import pathlib
 import re
 import tracemalloc
@@ -25,7 +27,6 @@ from helpers import (
 )
 
 from ringline import (
-    NotAutomorphism,
     NotClosed,
     NotPrime,
     OrderTooLarge,
@@ -36,6 +37,7 @@ from ringline import (
     build_line,
     build_recipe,
     builtin_catalog,
+    characteristic,
     direct_product,
     emit_ring_file,
     fingerprint,
@@ -55,7 +57,6 @@ from ringline import (
 )
 from ringline.build import (
     ORDER_CAP,
-    _check_automorphism,
     default_irreducible,
     frobenius_automorphism,
     is_irreducible,
@@ -338,45 +339,36 @@ class TestMatrixRings:
 class TestSkewDualNumbers:
     def test_frobenius_on_gf4(self):
         gf4 = ring_gf(2, 2)
-        sigma = frobenius_automorphism(gf4)
-        assert sigma != tuple(range(gf4.order))
-        ring = skew_dual_numbers(gf4, sigma)
+        assert frobenius_automorphism(gf4) != tuple(range(gf4.order))
+        ring = skew_dual_numbers(gf4)
         assert ring.order == 16
+        assert ring.name == "GF(4)[x;s]/(x^2)"
         assert len(unit_elements(ring)) == 12
         assert not is_commutative(ring)
 
     def test_identity_reduces_to_dual_numbers(self):
         gf4 = ring_gf(2, 2)
-        skew = skew_dual_numbers(gf4, tuple(range(gf4.order)))
+        skew = skew_dual_numbers(gf4, 0)
         dual = quotient_dual_numbers(gf4)
         assert same_tables(skew, dual)
+        assert skew.name == "GF(4)[x;id]/(x^2)"
         assert is_commutative(skew)
 
     def test_gf2_identity(self):
-        ring = skew_dual_numbers(ring_gf(2, 1), (0, 1))
+        """x -> x^2 is the identity on GF(2), so the twist is too."""
+        ring = skew_dual_numbers(ring_gf(2, 1))
         assert ring.order == 4
+        assert ring.name == "GF(2)[x;id]/(x^2)"
 
-    def test_non_automorphism_rejected(self):
-        gf4 = ring_gf(2, 2)
-        # note (0,1,3,2) IS an automorphism of GF(4): it is the Frobenius map
-        with pytest.raises(NotAutomorphism):
-            skew_dual_numbers(gf4, (0, 2, 1, 3))  # moves 1
-        with pytest.raises(NotAutomorphism):
-            skew_dual_numbers(gf4, (1, 0, 2, 3))  # moves 0
-        with pytest.raises(NotAutomorphism):
-            skew_dual_numbers(gf4, (0, 1, 2, 2))  # not a bijection
-
-    @pytest.mark.parametrize("entry", [3.9, 3.0, "3"])
-    def test_non_integer_sigma_refused(self, entry):
-        """int(s) read 3.9 as 3, so sigma (0, 1, 3.9, 2) built the skew ring
-        on the Frobenius map."""
-        message = re.escape(f"sigma entry must be an integer, got {entry!r}")
-        with pytest.raises(NotAutomorphism, match=message):
-            skew_dual_numbers(ring_gf(2, 2), [0, 1, entry, 2])
+    def test_sigma_tuple_refused(self):
+        """The twist is named by its Frobenius power, not by a map."""
+        message = "Frobenius power must be an integer"
+        with pytest.raises(ValueError, match=message):
+            skew_dual_numbers(ring_gf(2, 2), (0, 1, 3, 2))
 
     def test_field_base_required(self):
-        with pytest.raises(ValueError):
-            skew_dual_numbers(ring_zn(4), (0, 1, 2, 3))
+        with pytest.raises(ValueError, match="skew dual numbers require a field base"):
+            skew_dual_numbers(ring_zn(4))
 
     @pytest.mark.parametrize(
         "recipe", ["skew(zn:4)", "skew(zn:4,2)", "skew(zn:9)", "skew(zn:4,0)", "skew(dual(gf:2))"]
@@ -389,35 +381,29 @@ class TestSkewDualNumbers:
             build_recipe(recipe)
 
 
-def automorphism_outcome(check, ring, sigma) -> tuple:
-    try:
-        return ("ok", check(ring, sigma))
-    except NotAutomorphism as exc:
-        return ("raised", str(exc))
-
-
-@given(recipe=st.sampled_from(["gf:4", "gf:8", "gf:9", "tri(gf:2,2)"]), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_automorphism_check_matches_per_pair_scan(recipe, data):
-    """Same message and witness as the row-major scan over every pair.
-
-    Over the fields no sigma fixing 0 and 1 breaks addition and
-    multiplication at its first witness; over T2(GF(2)) some do.
-    """
-    ring = ring_of_recipe(recipe)
-    sigma = list(frobenius_automorphism(ring, data.draw(st.integers(0, 3))))
-    if data.draw(st.booleans()):
-        others = [x for x in range(ring.order) if x not in (0, ring.one)]
-        sigma = list(range(ring.order))
-        for x, y in zip(others, data.draw(st.permutations(others))):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_frobenius_powers_are_every_automorphism(q):
+    """Every permutation of GF(q) that fixes 0 and 1 and respects both tables
+    is x -> x^(p^i) for one i < k, and these k maps are distinct."""
+    field = ring_of_recipe(f"gf:{q}")
+    k = round(math.log(q, characteristic(field)))
+    others = [x for x in range(q) if x not in (0, field.one)]
+    automorphisms = set()
+    for images in itertools.permutations(others):
+        sigma = list(range(q))
+        for x, y in zip(others, images):
             sigma[x] = y
-    element = st.integers(0, ring.order - 1)
-    for _ in range(data.draw(st.integers(0, 2))):
-        i, j = data.draw(element), data.draw(element)
-        sigma[i], sigma[j] = sigma[j], sigma[i]
-    assert automorphism_outcome(_check_automorphism, ring, sigma) == automorphism_outcome(
-        check_automorphism_per_pair, ring, sigma
-    )
+        if check_automorphism_per_pair(field, sigma):
+            automorphisms.add(tuple(sigma))
+    powers = [frobenius_automorphism(field, i) for i in range(k)]
+    assert len(set(powers)) == k
+    assert set(powers) == automorphisms
+
+
+@pytest.mark.parametrize("recipe", ["zn:4", "zn:6", "dual(gf:2)", "tri(gf:2,2)", "mat(gf:2,2)"])
+def test_frobenius_on_non_field_refused(recipe):
+    with pytest.raises(ValueError, match="Frobenius automorphisms are taken on a field"):
+        frobenius_automorphism(ring_of_recipe(recipe))
 
 
 class TestStructureConstants:
@@ -1070,7 +1056,7 @@ class TestRecipes:
             lambda: matrix_ring(ring_zn(2), 10**6),
             lambda: triangular_ring(ring_zn(2), 10**6),
             lambda: quotient_dual_numbers(ring_zn(64)),
-            lambda: skew_dual_numbers(ring_gf(37, 1), range(37)),
+            lambda: skew_dual_numbers(ring_gf(37, 1)),
             lambda: direct_product(ring_zn(64), ring_zn(64)),
         ],
         ids=["gf-past-float", "gf", "zn", "algebra", "mat", "tri", "dual", "skew", "prod"],
@@ -1154,10 +1140,26 @@ class TestRecipes:
             return
         assert 2 <= ring.order <= ORDER_CAP
 
-    def test_frobenius_power_reduced_along_its_cycle(self):
-        gf8 = ring_gf(2, 3)
-        assert frobenius_automorphism(gf8, 3 * 10**20 + 1) == frobenius_automorphism(gf8, 1)
-        assert frobenius_automorphism(gf8, 3) == tuple(range(gf8.order))
+    @pytest.mark.parametrize("recipe", ["gf:4", "gf:8", "gf:9", "gf:25"])
+    def test_frobenius_power_reduced_along_its_cycle(self, recipe):
+        """x -> x^(p^i), each x raised to the p-th power i times by the
+        multiplication table, for i up to 2k and one power far past k."""
+        field = ring_of_recipe(recipe)
+        p = characteristic(field)
+        k = round(math.log(field.order, p))
+
+        def pth_power(x):
+            y = field.one
+            for _ in range(p):
+                y = int(field.mul[y, x])
+            return y
+
+        expected = list(range(field.order))
+        for power in range(2 * k + 1):
+            assert frobenius_automorphism(field, power) == tuple(expected), power
+            expected = [pth_power(x) for x in expected]
+        big = 3 * 10**20 + 1
+        assert frobenius_automorphism(field, big) == frobenius_automorphism(field, big % k)
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("power", [-1, -2])

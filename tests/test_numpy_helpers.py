@@ -1,6 +1,7 @@
-"""The path that evaluates one ring calls numpy's kernels directly: no
-Python-level numpy helper appears in line.py, stats.py or clique.py, nor in
-core.py outside the slow paths that name a witness once a check has failed.
+"""The path that builds and evaluates one ring calls numpy's kernels
+directly: no Python-level numpy helper appears in build.py, line.py, stats.py
+or clique.py, nor in core.py outside the slow paths that name a witness once
+a check has failed.
 At catalog sizes a helper's fixed cost per call, not its cell count, sets
 the time (np.ix_ costs about 2.8 us more per gather than ``a[:, None], b``)."""
 
@@ -13,7 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringline"
 HELPERS = {"ix_", "flatnonzero", "triu", "r_", "put_along_axis", "issubdtype"}
-PER_RING_MODULES = ("line.py", "stats.py", "clique.py")
+PER_RING_MODULES = ("build.py", "line.py", "stats.py", "clique.py")
 # core.py functions that run only after a failed check, to name its witness
 SLOW_PATHS = {"_check_associative", "_check_distributive"}
 

@@ -1,4 +1,5 @@
-"""The README's Library example runs, and gives the values its comments state."""
+"""The README's Library example runs, and gives the values its comments
+state; its recipe table shows every form of recipe the parser accepts."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import ringline
+from ringline import RingRecipe, parse_recipe
+from ringline.build import _RECIPE_HEADS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,3 +49,31 @@ def test_library_example_values():
         "(35, 26, 18, 9, 3, 5)",
         "raises RightLineBreakdown",
     ]
+
+
+def recipe_table() -> list[str]:
+    """The recipes in the first column of the table under the Recipes heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Recipes\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `([^`]+)`", section, re.MULTILINE)
+
+
+def test_recipe_table_shows_every_head_and_arity():
+    """Each argument list that each recipe head accepts is used by some
+    recipe in the table, at its top or nested inside it."""
+    shown = set()
+
+    def walk(recipe: RingRecipe) -> None:
+        kinds = tuple(
+            "ring" if isinstance(a, RingRecipe) else "integer" if isinstance(a, int) else "name"
+            for a in recipe.args
+        )
+        shown.add((recipe.kind, kinds))
+        for a in recipe.args:
+            if isinstance(a, RingRecipe):
+                walk(a)
+
+    for text in recipe_table():
+        walk(parse_recipe(text))
+    accepted = {(head, kinds) for head, (arities, _) in _RECIPE_HEADS.items() for kinds in arities}
+    assert accepted - shown == set()
