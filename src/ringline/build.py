@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import product as iter_product
 from typing import Iterable, Sequence
@@ -466,12 +466,11 @@ _RECIPE_HEADS = {
 _ATOMS = frozenset(h for h, (kinds, _) in _RECIPE_HEADS.items() if "ring" not in kinds[0])
 
 
-@dataclass(frozen=True)
-class RingRecipe:
-    """A parsed constructor call; same recipe, same tables."""
+class RingRecipe(namedtuple("RingRecipe", "kind args")):
+    """A parsed constructor call, its head and a tuple of arguments (integers,
+    names and recipes); same recipe, same tables."""
 
-    kind: str
-    args: tuple
+    __slots__ = ()
 
 
 # a recipe token: a head with its ':value', an integer, any other character or

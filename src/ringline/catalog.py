@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import io
 import csv
+import re
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .build import build_recipe
-from .core import RingFingerprint, fingerprint
+from .core import fingerprint
 from .errors import RightLineBreakdown
 from .line import build_line
 from .stats import COLUMNS, JACOBSON_CANDIDATES, LineSignature, signature
@@ -38,21 +39,36 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    paper_row: str
-    provenance: str  # paper-row | paper-brackets | candidate
-    recipe: str | None
-    expected: tuple[int, ...]  # the Table-1 row, in COLUMNS order
-    jcb: int | None = None  # informational: never part of the verdict
-    right_breakdown_expected: bool = False
+class CatalogEntry(namedtuple(
+    "CatalogEntry", "name paper_row provenance recipe expected jcb right_breakdown_expected",
+    defaults=(None, False),
+)):
+    """One catalog entry: ``paper_row`` is the row label <order>/<zero-divisors>,
+    ``provenance`` one of the tags above, ``expected`` the Table-1 row in
+    COLUMNS order, and ``jcb`` informational, never part of the verdict. An
+    entry is checked when made, also by ``_replace``: a malformed one raises
+    ValueError."""
 
-    def __post_init__(self):
-        row = self.expected
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, not __new__
+        return super()._make(iterable)._checked()
+
+    def _checked(self) -> CatalogEntry:
+        row, label = self.expected, self.paper_row
         ints = isinstance(row, tuple) and all(type(v) is int for v in row)
         if not (ints and len(row) == len(COLUMNS)):
             raise ValueError(f"entry {self.name}: expected row {row!r} is not {len(COLUMNS)} ints")
+        if not (isinstance(label, str) and re.fullmatch(r"[0-9]+/[0-9]+", label)):
+            raise ValueError(f"entry {self.name}: paper row {label!r} is not order/zero-divisors")
+        tags = ("paper-row", "paper-brackets", "candidate")
+        if self.provenance not in tags:
+            raise ValueError(f"entry {self.name}: provenance {self.provenance!r} is not in {tags}")
+        return self
 
 
 def builtin_catalog() -> tuple[CatalogEntry, ...]:
@@ -142,8 +158,9 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
     )
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(namedtuple(
+    "EntryResult", "entry fingerprint left comparison right right_class_sizes elapsed_ms"
+)):
     """What evaluate_entry computed for one entry; every verdict is derived.
 
     The ring's fields are None when the entry has no recipe. Of ``right`` and
@@ -152,13 +169,7 @@ class EntryResult:
     signature against the entry, as the report writes it.
     """
 
-    entry: CatalogEntry
-    fingerprint: RingFingerprint | None
-    left: LineSignature | None
-    comparison: dict | None
-    right: LineSignature | None
-    right_class_sizes: dict[int, int] | None
-    elapsed_ms: float
+    __slots__ = ()
 
     @property
     def label_ok(self) -> bool | None:
@@ -264,9 +275,10 @@ def evaluate_entry(entry: CatalogEntry) -> EntryResult:
     return EntryResult(entry, fp, left, comparison, right, right_class_sizes, elapsed_ms)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    results: tuple[EntryResult, ...]  # sorted by entry name
+class RunReport(namedtuple("RunReport", "results")):
+    """The EntryResults of a catalog run, sorted by entry name."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

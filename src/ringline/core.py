@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -82,28 +82,22 @@ class FiniteRing:
         return f"FiniteRing(name={self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class RingFingerprint:
+class RingFingerprint(namedtuple("RingFingerprint", (
+    "order unit_count zero_divisor_count characteristic radical_size maximal_left_ideal_count"
+    " maximal_right_ideal_count maximal_two_sided_ideal_count commutative"
+))):
     """Isomorphism-invariant summary used in place of literature numbering."""
 
-    order: int
-    unit_count: int
-    zero_divisor_count: int
-    characteristic: int
-    radical_size: int
-    maximal_left_ideal_count: int
-    maximal_right_ideal_count: int
-    maximal_two_sided_ideal_count: int
-    commutative: bool
+    __slots__ = ()
 
     def as_tuple(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(self)
 
     def to_json_dict(self) -> dict:
         """Fields in declaration order, keys in camelCase."""
         return {
-            re.sub(r"_(.)", lambda m: m.group(1).upper(), f.name): getattr(self, f.name)
-            for f in fields(self)
+            re.sub(r"_(.)", lambda m: m.group(1).upper(), name): value
+            for name, value in zip(self._fields, self)
         }
 
 

@@ -37,7 +37,6 @@ left line too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,19 +49,27 @@ Pair = tuple[int, int]
 LABEL_BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a {type(self).__name__}")
+
+
 class Point:
     """A unit-orbit class of admissible pairs with its least representative.
 
     ``members`` is the point's row of the line's ``rows``, ascending, so
-    ``rep`` is its first code.
+    ``rep`` is its first code. Points compare by identity and are read-only.
     """
 
-    rep: Pair
-    members: np.ndarray
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, rep: Pair, members: np.ndarray):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "members", members)
+
+    def __repr__(self) -> str:
+        return f"Point(rep={self.rep!r}, members={self.members!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class ProjectiveLine:
     """The line of one side over a ring, as read-only arrays over its points.
 
@@ -71,15 +78,17 @@ class ProjectiveLine:
     symmetric distant relation, with a False diagonal. ``derived`` keeps
     values computed from those arrays (ringline.stats memoizes on it): a
     line from build_line shares its record's dict, and a line built by hand
-    or by dataclasses.replace starts with an empty one of its own.
+    starts with an empty one of its own. Lines compare by identity, and
+    their fields cannot be assigned.
     """
 
-    ring: FiniteRing
-    side: str
-    codes: np.ndarray
-    rows: np.ndarray
-    adjacency: np.ndarray
-    derived: dict = field(default_factory=dict, init=False)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, ring: FiniteRing, side: str, codes: np.ndarray, rows: np.ndarray,
+                 adjacency: np.ndarray):
+        names = ("ring", "side", "codes", "rows", "adjacency", "derived")
+        for name, value in zip(names, (ring, side, codes, rows, adjacency, {})):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:

@@ -38,13 +38,12 @@ table. TpI is one gather of ``inv`` at both coordinates of the points' codes.
 Each ring and side is signed once: the signature is kept in the line's
 ``derived`` dict, which build_line gives every line over one cached
 record, so a commutative ring's right line, which is its left line, reads
-its left line's signature. A line built by hand, or by
-dataclasses.replace, has a dict of its own and is signed from its arrays:
-its adjacency must be a symmetric boolean (points x points) array with a
-False diagonal, else each statistic that reads it raises ValueError
-naming the defect; its 1N, cap2N and cap3N
-are those of its adjacency, but its MD is still certified against its
-ring's R/J bound, so a graph that is not its ring's line can raise
+its left line's signature. A line built by hand has a dict of its own
+and is signed from its arrays: its adjacency must be a symmetric boolean
+(points x points) array with a False diagonal, else each statistic that
+reads it raises ValueError naming the defect; its 1N, cap2N and cap3N are
+those of its adjacency, but its MD is still certified against its ring's
+R/J bound, so a graph that is not its ring's line can raise
 AssertionError.
 
 A right line over a non-commutative ring is signed as the left line's
@@ -92,9 +91,9 @@ C, and no candidate matches gf4xz4 or gf4xdualf2 (both expect 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -110,8 +109,7 @@ COLUMNS = ("tot", "tpI", "oneN", "cap2N", "cap3N", "md")
 BLOCK_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class StatValue:
+class StatValue(namedtuple("StatValue", "lo hi count")):
     """A per-pair/per-triple statistic with its observed spread.
 
     ``count`` is the number of pairs or triples examined; a count of zero
@@ -120,9 +118,7 @@ class StatValue:
     ``constant`` is False; consumers should then look at ``lo``/``hi``.
     """
 
-    lo: int
-    hi: int
-    count: int
+    __slots__ = ()
 
     @property
     def value(self) -> int:
@@ -165,26 +161,14 @@ class StatValue:
         }
 
 
-@dataclass(frozen=True)
-class LineSignature:
-    tot: int
-    tpi: int
-    one_n: StatValue
-    cap2n: StatValue
-    cap3n: StatValue
-    md: int
-    jcb: Mapping[str, int]
+class LineSignature(namedtuple("LineSignature", "tot tpi one_n cap2n cap3n md jcb")):
+    """A line's Table-1 statistics; ``jcb`` maps each Jacobson candidate to its value."""
+
+    __slots__ = ()
 
     def as_row(self) -> tuple[int, int, int, int, int, int]:
         """The values of COLUMNS, in order."""
-        return (
-            self.tot,
-            self.tpi,
-            self.one_n.value,
-            self.cap2n.value,
-            self.cap3n.value,
-            self.md,
-        )
+        return self.tot, self.tpi, self.one_n.value, self.cap2n.value, self.cap3n.value, self.md
 
     def stats(self) -> dict[str, StatValue]:
         """The neighbourhood columns by name, with their spread."""
@@ -385,7 +369,7 @@ def signature(line: ProjectiveLine) -> LineSignature:
             if (counts != sizes).any():
                 raise AssertionError("right points do not fill the left twin classes")
             tpi = int(type_one(line.ring, line.codes).sum())
-            derived["signature"] = replace(signature(left), tpi=tpi)
+            derived["signature"] = signature(left)._replace(tpi=tpi)
         else:
             derived["signature"] = _signature(line)
     return derived["signature"]

@@ -7,7 +7,6 @@ per criterion.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -93,10 +92,7 @@ def test_criterion_3_candidate_rows():
         if result.status != "PASS":
             failures.append(f"{name}: status {result.status}")
     # a failing candidate must surface as UNRESOLVED, never as silent PASS
-    doctored = replace(
-        catalog_entry("skewgf4"),
-        expected=(20, 20, 3, 0, 0, 4),
-    )
+    doctored = catalog_entry("skewgf4")._replace(expected=(20, 20, 3, 0, 0, 4))
     outcome = evaluate_entry(doctored)
     if outcome.status != "UNRESOLVED":
         failures.append(f"failing candidate reported as {outcome.status}")

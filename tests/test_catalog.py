@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,7 +126,39 @@ class TestBuiltinCatalog:
         with pytest.raises(ValueError):
             CatalogEntry("x", "8/6", "paper-row", "tri(gf:2,2)", row)
         with pytest.raises(ValueError):
-            replace(catalog_entry("t2f2"), expected=row)
+            catalog_entry("t2f2")._replace(expected=row)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("paper_row", "816"),
+            ("paper_row", "16/x"),
+            ("paper_row", "16/"),
+            ("paper_row", "16/4/2"),
+            ("paper_row", None),
+            ("provenance", "Candidate"),
+            ("provenance", "paper"),
+            ("provenance", None),
+        ],
+    )
+    def test_malformed_row_label_or_provenance_rejected(self, field, value):
+        """A row label that is not <order>/<zero-divisors> would fail only
+        when the status is read, or read as FAIL, and a provenance outside
+        the three tags would be judged as a confirmed row, so the entry
+        refuses both when made and through _replace."""
+        fields = {
+            "name": "x",
+            "paper_row": "8/6",
+            "provenance": "paper-row",
+            "recipe": "tri(gf:2,2)",
+            "expected": (18, 14, 9, 4, 0, 3),
+        }
+        words = field.replace("_", " ")
+        with pytest.raises(ValueError, match=words):
+            CatalogEntry(**{**fields, field: value})
+        with pytest.raises(ValueError, match=words):
+            catalog_entry("t2f2")._replace(**{field: value})
+        assert CatalogEntry(**fields)._replace(name="y").paper_row == "8/6"
 
 
 class TestRunReport:
@@ -140,10 +171,7 @@ class TestRunReport:
     def test_one_fail_fails_the_report(self, report):
         """passed is read from the results, so one FAIL entry turns it off."""
         failing = evaluate_entry(
-            replace(
-                catalog_entry("t2f2"),
-                expected=(18, 14, 9, 4, 0, 4),  # wrong MD
-            )
+            catalog_entry("t2f2")._replace(expected=(18, 14, 9, 4, 0, 4))  # wrong MD
         )
         doctored = RunReport(results=(result_of(report, "m2f2"), failing))
         assert doctored.passed is False
@@ -217,19 +245,13 @@ class TestEntryEvaluation:
         assert result.right_status == "skipped"
 
     def test_failing_candidate_marked_unresolved(self):
-        entry = replace(
-            catalog_entry("skewgf4"),
-            expected=(20, 20, 3, 0, 0, 4),  # wrong MD
-        )
+        entry = catalog_entry("skewgf4")._replace(expected=(20, 20, 3, 0, 0, 4))  # wrong MD
         result = evaluate_entry(entry)
         assert result.status == "UNRESOLVED"
         assert not result.comparison["pass"]
 
     def test_failing_paper_row_marked_fail(self):
-        entry = replace(
-            catalog_entry("t2f2"),
-            expected=(18, 14, 9, 4, 0, 4),  # wrong MD
-        )
+        entry = catalog_entry("t2f2")._replace(expected=(18, 14, 9, 4, 0, 4))  # wrong MD
         result = evaluate_entry(entry)
         assert result.status == "FAIL"
         report = run_catalog((entry,))
@@ -258,7 +280,7 @@ class TestEntryEvaluation:
         assert report.passed
 
     def test_unexpected_breakdown_would_fail(self):
-        entry = replace(catalog_entry("t2f2"), right_breakdown_expected=True)
+        entry = catalog_entry("t2f2")._replace(right_breakdown_expected=True)
         result = evaluate_entry(entry)
         assert result.status == "FAIL"  # right line exists, so expectation is wrong
 
@@ -291,7 +313,7 @@ class TestCompareSignature:
         assert cmp["jcb"] is None
 
     def test_constancy_required(self):
-        doctored = replace(signature(line_of("t2f2")), one_n=StatValue(lo=9, hi=10, count=4))
+        doctored = signature(line_of("t2f2"))._replace(one_n=StatValue(lo=9, hi=10, count=4))
         cmp = _comparison(doctored, (18, 14, 9, 4, 0, 3))
         assert not cmp["pass"]
         assert cmp["perColumn"]["oneN"] == {"observed": 9, "expected": 9, "pass": False}
@@ -300,11 +322,11 @@ class TestCompareSignature:
 class TestRowStatus:
     @pytest.fixture(scope="class")
     def results(self):
-        wrong_md = replace(catalog_entry("t2f2"), expected=(18, 14, 9, 4, 0, 4))
+        wrong_md = catalog_entry("t2f2")._replace(expected=(18, 14, 9, 4, 0, 4))
         return {
             "PASS": evaluate_entry(catalog_entry("t2f2")),
             "FAIL": evaluate_entry(wrong_md),
-            "UNRESOLVED": evaluate_entry(replace(wrong_md, provenance="candidate")),
+            "UNRESOLVED": evaluate_entry(wrong_md._replace(provenance="candidate")),
         }
 
     @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ import json
 import runpy
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -303,7 +302,7 @@ def test_catalog_run_right_line_differs(capsys):
     """A right signature that exists but differs from the left is not
     printed as right=left."""
     result = evaluate_entry(catalog_entry("t2f2"))
-    doctored = replace(result, right=replace(result.right, md=4))
+    doctored = result._replace(right=result.right._replace(md=4))
     line = _format_entry_line(doctored)
     assert line.endswith("[right!=left (unexpected)]")
     assert "right=left" not in line
@@ -313,8 +312,8 @@ def test_catalog_run_right_line_differs(capsys):
 def test_catalog_table1_fail_row(tmp_path, monkeypatch, capsys):
     """Row 8/6 with one FAIL and one UNRESOLVED entry is a FAIL row, as the
     exit code and the overall line already say."""
-    wrong_md = replace(catalog_entry("t2f2"), expected=(18, 14, 9, 4, 0, 4))
-    results = (evaluate_entry(wrong_md), evaluate_entry(replace(wrong_md, provenance="candidate")))
+    wrong_md = catalog_entry("t2f2")._replace(expected=(18, 14, 9, 4, 0, 4))
+    results = (evaluate_entry(wrong_md), evaluate_entry(wrong_md._replace(provenance="candidate")))
     monkeypatch.setattr("ringline.cli.run_catalog", lambda: RunReport(results=results))
     path = tmp_path / "table1.json"
     assert main(["catalog", "table1", "--json", str(path)]) == 2

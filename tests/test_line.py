@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -340,8 +339,7 @@ class TestRightLine:
         ring = ring_of("m2f2")
         opposite = validate_ring(ring.add, ring.mul.T, ring.one)
         fp = fingerprint(ring)
-        assert fingerprint(opposite) == replace(
-            fp,
+        assert fingerprint(opposite) == fp._replace(
             maximal_left_ideal_count=fp.maximal_right_ideal_count,
             maximal_right_ideal_count=fp.maximal_left_ideal_count,
         )
@@ -361,8 +359,7 @@ class TestRightLine:
         ring = build_recipe(recipe)
         opposite = validate_ring(ring.add, ring.mul.T, ring.one)
         fp = fingerprint(ring)
-        assert fingerprint(opposite) == replace(
-            fp,
+        assert fingerprint(opposite) == fp._replace(
             maximal_left_ideal_count=fp.maximal_right_ideal_count,
             maximal_right_ideal_count=fp.maximal_left_ideal_count,
         )

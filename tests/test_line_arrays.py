@@ -9,7 +9,6 @@ import gc
 import json
 import random
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +143,7 @@ class TestLineArrays:
                 array[(0,) * array.ndim] = 1
 
     def test_replaced_and_hand_built_lines_signed_from_their_own_adjacency(self):
-        """A line made by dataclasses.replace, or built by hand over the same
+        """A line built by hand, over a changed adjacency or over the same
         arrays, never shares the record's dict: each is signed afresh."""
         ring = build_recipe("tri(gf:2,2)")
         line = build_line(ring)
@@ -153,12 +152,15 @@ class TestLineArrays:
         cut = line.adjacency.copy()  # one distant pair made near
         i, j = np.argwhere(cut)[0]
         cut[i, j] = cut[j, i] = False
-        replaced = replace(line, adjacency=cut)
+        cut_line = ProjectiveLine(ring, "left", line.codes, line.rows, cut)
         hand_built = ProjectiveLine(ring, "left", line.codes, line.rows, line.adjacency)
-        for other in (replaced, hand_built, replace(line)):
+        by_keyword = ProjectiveLine(
+            ring=ring, side="left", codes=line.codes, rows=line.rows, adjacency=line.adjacency
+        )
+        for other in (cut_line, hand_built, by_keyword):
             assert other.derived == {}
-        assert signature(replaced) == stats_module._signature(replaced)
-        assert (signature(replaced).one_n.hi, kept.one_n.hi) == (10, 9)
+        assert signature(cut_line) == stats_module._signature(cut_line)
+        assert (signature(cut_line).one_n.hi, kept.one_n.hi) == (10, 9)
         assert signature(hand_built) == kept and signature(hand_built) is not kept
         assert line.derived["signature"] is kept
 

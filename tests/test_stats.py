@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -637,7 +636,7 @@ class TestOncePerLine:
         signing it raises."""
         own = build_line(build_recipe("tri(gf:2,2)"))
         n = len(own)
-        line = dataclasses.replace(own, adjacency=~np.eye(n, dtype=bool))
+        line = ProjectiveLine(own.ring, own.side, own.codes, own.rows, ~np.eye(n, dtype=bool))
         assert one_neighbourhood_stat(line) == StatValue(0, 0, n)
         assert pair_intersection_stat(line) == StatValue(0, 0, math.comb(n, 2))
         assert triple_intersection_stat(line) == StatValue(0, 0, math.comb(n, 3))
