@@ -11,8 +11,6 @@ an entry with no recipe at all is reported UNRESOLVED.
 
 from __future__ import annotations
 
-import io
-import csv
 import re
 import time
 from collections import namedtuple
@@ -301,17 +299,16 @@ class RunReport(namedtuple("RunReport", "results")):
         }
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        """One line per entry, fields joined by commas: each is an int, an
+        ``n/m`` row label, a right-line status or empty, so none is quoted."""
+        rows = [CSV_COLUMNS]
         for r in self.results:
             if r.left is None:
-                row = [r.entry.paper_row, *[""] * (len(CSV_COLUMNS) - 2), r.right_status]
+                rows.append([r.entry.paper_row, *[""] * (len(CSV_COLUMNS) - 2), r.right_status])
             else:
                 jcb = [r.left.jcb[c] for c in JACOBSON_CANDIDATES]
-                row = [r.entry.paper_row, *r.left.as_row(), *jcb, r.right_status]
-            writer.writerow(row)
-        return buf.getvalue()
+                rows.append([r.entry.paper_row, *r.left.as_row(), *jcb, r.right_status])
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def run_catalog(entries: tuple[CatalogEntry, ...] | None = None) -> RunReport:

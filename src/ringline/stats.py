@@ -8,7 +8,7 @@ literature's definition is not pinned down here, so candidates are reported
 side by side and never asserted).
 
 1N counts, in each row of ``line.adjacency``, the other points not distant.
-cap2N, cap3N and MD read the twin classes, the points with equal distant
+cap2N and cap3N read the twin classes, the points with equal distant
 rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from the
 adjacency alone, so 1N, cap2N and cap3N hold on any symmetric irreflexive
 graph; a line's classes are grouped once and kept, read-only, in its
@@ -23,17 +23,32 @@ every class is one point. A triple over a class pair with no point near
 both has count 0, so such triples are counted, not gathered (on a field,
 all of them).
 
-MD is the maximum clique, searched only up to the bound from the ring's R/J
-blocks and certified against it (a search that ends at another size raises
-AssertionError), on the graph of twin classes, each class standing for its
-first point. A clique meets each class at most once, and replacing each
-member by its class's first point keeps a clique (twins share distant rows)
-and raises no entry, so the line's lexicographically least maximum clique
-is of first points; the classes are numbered in their order, so it is the
-class graph's. The masks of ringline.clique, packed from the class graph,
-are the only bitmask form that is searched. Jcb candidate C counts orbits
-by Burnside's lemma, reading only the units' rows of the multiplication
-table. TpI is one gather of ``inv`` at both coordinates of the points' codes.
+MD is the greedy clique of the line's adjacency (ringline.clique), certified
+against the bound min(q^k + 1) over the blocks M_k(GF(q)) of R/J: a greedy
+clique of any other size raises AssertionError. On a ring's line within
+the enumeration cap every maximal clique has that many points, so the
+greedy clique is maximum, and it is the lexicographically least one:
+1. Distance is decided mod J, so two points of one fibre of P(R) -> P(R/J)
+   are not distant, and a maximal clique maps one to one onto a maximal
+   clique of P(R/J): a point distant from every image lifts to a point
+   distant from every member.
+2. P(R/J) is the product of the lines P(M_k(GF(q))) of its blocks, and two
+   points are distant iff they are distant in every factor. So a clique
+   projects to a clique of its size in each factor. If in every factor
+   each maximal clique is larger, each projection extends by a point, and
+   the point with those coordinates extends the clique.
+3. P(GF(q)) is complete, so its one maximal clique has q + 1 points.
+4. The 56 maximal mutually distant sets of P(M2(GF(2))), its spreads of
+   lines in PG(3, 2), all have 5 points.
+5. So in a line whose blocks are fields or M2(GF(2)), every maximal clique
+   has min(q^k + 1) points.
+6. Within ENUMERATION_CAP = 64 no other block occurs: M_k(GF(q)) has
+   q^(k^2) elements, 16 for M2(GF(2)) and 81 or more for any other matrix
+   block. (Past the cap the greedy clique can stop short: PG(3, 3) has
+   maximal partial spreads of 7 lines, below the bound 10.)
+Jcb candidate C counts orbits by Burnside's lemma, reading only the units'
+rows of the multiplication table. TpI is one gather of ``inv`` at both
+coordinates of the points' codes.
 
 Each ring and side is signed once: the signature is kept in the line's
 ``derived`` dict, which build_line gives every line over one cached
@@ -192,9 +207,9 @@ def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
 
 def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distant graph on twin classes (points with equal distant rows),
-    each point's class, each class's size and first point, and the first
-    points' packed near rows, all read-only; classes are numbered in the
-    order of their first points.
+    each point's class, each class's size, and the packed near rows of each
+    class's first point, all read-only; classes are numbered in the order of
+    their first points.
 
     Twins are never distant: in an irreflexive graph, twins i, j would have
     adj[i, j] = adj[j, j] = False. Classes are grouped on the near rows
@@ -209,7 +224,7 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     order = first.argsort()  # np.unique numbers the classes in byte order
     first = first[order]
     number = order.argsort()  # the inverse permutation
-    twins = (adjacency[first[:, None], first], number[classes], sizes[order], first, packed[first])
+    twins = (adjacency[first[:, None], first], number[classes], sizes[order], packed[first])
     for array in twins:
         array.flags.writeable = False
     return twins
@@ -276,7 +291,7 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     those triples are only counted; the others are gathered in blocks of the
     same size, and only each block's spread is kept.
     """
-    adj, _, sizes, _, near = _twins(line)
+    adj, _, sizes, near = _twins(line)
     span = np.arange(len(adj))
     later = adj & (span[:, None] < span)  # [a, c]: c > a and distant from a
     a, b = _cells(later)
@@ -310,20 +325,21 @@ def triple_intersection_stat(line: ProjectiveLine) -> StatValue:
 
 
 def max_distant_set(line: ProjectiveLine) -> tuple[int, ...]:
-    """An exact maximum clique of the distant graph (lexicographically least).
+    """A maximum clique of the distant graph, the lexicographically least.
 
     A mutually distant set of P(M_k(GF(q))) is a partial spread of k-spaces
     in GF(q)^2k, so it has at most q^k + 1 points; distance is decided mod J
     and block by block, so MD is at most the least q^k + 1 over the blocks
-    of R/J. The search stops at that bound, and the bound certifies the
-    clique: a search that ends at any other size raises AssertionError, so
-    MD holds on the ring's line, not on any graph.
-    It runs on the graph of twin classes, and each class of the clique
-    stands for its first point (see the module docstring).
+    of R/J. On a ring's line the greedy clique has exactly that many points
+    (see the module docstring), and the bound certifies it: a greedy clique
+    of any other size raises AssertionError, so MD holds on the ring's line,
+    not on any graph.
     """
-    stop = min(q**k + 1 for q, k in semisimple_blocks(line.ring))
-    adj, _, _, first, _ = _twins(line)
-    return tuple(first[list(clique.max_clique(adj, stop))].tolist())
+    chosen = clique.max_clique(_adjacency(line))
+    bound = min(q**k + 1 for q, k in semisimple_blocks(line.ring))
+    if len(chosen) != bound:
+        raise AssertionError(f"greedy clique has {len(chosen)} points, not the R/J bound {bound}")
+    return chosen
 
 
 def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
@@ -364,7 +380,7 @@ def signature(line: ProjectiveLine) -> LineSignature:
     if "signature" not in derived:
         if "held" in derived:
             left = build_line(line.ring)
-            _, classes, sizes, _, _ = _twins(left)
+            _, classes, sizes, _ = _twins(left)
             counts = np.bincount(classes[derived["held"]], minlength=len(sizes))
             if (counts != sizes).any():
                 raise AssertionError("right points do not fill the left twin classes")

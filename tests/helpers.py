@@ -17,7 +17,9 @@ The additive generators are closed by numpy breadth-first steps, the route
 the library's closure over lists replaced. The cosets of the radical are
 numbered by np.unique, and the blocks of R/J read off them through np.ix_
 gathers, the route the library's running count and broadcast gathers
-replaced; unit-orbit class sizes are counted by Counter.
+replaced; unit-orbit class sizes are counted by Counter. Maximal cliques
+are listed by Bron and Kerbosch's extension over Python sets, and a greedy
+clique is checked member by member with plain loops.
 Rings are relabelled along a permutation of their elements and compared
 table by table, and recipes are written back to text, by the tools at the
 top of this module.
@@ -419,6 +421,40 @@ def brute_has_clique(adj, k: int) -> bool:
         if all(adj[u, v] for u, v in combinations(subset, 2)):
             return True
     return False
+
+
+def maximal_cliques(adj) -> list[tuple[int, ...]]:
+    """Every maximal clique, as ascending tuples, by extending cliques one
+    vertex at a time in ascending order (Bron and Kerbosch without
+    pivoting)."""
+    n = adj.shape[0]
+    found = []
+
+    def extend(clique: list[int], cand: set[int], done: set[int]) -> None:
+        if not cand and not done:
+            found.append(tuple(clique))
+        for v in sorted(cand):
+            nb = {w for w in range(n) if w != v and adj[v, w]}
+            extend(clique + [v], cand & nb, done & nb)
+            cand = cand - {v}
+            done = done | {v}
+
+    extend([], set(range(n)), set())
+    return found
+
+
+def is_greedy_clique(adj, chosen) -> bool:
+    """Whether ``chosen`` is a maximal clique each of whose members is the
+    least vertex adjacent (both ways) to all the members before it."""
+    n = adj.shape[0]
+
+    def joined(v, members) -> bool:
+        return v not in members and all(adj[u, v] and adj[v, u] for u in members)
+
+    for i, v in enumerate(chosen):
+        if v != min((w for w in range(n) if joined(w, chosen[:i])), default=None):
+            return False
+    return not any(joined(w, chosen) for w in range(n))
 
 
 def brute_lex_least_max_clique(adj) -> tuple[int, ...]:

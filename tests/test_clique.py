@@ -1,4 +1,4 @@
-"""Exact maximum-clique solver against naive subset enumeration."""
+"""The greedy clique against plain-loop checks of its defining properties."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from helpers import brute_clique_number, brute_has_clique, brute_lex_least_max_clique
+from helpers import brute_has_clique, is_greedy_clique, maximal_cliques
 
-from ringline import clique
 from ringline.clique import max_clique
 
 
@@ -42,7 +41,7 @@ def test_complete_graph():
 
 def test_deep_clique_without_recursion():
     """A clique of 1,100 vertices, far deeper than the default recursion
-    limit: the search keeps its open nodes on a stack."""
+    limit: the greedy clique grows in a loop."""
     assert sys.getrecursionlimit() < 1100
     adj = ~np.eye(1100, dtype=bool)
     assert max_clique(adj) == tuple(range(1100))
@@ -57,79 +56,65 @@ def test_path_graph():
     assert max_clique(adj) == (0, 1)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_clique_number_matches_brute_force(seed):
-    n = 6 + seed % 8
-    adj = random_graph(n, 0.2 + (seed % 5) * 0.15, seed)
-    assert len(max_clique(adj)) == brute_clique_number(adj)
+def test_diagonal_ignored():
+    adj = random_graph(9, 0.5, "diagonal")
+    looped = adj | np.eye(9, dtype=bool)
+    assert max_clique(looped) == max_clique(adj)
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_lexicographically_least_optimum(seed):
-    n = 7 + seed % 4
-    adj = random_graph(n, 0.5, f"lex-{seed}")
-    assert max_clique(adj) == brute_lex_least_max_clique(adj)
+def test_maximal_not_maximum():
+    """Edges 0-1, 1-2, 1-3 and 2-3: the greedy clique is {0, 1}, maximal,
+    while omega is 3, on {1, 2, 3}."""
+    adj = np.zeros((4, 4), dtype=bool)
+    for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):
+        adj[i, j] = adj[j, i] = True
+    assert max_clique(adj) == (0, 1)
+    assert brute_has_clique(adj, 3)
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_returned_set_is_clique(seed):
+def test_returned_set_is_greedy_clique(seed):
+    """A clique, maximal, and each member the least vertex adjacent to all
+    the members before it."""
     adj = random_graph(12, 0.6, f"cert-{seed}")
     chosen = max_clique(adj)
     for u, v in combinations(chosen, 2):
         assert adj[u, v]
-    assert brute_has_clique(adj, len(chosen))
-    assert not brute_has_clique(adj, len(chosen) + 1)
+    assert is_greedy_clique(adj, chosen)
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_stop_at_clique_number_keeps_least_clique(seed):
-    adj = random_graph(7 + seed % 4, 0.5, f"lex-{seed}")
-    full = max_clique(adj)
-    assert max_clique(adj, stop=len(full)) == full == brute_lex_least_max_clique(adj)
+@pytest.mark.parametrize("seed", range(10))
+def test_greedy_clique_is_the_least_maximal_clique(seed):
+    adj = random_graph(10, 0.5, f"least-{seed}")
+    assert max_clique(adj) == min(maximal_cliques(adj))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_stop_past_clique_number_raises(seed):
-    adj = random_graph(10, 0.5, f"stop-{seed}")
-    with pytest.raises(AssertionError, match="not at the bound"):
-        max_clique(adj, stop=len(max_clique(adj)) + 1)
+@pytest.mark.parametrize("seed", range(10))
+def test_maximal_cliques_oracle_against_subsets(seed):
+    """The Bron-Kerbosch oracle lists exactly the pairwise-adjacent subsets
+    that no vertex extends."""
+    n = 4 + seed % 5
+    adj = random_graph(n, 0.5, f"maximal-{seed}")
 
+    def clique(s):
+        return all(adj[u, v] for u, v in combinations(s, 2))
 
-def short_descent_graph() -> np.ndarray:
-    """Edges 0-1, 1-2, 1-3 and 2-3: the first descent ends at {0, 1}, and
-    omega is 3, on {1, 2, 3}."""
-    adj = np.zeros((4, 4), dtype=bool)
-    for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):
-        adj[i, j] = adj[j, i] = True
-    return adj
-
-
-@pytest.mark.parametrize("stop", [None, 3])
-def test_first_descent_short_of_omega(stop, monkeypatch):
-    """No node is coloured before {0, 1} is recorded; then the search
-    colours, backtracks and finds the least maximum clique."""
-    adj = short_descent_graph()
-    seen = []
-    colour = clique._colour_classes
-    monkeypatch.setattr(
-        clique, "_colour_classes", lambda nb, cand: seen.append(cand) or colour(nb, cand)
-    )
-    assert max_clique(adj, stop) == (1, 2, 3) == brute_lex_least_max_clique(adj)
-    # the root is coloured first, on what is left of its cand, {1, 2, 3};
-    # the node below 0, with cand {1}, is never coloured
-    assert seen[0] == 0b1110 and 0b0010 not in seen
+    subsets = [s for k in range(1, n + 1) for s in combinations(range(n), k) if clique(s)]
+    expected = [s for s in subsets if not any(clique(s + (w,)) for w in range(n) if w not in s)]
+    assert sorted(maximal_cliques(adj)) == sorted(expected)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
-def test_first_descent_short_of_unreachable_stop_raises(flags):
+def test_one_sided_edge_fails_the_certificate(flags):
+    """0 -> 1 without 1 -> 0: the greedy clique takes both, and the gather
+    over its members refuses it, also under python -O."""
     script = (
         "import numpy as np\n"
         "from ringline.clique import max_clique\n"
-        "adj = np.zeros((4, 4), dtype=bool)\n"
-        "for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):\n"
-        "    adj[i, j] = adj[j, i] = True\n"
-        "max_clique(adj, stop=4)\n"
+        "adj = np.zeros((2, 2), dtype=bool)\n"
+        "adj[0, 1] = True\n"
+        "max_clique(adj)\n"
     )
     run = run_python(flags, script)
     assert run.returncode == 1
-    assert "AssertionError: clique search ended at size 3, not at the bound 4" in run.stderr
+    assert "AssertionError: returned set is not a clique" in run.stderr

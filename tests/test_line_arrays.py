@@ -246,10 +246,10 @@ class TestRightLinePullback:
             "from ringline.stats import _twins\n"
             "ring = build_recipe('tri(gf:2,2)')\n"
             "right = build_line(ring, 'right')\n"
-            "_, classes, sizes, first, _ = _twins(build_line(ring))\n"
+            "_, classes, sizes, _ = _twins(build_line(ring))\n"
             "held = right.derived['held']\n"
             "assert sizes[0] == sizes[1]\n"
-            "right.derived['held'] = np.where(classes[held] == 1, first[0], held)\n"
+            "right.derived['held'] = np.where(classes[held] == 1, (classes == 0).argmax(), held)\n"
             "signature(right)\n"
         )
         run = run_python(flags, script)

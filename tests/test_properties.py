@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import line_of, ring_of
 from helpers import (
-    brute_clique_number,
     det_is_unit,
+    is_greedy_clique,
     is_invertible_2x2,
     member_pairs,
     relabel,
@@ -82,13 +82,14 @@ def test_class_sizes_equal_unit_count(name):
     edges=st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_clique_solver_matches_brute_force(n, edges):
+def test_greedy_clique_properties(n, edges):
+    """A maximal clique, each member the least vertex adjacent to all before it."""
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
             if edges.draw(st.booleans()):
                 adj[i, j] = adj[j, i] = True
-    assert len(max_clique(adj)) == brute_clique_number(adj)
+    assert is_greedy_clique(adj, max_clique(adj))
 
 
 @given(name=st.sampled_from(SMALL_RINGS), data=st.data())

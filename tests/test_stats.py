@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import math
@@ -17,12 +18,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import line_of, ring_of, run_python
 from helpers import (
+    brute_clique_number,
     brute_lex_least_max_clique,
     closed_form_row,
     jacobson_c_oracle,
+    maximal_cliques,
     maximal_ideals,
     pair_intersection_oracle,
     relabel,
+    semisimple_blocks_oracle,
     triple_intersection_oracle,
 )
 
@@ -439,8 +443,8 @@ class TestMaxDistantSetOnClasses:
 
     @pytest.mark.parametrize("recipe", SMALL_RADICAL_GOLDEN)
     def test_least_clique_of_the_points(self, recipe):
-        """The class graph's clique, each class standing for its first
-        point, is the least maximum clique of the line's own graph."""
+        """On lines with twins, MD's clique is the least maximum clique of
+        the line's graph."""
         for line in _uncapped_lines(recipe):
             assert len(stats_module._twins(line)[0]) < len(line), line.side
             assert max_distant_set(line) == brute_lex_least_max_clique(line.adjacency), line.side
@@ -450,7 +454,7 @@ class TestMaxDistantSetOnClasses:
         out of order, is grouped into a record of its own."""
         line = synthetic_line(PLANTED)
         assert line.derived == {}
-        assert max_distant_set(line) == brute_lex_least_max_clique(PLANTED)
+        pair_intersection_stat(line)
         assert list(line.derived) == ["twins"]
         assert synthetic_line(PLANTED).derived == {}
 
@@ -461,8 +465,9 @@ class TestMaxDistantSetOnClasses:
         twins = stats_module._twins(line)
         assert stats_module._twins(line) is twins
         assert twins is line.derived["twins"] is line.ring._cache["line", "left"][3]["twins"]
-        adj, classes, sizes, first, _ = twins
-        assert np.array_equal(classes[first], np.arange(len(first)))
+        adj, classes, sizes, _ = twins
+        first = np.unique(classes, return_index=True)[1]  # each class's first point
+        assert len(first) == len(adj)
         assert (np.diff(first) > 0).all() and first[0] == 0
         assert np.array_equal(np.bincount(classes), sizes)
         for array in twins:
@@ -485,7 +490,8 @@ class TestMaxDistantSetOnClasses:
         points (each point near itself), read-only, with every padding bit
         past the last point 0; no point count here is a multiple of 8."""
         line = build_line(build_recipe(recipe))
-        _, _, _, first, near = stats_module._twins(line)
+        _, classes, _, near = stats_module._twins(line)
+        first = np.unique(classes, return_index=True)[1]
         assert len(line) % 8
         assert near.dtype == np.uint8 and near.shape == (len(first), -(-len(line) // 8))
         assert np.array_equal(np.unpackbits(near, axis=1, count=len(line)), ~line.adjacency[first])
@@ -616,56 +622,79 @@ class TestOncePerLine:
         assert calls == ["left"]
 
     def test_hand_built_line_signed_afresh(self):
-        """Planted twins over a ring whose own line's signature is cached get
-        their own signature, and the cached one stays; so does a line over a
-        copy of the cached adjacency."""
+        """Planted twins over a ring whose own line's signature is cached are
+        signed from their own graph, whose MD misses the ring's bound, and
+        the cached signature stays; a line over a copy of the cached
+        adjacency gets a signature of its own."""
         line = synthetic_line(PLANTED)
         own = build_line(line.ring)
         cached = signature(own)
-        planted = signature(line)
-        assert planted.tot == len(PLANTED) and planted.cap2n == pair_intersection_stat(line)
-        assert not planted.cap2n.constant
+        with pytest.raises(AssertionError, match="greedy clique has 2 points, not the R/J bound 3"):
+            signature(line)
+        assert "signature" not in line.derived and not pair_intersection_stat(line).constant
         assert signature(build_line(line.ring)) is cached
         copied = ProjectiveLine(line.ring, "left", own.codes, own.rows, own.adjacency.copy())
         assert signature(copied) is not cached and signature(copied) == cached
 
     def test_hand_built_graph_counts_but_md_is_certified(self):
         """1N, cap2N and cap3N of a hand-built line read its adjacency alone,
-        but MD is certified against the ring's R/J bound: the complete graph
-        on T2(GF(2))'s 18 points has an 18-clique past the bound 3, so
-        signing it raises."""
+        but MD is certified against the ring's R/J bound: the greedy clique of
+        the complete graph on T2(GF(2))'s 18 points has 18 points, past the
+        bound 3, so signing it raises."""
         own = build_line(build_recipe("tri(gf:2,2)"))
         n = len(own)
         line = ProjectiveLine(own.ring, own.side, own.codes, own.rows, ~np.eye(n, dtype=bool))
         assert one_neighbourhood_stat(line) == StatValue(0, 0, n)
         assert pair_intersection_stat(line) == StatValue(0, 0, math.comb(n, 2))
         assert triple_intersection_stat(line) == StatValue(0, 0, math.comb(n, 3))
-        message = "clique search ended at size 18, not at the bound 3"
+        message = "greedy clique has 18 points, not the R/J bound 3"
         with pytest.raises(AssertionError, match=message):
             signature(line)
 
 
-class TestCliqueStop:
+class TestMaxDistantSetBound:
     @pytest.mark.parametrize("recipe", CLOSED_FORM_RECIPES)
-    def test_stopped_search_is_the_full_search(self, recipe, monkeypatch):
-        """Same tuple; and the first descent reaches the bound, so the
-        stopped search records its clique before any bound is checked and
-        colours no node."""
-        colourings = []
-        colour = clique._colour_classes
-        monkeypatch.setattr(
-            clique, "_colour_classes", lambda nb, cand: colourings.append(1) or colour(nb, cand)
-        )
-        for line in _uncapped_lines(recipe):
-            colourings.clear()
-            chosen = max_distant_set(line)
-            assert colourings == [], line.side
-            assert chosen == clique.max_clique(line.adjacency), line.side
+    def test_md_is_the_bound_on_relabellings(self, recipe):
+        """On both sides of two relabellings, MD's points are mutually distant
+        and as many as min(q^k + 1) over the blocks of R/J, read by the
+        oracle; on a line of at most 40 points that is the brute-force
+        clique number."""
+        ring = build_recipe(recipe)
+        for seed in range(2):
+            rng = random.Random(f"{recipe}-{seed}")
+            relabelled = relabel(ring, [0] + rng.sample(range(1, ring.order), ring.order - 1))
+            bound = min(q**k + 1 for q, k in semisimple_blocks_oracle(relabelled))
+            for side in ("left", "right"):
+                try:
+                    line = build_line(relabelled, side)
+                except RightLineBreakdown:
+                    continue
+                chosen = max_distant_set(line)
+                assert len(chosen) == bound, (seed, side)
+                assert all(line.adjacency[u, v] for u, v in combinations(chosen, 2))
+                if seed == 0 and len(line) <= 40:
+                    assert brute_clique_number(line.adjacency) == bound, side
+
+    def test_spreads_of_m2f2(self):
+        """Step 4 of the stats docstring's proof: the maximal mutually distant
+        sets of P(M2(GF(2))) are its 56 spreads, each of 5 points."""
+        ring = build_recipe("mat(gf:2,2)")
+        perm = [0] + random.Random("spreads").sample(range(1, 16), 15)
+        for r in (ring, relabel(ring, perm)):
+            cliques = maximal_cliques(build_line(r).adjacency)
+            assert len(cliques) == 56 and {len(c) for c in cliques} == {5}
+
+    def test_matrix_blocks_within_the_cap(self):
+        """Step 6: a block M_k(GF(q)) of R/J has q^(k^2) <= |R| elements, so
+        within the cap every block with k >= 2 is M2(GF(2))."""
+        cap = core_module.ENUMERATION_CAP
+        blocks = {(q, k) for q in range(2, cap + 1) for k in range(2, 7) if q ** (k * k) <= cap}
+        assert blocks == {(2, 2)}
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
-    def test_unreachable_stop_raises(self, flags):
+    def test_unreachable_bound_raises(self, flags):
         """Planted blocks GF(4) put MD's bound at 5 on T2(GF(2)), whose MD
-        is 3; the finished search raises, also under python -O."""
+        is 3; the check raises, also under python -O."""
         script = (
             "from ringline import build_line, build_recipe, max_distant_set\n"
             "ring = build_recipe('tri(gf:2,2)')\n"
@@ -674,7 +703,27 @@ class TestCliqueStop:
         )
         run = run_python(flags, script)
         assert run.returncode == 1
-        assert "AssertionError: clique search ended at size 3, not at the bound 5" in run.stderr
+        assert "AssertionError: greedy clique has 3 points, not the R/J bound 5" in run.stderr
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_planted_graph_raises(self, flags):
+        """The planted graph is not its ring's line: its greedy clique, 0 and
+        12, is maximal but below the bound 3 of Z4, so MD raises, also under
+        python -O (the search it replaced found 5, 6 and 9)."""
+        assert clique.max_clique(PLANTED) == (0, 12)
+        script = (
+            "import numpy as np\n"
+            "from ringline import build_recipe, max_distant_set\n"
+            "from ringline.line import ProjectiveLine\n"
+            f"adj = np.array({PLANTED.astype(int).tolist()}, dtype=bool)\n"
+            "i = np.arange(len(adj))\n"
+            "codes = 4 + i % 4\n"
+            "rows = np.stack([codes, 12 + (3 * i) % 4], axis=1)\n"
+            "max_distant_set(ProjectiveLine(build_recipe('zn:4'), 'left', codes, rows, adj))\n"
+        )
+        run = run_python(flags, script)
+        assert run.returncode == 1
+        assert "AssertionError: greedy clique has 2 points, not the R/J bound 3" in run.stderr
 
 
 class TestClosedForms:
@@ -869,17 +918,19 @@ class TestSignature:
         signature(ProjectiveLine(ring, "left", left.codes, left.rows, left.adjacency.copy()))
         assert calls == [len(left)]
 
-    def test_one_bitmask_build(self, monkeypatch):
-        """The distant graph's bitmasks are built once, inside the clique search."""
-        calls = []
-        build = clique.adjacency_masks
-        for name, module in list(sys.modules.items()):  # wherever the builder is bound
-            if name.startswith("ringline") and getattr(module, "adjacency_masks", None) is build:
-                monkeypatch.setattr(
-                    module, "adjacency_masks", lambda adj: calls.append(1) or build(adj)
-                )
-        signature(build_line(build_recipe("mat(gf:2,2)")))  # a fresh ring: nothing cached
-        assert len(calls) == 1
+    def test_one_bitmask_form(self):
+        """np.packbits, which makes the one bitmask form of the distant graph,
+        is called in src/ only by stats._twin_classes."""
+        sites = []
+        for path in sorted(Path(stats_module.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if "packbits" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                  getattr(node, "name", None)):
+                    owners = [f.name for f in functions if node in ast.walk(f)]
+                    sites.append((path.name, owners))
+        assert sites == [("stats.py", ["_twin_classes"])]
 
     def test_one_twin_grouping_no_orbit_labelling(self, monkeypatch):
         """cap2N and cap3N come from one pass over the twin classes, and Jcb C
