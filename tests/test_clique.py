@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from helpers import brute_has_clique, is_greedy_clique, maximal_cliques
+from helpers import (
+    brute_clique_number,
+    brute_has_clique,
+    brute_lex_least_max_clique,
+    is_greedy_clique,
+    maximal_cliques,
+)
 
 from ringline.clique import max_clique
 
@@ -81,6 +87,44 @@ def test_returned_set_is_greedy_clique(seed):
     for u, v in combinations(chosen, 2):
         assert adj[u, v]
     assert is_greedy_clique(adj, chosen)
+
+
+def blown_up_product(m: int, n: int, seed) -> np.ndarray:
+    """The shape of a ring's line whose R/J has two field blocks: the points
+    (a, b) of K_m x K_n, distant when they differ in both factors, each
+    blown up into a random number of mutually non-adjacent twins, under a
+    random relabelling. Every maximal clique has min(m, n) vertices."""
+    rng = random.Random(seed)
+    points = [(a, b) for a in range(m) for b in range(n) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(points)
+    adj = np.zeros((len(points), len(points)), dtype=bool)
+    for i, j in combinations(range(len(points)), 2):
+        if points[i][0] != points[j][0] and points[i][1] != points[j][1]:
+            adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_greedy_clique_within_clique_number(seed):
+    """On any graph the greedy clique has at least one and at most omega
+    vertices, and no vertex outside it is adjacent to all of it."""
+    n = 6 + seed % 8
+    adj = random_graph(n, 0.2 + (seed % 5) * 0.15, seed)
+    chosen = max_clique(adj)
+    assert 1 <= len(chosen) <= brute_clique_number(adj)
+    assert not any(all(adj[u, w] for u in chosen) for w in range(n) if w not in chosen)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_lexicographically_least_optimum_on_blown_up_products(seed):
+    """Where every maximal clique is maximum, as on a ring's line, the
+    greedy clique is the lexicographically least maximum clique."""
+    m, n = 2 + seed % 3, 2 + seed % 2
+    adj = blown_up_product(m, n, f"product-{seed}")
+    chosen = max_clique(adj)
+    assert len(chosen) == min(m, n) == brute_clique_number(adj)
+    assert chosen == brute_lex_least_max_clique(adj)
+    assert {len(c) for c in maximal_cliques(adj)} == {min(m, n)}
 
 
 @pytest.mark.parametrize("seed", range(10))
