@@ -21,9 +21,9 @@ def max_clique(adjacency: np.ndarray) -> tuple[int, ...]:
     while len(cand):
         v, cand = cand[0], cand[1:]
         chosen.append(v)
-        cand = cand[adjacency[v, cand]]
+        cand = cand[adjacency[v].take(cand)]
     # certificate: pairwise adjacent
     members = np.array(chosen, dtype=int)
-    if not (adjacency[members[:, None], members] | (members[:, None] == members)).all():
+    if not (adjacency.take(members, 0).take(members, 1) | (members[:, None] == members)).all():
         raise AssertionError("returned set is not a clique")
     return tuple(members.tolist())

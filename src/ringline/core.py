@@ -22,10 +22,11 @@ Dedekind-finite, so every right inverse is two-sided.
 
 At these orders a numpy call's fixed cost, not its cell count, sets the
 time, so the code that evaluates one ring, here and in line, stats and
-clique, calls ndarray methods and indexes by broadcasting, as in
-``add[a[:, None], b]`` and ``mask.nonzero()[0]``, rather than through
-numpy's Python-level helpers such as ``np.ix_`` and ``np.flatnonzero``;
-only the slow paths that name a failed axiom's witness use them.
+clique, gathers with ``take``, as in ``add.take(a, 0).take(b, 1)``, not
+``add[a[:, None], b]``, and calls ndarray methods such as ``nonzero``
+rather than numpy's Python-level helpers such as ``np.ix_`` and
+``np.flatnonzero``; only the slow paths that name a failed axiom's witness
+use them.
 """
 
 from __future__ import annotations
@@ -294,18 +295,20 @@ def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
     n = len(add)
     gens = _additive_generators(add)
     # (x+g)+y == x+(g+y); each gather is freed when its test returns
-    if not all(_symmetric(add[add[g]]) for g in gens):
+    if not all(_symmetric(add.take(add[g], axis=0)) for g in gens):
         return False
     for g in gens:  # (x+g)*z == x*z + g*z
-        if not (mul[add[g]] == add.ravel()[mul * n + mul[g]]).all():
+        if not (mul.take(add[g], axis=0) == add.ravel().take(mul * n + mul[g])).all():
             return False
     g = np.array(gens)
-    rows = mul[g]  # (i, x) -> gi*x
-    # gi*(x+gj) == gi*x + gi*gj
-    if not (rows[:, add[:, g]] == add[rows[:, :, None], rows[:, None, g]]).all():
+    rows = mul.take(g, axis=0)  # (i, x) -> gi*x
+    prod = rows.take(g, axis=1)  # (i, j) -> gi*gj
+    # gi*(x+gj) == gi*x + gi*gj, the sum read at the flat cell (gi*x)*n + gi*gj
+    sums = add.ravel().take(rows[:, :, None] * n + prod[:, None, :])
+    if not (rows.take(add.take(g, axis=1), axis=1) == sums).all():
         return False
-    prod = rows[:, g]  # (i, j) -> gi*gj
-    return bool((mul[prod[:, :, None], g] == mul[g[:, None, None], prod]).all())
+    # (gi*gj)*gk == gi*(gj*gk)
+    return bool((mul.take(g, axis=1).take(prod, axis=0) == rows.take(prod, axis=1)).all())
 
 
 def _symmetric(table: np.ndarray) -> bool:
@@ -341,9 +344,9 @@ def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
         inside = (ring.inv[one_minus] >= 0).all(axis=0)
         members = inside.nonzero()[0]
         # ideal axioms must hold; failure means corrupt tables
-        if not (inside[mul[:, members]].all() and inside[mul[members]].all()):
+        if not all(inside.take(mul.take(members, axis)).all() for axis in (0, 1)):
             raise AssertionError("radical is not a two-sided ideal")
-        if not inside[add[members[:, None], members]].all():
+        if not inside.take(add.take(members, 0).take(members, 1)).all():
             raise AssertionError("radical is not additively closed")
         ring._cache["radical"] = frozenset(members.tolist())
     return ring._cache["radical"]
@@ -369,16 +372,16 @@ def semisimple_blocks(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
     """
     if "blocks" not in ring._cache:
         reps, coset = _radical_cosets(ring)
-        mul = coset[ring.mul[reps[:, None], reps]]
+        mul = coset[ring.mul.take(reps, 0).take(reps, 1)]
         centre = (mul == mul.T).all(axis=1).nonzero()[0]
         idem = centre[(mul[centre, centre] == centre) & (centre != 0)]
-        below = mul[idem[:, None], idem] == idem[:, None]  # [f, e]: f <= e
+        below = mul.take(idem, 0).take(idem, 1) == idem[:, None]  # [f, e]: f <= e
         blocks = []
         for e in idem[below.sum(axis=0) == 1]:
             field = np.bincount(mul[e, centre]).nonzero()[0][1:]  # e*Z less 0
             q, size = len(field) + 1, np.count_nonzero(np.bincount(mul[e]))
             k = math.isqrt(round(math.log(size, q)))
-            if q ** (k * k) != size or not (mul[field[:, None], field] == e).any(axis=1).all():
+            if q ** (k * k) != size or not (mul.take(field, 0).take(field, 1) == e).any(1).all():
                 raise AssertionError("block of R/J is not a full matrix ring")
             blocks.append((q, k))
         ring._cache["blocks"] = tuple(sorted(blocks))

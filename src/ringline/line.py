@@ -119,7 +119,7 @@ def orbit_labels(ring: FiniteRing, side: str) -> np.ndarray:
     step = max(1, LABEL_BLOCK_CELLS // (n * n))
     for lo in range(0, len(units), step):
         us = units[lo : lo + step]
-        images = ring.mul[us] if side == "left" else ring.mul[:, us].T  # [u, x]: image of x
+        images = (ring.mul if side == "left" else ring.mul.T).take(us, axis=0)  # [u, x]: image of x
         block = (images[:, :, None] * n + images[:, None, :]).reshape(len(us), -1)
         # a one-unit block (each block past order 181) is its own minimum
         np.minimum(labels, block[0] if len(us) == 1 else block.min(axis=0), out=labels)
@@ -136,7 +136,7 @@ def _admissible(ring: FiniteRing) -> np.ndarray:
     if "admissible" not in ring._cache:
         principal = np.zeros(ring.mul.shape, bool)  # [a, x]: x in aR
         principal[np.arange(ring.order)[:, None], ring.mul] = True
-        one_minus = principal[:, ring.add[ring.one, ring.neg]]  # [b, x]: 1 - x in bR
+        one_minus = principal.take(ring.add[ring.one, ring.neg], axis=1)  # [b, x]: 1 - x in bR
         ring._cache["admissible"] = (principal @ one_minus.T).ravel()
     return ring._cache["admissible"]
 
@@ -154,16 +154,20 @@ def _distant(ring: FiniteRing, codes: np.ndarray) -> np.ndarray:
     n, add, mul, neg, inv, one = ring.order, ring.add, ring.mul, ring.neg, ring.inv, ring.one
     unit_sum = (inv >= 0)[add]  # [s, t]: s + t is a unit
     a, b = np.divmod(codes, n)
-    completes = unit_sum[a[:, None], mul[b]]  # [i, t]: a + b*t is a unit
+    completes = unit_sum.ravel().take(mul.take(b, 0) + (a * n)[:, None])  # [i, t]: a + b*t a unit
     if not completes.any(axis=1).all():
         raise AssertionError("unimodular pair with no completion")
     t = completes.argmax(axis=1)
     x = neg[mul[inv[add[a, mul[b, t]]], b]]  # -u^-1*b
     z = add[one, mul[t, x]]
     # [j, i]: c*x + d*z is a unit, for (c, d) = codes[j] and (x, z) of p = codes[i], so
-    # codes[i] over codes[j] is invertible, as is codes[j] over codes[i] (swap the rows);
-    # mul[:, x] is the (n x points) table [c, i]: c*x_i, gathered at the points' a
-    return unit_sum[mul[:, x][a], mul[:, z][b]]
+    # codes[i] over codes[j] is invertible, as is codes[j] over codes[i] (swap the rows); the
+    # flat index (c*x)*n + d*z is built in place, as one more (points x points) int64 temporary
+    # would pass malloc's mmap threshold and fault its pages in on every line built
+    cell = mul.take(x, axis=1).take(a, axis=0)
+    cell *= n
+    cell += mul.take(z, axis=1).take(b, axis=0)
+    return unit_sum.ravel().take(cell)
 
 
 def build_line(ring: FiniteRing, side: str = "left") -> ProjectiveLine:
@@ -232,7 +236,7 @@ def _line_record(ring: FiniteRing, side: str) -> tuple:
         held = derived["held"] = point_of[codes]
         if (held < 0).any():
             raise AssertionError("admissible pair in no left point")
-        adjacency = left[2][held[:, None], held]
+        adjacency = left[2].take(held, axis=0).take(held, axis=1)
     else:
         adjacency = _distant(ring, codes)
         if not (adjacency == adjacency.T).all() or adjacency.diagonal().any():

@@ -13,15 +13,15 @@ rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from the
 adjacency alone, so 1N, cap2N and cap3N hold on any symmetric irreflexive
 graph; a line's classes are grouped once and kept, read-only, in its
 ``derived`` dict. They are grouped on the near rows (``~adjacency``)
-packed eight points a byte, and those of their first points are kept.
-Twins are never distant, so the common neighbourhood of distant points
-depends only on their classes: its size is the popcount of the AND of their
-first points' packed rows, and a class pair or triple stands for the
-product of its class sizes in point pairs or triples. The pass gathers
-packed rows in blocks of BLOCK_CELLS cells, so memory stays bounded when
-every class is one point. A triple over a class pair with no point near
-both has count 0, so such triples are counted, not gathered (on a field,
-all of them).
+packed 64 points a word, and those of their first points are kept as one
+column of words per class. Twins are never distant, so the common
+neighbourhood of distant points depends only on their classes: its size is
+the popcount of the AND of their first points' columns, and a class pair or
+triple stands for the product of its class sizes in point pairs or triples.
+The pass gathers columns in blocks of BLOCK_CELLS cells, so memory stays
+bounded when every class is one point. A triple over a class pair with no
+point near both has count 0, so such triples are counted, not gathered (on
+a field, all of them).
 
 MD is the greedy clique of the line's adjacency (ringline.clique), certified
 against the bound min(q^k + 1) over the blocks M_k(GF(q)) of R/J: a greedy
@@ -207,16 +207,18 @@ def one_neighbourhood_stat(line: ProjectiveLine) -> StatValue:
 
 def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distant graph on twin classes (points with equal distant rows),
-    each point's class, each class's size, and the packed near rows of each
-    class's first point, all read-only; classes are numbered in the order of
-    their first points.
+    each point's class, each class's size, and the near rows of each class's
+    first point packed 64 points a uint64 word, the columns of a C-contiguous
+    (words x classes) array, all read-only; classes are numbered in the
+    order of their first points.
 
     Twins are never distant: in an irreflexive graph, twins i, j would have
     adj[i, j] = adj[j, j] = False. Classes are grouped on the near rows
-    (``~adjacency``, packed after negating, so the padding bits are 0),
-    packed C-contiguous whatever the adjacency's layout.
+    (``~adjacency``, packed after negating into zeroed whole words, so the
+    padding bits are 0), C-contiguous whatever the adjacency's layout.
     """
-    packed = np.ascontiguousarray(np.packbits(~adjacency, axis=1))
+    packed = np.zeros((len(adjacency), -(-len(adjacency) // 64) * 8), np.uint8)
+    packed[:, : -(-len(adjacency) // 8)] = np.packbits(~adjacency, axis=1)
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, classes, sizes = np.unique(
         rows, return_index=True, return_inverse=True, return_counts=True
@@ -224,7 +226,8 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     order = first.argsort()  # np.unique numbers the classes in byte order
     first = first[order]
     number = order.argsort()  # the inverse permutation
-    twins = (adjacency[first[:, None], first], number[classes], sizes[order], packed[first])
+    near = packed.view(np.uint64).T.take(first, axis=1)  # [word, class]
+    twins = (adjacency.take(first, 0).take(first, 1), number[classes], sizes[order], near)
     for array in twins:
         array.flags.writeable = False
     return twins
@@ -283,13 +286,13 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     """cap2N and cap3N in one pass over the twin classes.
 
     Distant class pairs a < b are taken in blocks of BLOCK_CELLS (pair,
-    class) cells. Row p of ``both`` packs the points near both classes of
-    pair p, counted by popcount; the pair stands for |a| * |b| point pairs.
-    A class c > b distant from both completes a triple, whose common
-    neighbourhood is both[p] & near[c], and which stands for |a| * |b| * |c|
-    point triples. Where both[p] is empty every such triple's count is 0, so
-    those triples are only counted; the others are gathered in blocks of the
-    same size, and only each block's spread is kept.
+    class) cells. Column p of ``both`` packs the points near both classes of
+    pair p, counted by popcounts summed down its words; the pair stands for
+    |a| * |b| point pairs. A class c > b distant from both completes a
+    triple, whose common neighbourhood is both[:, p] & near[:, c], standing
+    for |a| * |b| * |c| point triples. Where column p is empty every such
+    triple's count is 0, so those triples are only counted; the others are
+    gathered in blocks of the same size, and only each block's spread is kept.
     """
     adj, _, sizes, near = _twins(line)
     span = np.arange(len(adj))
@@ -300,15 +303,15 @@ def _intersections(line: ProjectiveLine) -> tuple[StatValue, StatValue]:
     pairs, triples = [], []
     for rows in _row_blocks(len(a), len(adj)):
         pa, pb = a[rows], b[rows]
-        both, pair_sizes = near[pa] & near[pb], sizes[pa] * sizes[pb]
-        common = np.bitwise_count(both).sum(axis=1)
+        both, pair_sizes = near.take(pa, axis=1) & near.take(pb, axis=1), sizes[pa] * sizes[pb]
+        common = np.bitwise_count(both).sum(axis=0)
         pairs.append(StatValue.of(common, pair_sizes))
-        third, empty = later[pa] & later[pb], common == 0
+        third, empty = later.take(pa, axis=0) & later.take(pb, axis=0), common == 0
         triples.append(StatValue(0, 0, int(pair_sizes[empty] @ (third[empty] @ sizes))))
         third[empty] = False
         p, c = _cells(third)
         for s in _row_blocks(len(c), len(adj)):
-            common = np.bitwise_count(both[p[s]] & near[c[s]]).sum(axis=1)
+            common = np.bitwise_count(both.take(p[s], 1) & near.take(c[s], 1)).sum(axis=0)
             triples.append(StatValue.of(common, pair_sizes[p[s]] * sizes[c[s]]))
     return StatValue.union(pairs), StatValue.union(triples)
 
@@ -360,7 +363,7 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     if candidate == "C":
         radical = np.array(sorted(jacobson_radical(ring)))
         units = (ring.inv >= 0).nonzero()[0]
-        fixed = (ring.mul[units[:, None], radical] == radical).sum(axis=1)
+        fixed = (ring.mul.take(units, 0).take(radical, 1) == radical).sum(axis=1)
         orbits, rest = divmod(int((fixed**2).sum()), len(units))
         if rest:
             raise AssertionError("Burnside count of the orbits on J x J is not whole")

@@ -271,6 +271,44 @@ def test_twin_quotient_matches_point_oracles(adj):
     assert _lo_hi_count(triple_intersection_stat(line)) == triple_intersection_oracle(adj)
 
 
+def tripartite_with_twins(points: int) -> np.ndarray:
+    """A random graph on the points whose greedy clique is the triangle 0, 1,
+    2, so MD is z4's R/J bound of 3: each point lies in one of three parts
+    (0, 1 and 2 in their own), only points of different parts can be
+    distant, so no four points are, and each point past 2 is made, with
+    probability 1/4, a twin of an earlier point by copying its distant row."""
+    rng = np.random.default_rng(points)
+    part = rng.integers(0, 3, points)
+    part[:3] = [0, 1, 2]
+    keep = np.triu(rng.random((points, points)) < 0.7, 1)
+    adj = (part[:, None] != part) & (keep | keep.T)
+    adj[:3, :3] = part[:3, None] != part[:3]
+    for k in range(3, points):
+        if rng.random() < 0.25:
+            j = rng.integers(0, k)
+            adj[k], adj[:, k] = adj[j], adj[j]
+            adj[k, k] = False
+    return adj
+
+
+@pytest.mark.parametrize("points", [63, 64, 65, 128])
+def test_signature_across_word_boundaries(points):
+    """The packed near rows are 64-point words: a hand-built line with a
+    last word one point short (63), full (64, 128) or of one point (65) is
+    signed with 1N, cap2N and cap3N equal to the numpy counts over its
+    points, and its MD is the planted triangle."""
+    adj = tripartite_with_twins(points)
+    line = synthetic_line(adj)
+    sig = signature(line)
+    assert len(np.unique(adj, axis=0)) < points  # some twins
+    assert stats_module._twins(line)[3].shape[0] == -(-points // 64)
+    assert _fields(sig.one_n) == _spread((~adj).sum(axis=1) - 1)
+    assert _lo_hi_count(sig.cap2n) == pair_intersection_oracle(adj)
+    assert _lo_hi_count(sig.cap3n) == triple_intersection_oracle(adj)
+    assert not sig.cap2n.constant and not sig.cap3n.constant
+    assert sig.md == 3
+
+
 @st.composite
 def mixed_graphs(draw) -> np.ndarray:
     """A random graph on up to 6 vertices, then up to 2 vertices distant
@@ -486,17 +524,20 @@ class TestMaxDistantSetOnClasses:
         ],
     )
     def test_packed_near_rows(self, recipe):
-        """The fifth twin array packs the near rows of the classes' first
-        points (each point near itself), read-only, with every padding bit
-        past the last point 0; no point count here is a multiple of 8."""
+        """The fourth twin array packs the near rows of the classes' first
+        points (each point near itself) 64 points a uint64 word, one column
+        per class, C-contiguous and read-only, with every padding bit past
+        the last point 0; no point count here is a multiple of 8, so the
+        last word has padding both in its last used byte and after it."""
         line = build_line(build_recipe(recipe))
         _, classes, _, near = stats_module._twins(line)
         first = np.unique(classes, return_index=True)[1]
         assert len(line) % 8
-        assert near.dtype == np.uint8 and near.shape == (len(first), -(-len(line) // 8))
-        assert np.array_equal(np.unpackbits(near, axis=1, count=len(line)), ~line.adjacency[first])
-        assert not np.unpackbits(near, axis=1)[:, len(line) :].any()
-        assert not near.flags.writeable
+        assert near.dtype == np.uint64 and near.shape == (-(-len(line) // 64), len(first))
+        bits = np.unpackbits(np.ascontiguousarray(near.T).view(np.uint8), axis=1)
+        assert np.array_equal(bits[:, : len(line)], ~line.adjacency[first])
+        assert not bits[:, len(line) :].any()
+        assert near.flags.c_contiguous and not near.flags.writeable
 
 
 class TestTwinQuotientOnLines:
