@@ -8,10 +8,11 @@ elements. Fingerprints read maximal ideal counts off the blocks of R/J;
 ideal lattices and projective lines are enumerated only up to order
 ENUMERATION_CAP = 64 (:func:`check_enumerable`). Validation checks
 associativity and distributivity on the G additive generators
-(:func:`_axioms_hold_on_generators`): two n^2 passes per generator, Light's
-test and right distributivity, then n*G^2 cells of left distributivity for
-generator multipliers, which right distributivity extends to every
-multiplier. Left ideals are boolean membership masks; all sums of one ideal
+(:func:`_axioms_hold_on_generators`): n*G^2 cells of left distributivity
+for generator multipliers, which right distributivity extends to every
+multiplier, then Light's test and right distributivity, n^2 cells per
+generator, one pass per block of generators of at most one order-64
+table. Left ideals are boolean membership masks; all sums of one ideal
 with the cyclic left ideals come from one float32 matrix product. Right
 ideals are the left ideals of the opposite ring, whose multiplication table
 is ``mul.T``, and two-sided ideals are the sets that are both. The radical
@@ -50,6 +51,9 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 64
+# cells of one block of generators in _axioms_hold_on_generators, one order-64 table:
+# from order 64 up a block is one generator, so no buffer outgrows an n^2 table
+_GENERATOR_BLOCK_CELLS = 64 * 64
 
 
 class FiniteRing:
@@ -170,13 +174,12 @@ def validate_ring(
             )
 
     idx = np.arange(n)
-    for sums in (add[0], add[:, 0]):  # 0 + x, then x + 0
-        if not (sums == idx).all():
-            bad = int((sums != idx).argmax())
-            raise ZeroIndexNotZero(
-                f"element 0 is not the additive identity (witness element {bad})",
-                witness=(bad,),
-            )
+    if not ((add[0] == idx) & (add[:, 0] == idx)).all():
+        sums = add[0] if (add[0] != idx).any() else add[:, 0]  # 0 + x, then x + 0
+        bad = int((sums != idx).argmax())
+        raise ZeroIndexNotZero(
+            f"element 0 is not the additive identity (witness element {bad})", witness=(bad,)
+        )
 
     if not _symmetric(add):
         a, b = np.argwhere(add != add.T)[0]
@@ -198,9 +201,7 @@ def validate_ring(
         raise AssertionError("a generator check failed but the full scan found no witness")
 
     one = _integer(one_index, "unity index", NoUnity)
-    if not (0 < one < n) or not (
-        (mul[one] == idx).all() and (mul[:, one] == idx).all()
-    ):
+    if not (0 < one < n) or not ((mul[one] == idx) & (mul[:, one] == idx)).all():
         raise NoUnity(f"index {one} is not a two-sided multiplicative identity", witness=(one,))
 
     return FiniteRing(add, mul, one, name)
@@ -285,30 +286,51 @@ def _axioms_hold_on_generators(add: np.ndarray, mul: np.ndarray) -> bool:
        generators gives it everywhere.
 
     With G generators, step 1 reads n^2*G cells, step 2 n^2*G + n*G^2 and
-    step 3 G^3; each check keeps its n^2 temporaries only while it runs.
-    When + is a group, each generator at least doubles the reached
-    subgroup, so G is at most log2(n). The first law gathers ``add`` at the
-    flat indices ``mul * n + mul[g]``, which holds one more n^2 int64
-    temporary (8 MB at ORDER_CAP) than the two-index gather
-    ``add[mul, mul[g]]`` but runs faster.
+    step 3 G^3. When + is a group, each generator at least doubles the
+    reached subgroup, so G is at most log2(n). The n*G^2 and G^3 cells are
+    read first, one pass each. Step 1 and the first law of step 2 then take
+    the generators in blocks of at most _GENERATOR_BLOCK_CELLS
+    (block x n x n) cells, one pass per block and law: at catalog orders a
+    numpy call's fixed cost, not its cells, sets the time, and from order 64
+    up a block is one generator. The first law gathers ``add`` at the flat
+    indices ``(x*z)*n + g*z``, from ``mul * n`` made once per call. That
+    table and two block buffers, which every block reuses, are all the n^2
+    int64 tables made (24 MB at ORDER_CAP), so no block allocates a fresh
+    one, whose pages would fault on every call.
     """
     n = len(add)
-    gens = _additive_generators(add)
-    # (x+g)+y == x+(g+y); each gather is freed when its test returns
-    if not all(_symmetric(add.take(add[g], axis=0)) for g in gens):
-        return False
-    for g in gens:  # (x+g)*z == x*z + g*z
-        if not (mul.take(add[g], axis=0) == add.ravel().take(mul * n + mul[g])).all():
-            return False
-    g = np.array(gens)
+    g = np.array(_additive_generators(add))
+    flat = add.ravel()
     rows = mul.take(g, axis=0)  # (i, x) -> gi*x
     prod = rows.take(g, axis=1)  # (i, j) -> gi*gj
+    # the n*G^2 and G^3 cells of step 2's second law and step 3 first, so
+    # that their temporaries are freed before the blocks' buffers are made:
     # gi*(x+gj) == gi*x + gi*gj, the sum read at the flat cell (gi*x)*n + gi*gj
-    sums = add.ravel().take(rows[:, :, None] * n + prod[:, None, :])
-    if not (rows.take(add.take(g, axis=1), axis=1) == sums).all():
+    if not (
+        rows.take(add.take(g, axis=1), axis=1) == flat.take(rows[:, :, None] * n + prod[:, None, :])
+    ).all():
         return False
     # (gi*gj)*gk == gi*(gj*gk)
-    return bool((mul.take(g, axis=1).take(prod, axis=0) == rows.take(prod, axis=1)).all())
+    if not (mul.take(g, axis=1).take(prod, axis=0) == rows.take(prod, axis=1)).all():
+        return False
+    scaled = mul * n
+    step = max(1, _GENERATOR_BLOCK_CELLS // (n * n))
+    # two buffers, reused by every block; mode="wrap" lets take write into
+    # them unbuffered and wraps no index, as every index is in range
+    first, second = (np.empty((min(step, len(g)), n, n), np.int64) for _ in range(2))
+    for lo in range(0, len(g), step):
+        k = min(step, len(g) - lo)
+        shifted = add.take(g[lo : lo + k], axis=0)  # (i, x) -> gi + x
+        # (i, x, y) -> (x+gi)+y, and x+(gi+y) is at (i, y, x)
+        both = add.take(shifted, axis=0, out=first[:k], mode="wrap")
+        if not (both == both.transpose(0, 2, 1)).all():
+            return False
+        # (x+gi)*z == x*z + gi*z, the sum read at the flat cell (x*z)*n + gi*z
+        cells = np.add(scaled, rows[lo : lo + k, None], out=second[:k])
+        sums = flat.take(cells, out=first[:k], mode="wrap")
+        if not (mul.take(shifted, axis=0, out=second[:k], mode="wrap") == sums).all():
+            return False
+    return True
 
 
 def _symmetric(table: np.ndarray) -> bool:
@@ -340,11 +362,12 @@ def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
     """{x : 1 - r*x is a unit for every r}, verified to be a two-sided ideal."""
     if "radical" not in ring._cache:
         add, mul = ring.add, ring.mul
-        one_minus = add[ring.one, ring.neg[mul]]  # (r, x) -> 1 - r*x
-        inside = (ring.inv[one_minus] >= 0).all(axis=0)
+        # y -> whether 1 - y is a unit, read at y = r*x
+        inside = (ring.inv >= 0).take(add[ring.one].take(ring.neg)).take(mul).all(axis=0)
         members = inside.nonzero()[0]
         # ideal axioms must hold; failure means corrupt tables
-        if not all(inside.take(mul.take(members, axis)).all() for axis in (0, 1)):
+        closed = inside.take(mul.take(members, 0)).all() and inside.take(mul.take(members, 1)).all()
+        if not closed:
             raise AssertionError("radical is not a two-sided ideal")
         if not inside.take(add.take(members, 0).take(members, 1)).all():
             raise AssertionError("radical is not additively closed")
@@ -352,12 +375,18 @@ def jacobson_radical(ring: FiniteRing) -> frozenset[int]:
     return ring._cache["radical"]
 
 
+def radical_members(ring: FiniteRing) -> np.ndarray:
+    """The members of J, ascending, as an index array, read from the
+    frozenset that :func:`jacobson_radical` keeps in the ring's cache."""
+    return np.array(sorted(jacobson_radical(ring)))
+
+
 def _radical_cosets(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """The least member of each coset of J, ascending, and each element's
     coset, numbered by the rank of its least member (coset 0 is J)."""
-    label = ring.add[:, list(jacobson_radical(ring))].min(axis=1)  # x -> least of x + J
+    label = ring.add.take(radical_members(ring), axis=1).min(axis=1)  # x -> least of x + J
     rep = label == np.arange(ring.order)  # a coset's label is its least member
-    return rep.nonzero()[0], (rep.cumsum() - 1)[label]
+    return rep.nonzero()[0], (rep.cumsum() - 1).take(label)
 
 
 def semisimple_blocks(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
@@ -369,19 +398,33 @@ def semisimple_blocks(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
     f <= e iff f*e = f. A block is simple, so its centre e*Z(R/J) is a field
     GF(q) with identity e, and the block has q^(k^2) elements. Raises
     AssertionError when a block is not such a full matrix ring.
+
+    All blocks are read at once, from one (blocks x |R/J|) mask scattered
+    at the rows e*x, whose row sums are the block sizes, then at their
+    centre columns less 0, which marks each field's nonzero elements. A
+    product across blocks is 0, never an identity, so each field element
+    has an inverse in its own field iff it has one among all the fields.
     """
     if "blocks" not in ring._cache:
         reps, coset = _radical_cosets(ring)
-        mul = coset[ring.mul.take(reps, 0).take(reps, 1)]
+        mul = coset.take(ring.mul.take(reps, 0).take(reps, 1))
         centre = (mul == mul.T).all(axis=1).nonzero()[0]
         idem = centre[(mul[centre, centre] == centre) & (centre != 0)]
         below = mul.take(idem, 0).take(idem, 1) == idem[:, None]  # [f, e]: f <= e
+        prim = idem[below.sum(axis=0) == 1]
+        rows, at = mul.take(prim, 0), np.arange(len(prim))[:, None]  # [b, x]: e_b*x
+        hit = np.zeros(rows.shape, bool)
+        hit[at, rows] = True
+        sizes = hit.sum(axis=1)  # |e*(R/J)|
+        hit[:] = False
+        hit[at, rows.take(centre, 1)] = True
+        hit[:, 0] = False  # [b, y]: y is a nonzero element of the field e_b*Z
+        block, field = hit.nonzero()
+        inverses = (mul.take(field, 0).take(field, 1) == prim.take(block)[:, None]).any(1).all()
         blocks = []
-        for e in idem[below.sum(axis=0) == 1]:
-            field = np.bincount(mul[e, centre]).nonzero()[0][1:]  # e*Z less 0
-            q, size = len(field) + 1, np.count_nonzero(np.bincount(mul[e]))
+        for q, size in zip((hit.sum(axis=1) + 1).tolist(), sizes.tolist()):
             k = math.isqrt(round(math.log(size, q)))
-            if q ** (k * k) != size or not (mul.take(field, 0).take(field, 1) == e).any(1).all():
+            if q ** (k * k) != size or not inverses:
                 raise AssertionError("block of R/J is not a full matrix ring")
             blocks.append((q, k))
         ring._cache["blocks"] = tuple(sorted(blocks))

@@ -13,11 +13,12 @@ rows (on a ring line, the fibres of P(R) -> P(R/J)), grouped from the
 adjacency alone, so 1N, cap2N and cap3N hold on any symmetric irreflexive
 graph; a line's classes are grouped once and kept, read-only, in its
 ``derived`` dict. They are grouped on the near rows (``~adjacency``)
-packed 64 points a word, and those of their first points are kept as one
-column of words per class. Twins are never distant, so the common
-neighbourhood of distant points depends only on their classes: its size is
-the popcount of the AND of their first points' columns, and a class pair or
-triple stands for the product of its class sizes in point pairs or triples.
+packed 64 points a word, by one stable lexsort of the words, and those of
+their first points are kept as one column of words per class. Twins are
+never distant, so the common neighbourhood of distant points depends only
+on their classes: its size is the popcount of the AND of their first
+points' columns, and a class pair or triple stands for the product of its
+class sizes in point pairs or triples.
 The pass gathers columns in blocks of BLOCK_CELLS cells, so memory stays
 bounded when every class is one point. A triple over a class pair with no
 point near both has count 0, so such triples are counted, not gathered (on
@@ -113,7 +114,7 @@ from typing import Iterable
 import numpy as np
 
 from . import clique
-from .core import jacobson_radical, semisimple_blocks
+from .core import jacobson_radical, radical_members, semisimple_blocks
 from .errors import NoDistantPair, UnknownCandidate
 from .line import ProjectiveLine, build_line, type_one
 
@@ -215,19 +216,25 @@ def _twin_classes(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     Twins are never distant: in an irreflexive graph, twins i, j would have
     adj[i, j] = adj[j, j] = False. Classes are grouped on the near rows
     (``~adjacency``, packed after negating into zeroed whole words, so the
-    padding bits are 0), C-contiguous whatever the adjacency's layout.
+    padding bits are 0), C-contiguous whatever the adjacency's layout, by
+    one stable lexsort of the rows' words, the first word the primary key:
+    equal rows form a run, and each run starts at its least point.
     """
     packed = np.zeros((len(adjacency), -(-len(adjacency) // 64) * 8), np.uint8)
     packed[:, : -(-len(adjacency) // 8)] = np.packbits(~adjacency, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, classes, sizes = np.unique(
-        rows, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = first.argsort()  # np.unique numbers the classes in byte order
-    first = first[order]
-    number = order.argsort()  # the inverse permutation
-    near = packed.view(np.uint64).T.take(first, axis=1)  # [word, class]
-    twins = (adjacency.take(first, 0).take(first, 1), number[classes], sizes[order], near)
+    words = packed.view(np.uint64)  # [point, word]
+    perm = np.lexsort(words.T[::-1]) if words.size else np.arange(0)  # 0 points: no key
+    ordered = words.take(perm, axis=0)
+    new = np.empty(len(perm), bool)  # [i]: sorted row i starts a run
+    new[:1] = True
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = perm[new]  # each run's least point
+    order = starts.argsort()
+    classes = np.empty_like(perm)
+    classes[perm] = order.argsort().take(new.cumsum() - 1)  # runs renumbered by first point
+    first = starts.take(order)
+    near = words.T.take(first, axis=1)  # [word, class]
+    twins = (adjacency.take(first, 0).take(first, 1), classes, np.bincount(classes), near)
     for array in twins:
         array.flags.writeable = False
     return twins
@@ -361,7 +368,7 @@ def jacobson_stat(line: ProjectiveLine, candidate: str) -> int:
     if candidate == "B":
         return len(jacobson_radical(ring)) - 1
     if candidate == "C":
-        radical = np.array(sorted(jacobson_radical(ring)))
+        radical = radical_members(ring)
         units = (ring.inv >= 0).nonzero()[0]
         fixed = (ring.mul.take(units, 0).take(radical, 1) == radical).sum(axis=1)
         orbits, rest = divmod(int((fixed**2).sum()), len(units))

@@ -15,11 +15,13 @@ Ring files are written with one str() per entry and read with one int()
 per token, the per-token route the library's whole-array reader replaced.
 The additive generators are closed by numpy breadth-first steps, the route
 the library's closure over lists replaced. The cosets of the radical are
-numbered by np.unique, and the blocks of R/J read off them through np.ix_
-gathers, the route the library's running count and broadcast gathers
-replaced; unit-orbit class sizes are counted by Counter. Maximal cliques
-are listed by Bron and Kerbosch's extension over Python sets, and a greedy
-clique is checked member by member with plain loops.
+numbered by np.unique, and the blocks of R/J read off them one at a time
+through np.ix_ gathers, the route the library's running count and one pass
+over all blocks replaced; unit-orbit class sizes are counted by Counter.
+Twin classes are grouped by np.unique over the packed near rows as void
+scalars, the route the library's lexsort of 64-bit words replaced. Maximal
+cliques are listed by Bron and Kerbosch's extension over Python sets, and
+a greedy clique is checked member by member with plain loops.
 Rings are relabelled along a permutation of their elements and compared
 table by table, and recipes are written back to text, by the tools at the
 top of this module.
@@ -110,9 +112,9 @@ def radical_cosets_oracle(ring) -> tuple[np.ndarray, np.ndarray]:
 
 
 def semisimple_blocks_oracle(ring) -> tuple[tuple[int, int], ...]:
-    """core.semisimple_blocks on the cosets of radical_cosets_oracle, with
-    every gather through np.ix_ and flatnonzero, the helpers the library's
-    route no longer calls."""
+    """core.semisimple_blocks on the cosets of radical_cosets_oracle, one
+    block at a time, with every gather through np.ix_ and flatnonzero, the
+    helpers the library's route no longer calls."""
     reps, coset = radical_cosets_oracle(ring)
     mul = coset[ring.mul[np.ix_(reps, reps)]]
     centre = np.flatnonzero((mul == mul.T).all(axis=1))
@@ -390,6 +392,26 @@ def triple_intersection_oracle(adjacency) -> tuple[int, int, int]:
     counts = (near[i] & near[j]).astype(np.float32) @ near.T.astype(np.float32)
     later = adjacency[i] & adjacency[j] & (np.arange(len(adjacency)) > j[:, None])
     return _spread(counts[later])
+
+
+def twin_classes_oracle(adjacency) -> tuple[np.ndarray, ...]:
+    """stats._twin_classes by np.unique over the packed near rows viewed as
+    void scalars, renumbered by first point: the route the library's one
+    lexsort of the rows' 64-bit words replaced."""
+    packed = np.zeros((len(adjacency), -(-len(adjacency) // 64) * 8), np.uint8)
+    packed[:, : -(-len(adjacency) // 8)] = np.packbits(~adjacency, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, classes, sizes = np.unique(
+        rows, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = first.argsort()  # np.unique numbers the classes in byte order
+    first = first[order]
+    number = order.argsort()  # the inverse permutation
+    near = packed.view(np.uint64).T.take(first, axis=1)  # [word, class]
+    twins = (adjacency.take(first, 0).take(first, 1), number[classes], sizes[order], near)
+    for array in twins:
+        array.flags.writeable = False
+    return twins
 
 
 def det_is_unit(ring, matrix: Mat2) -> bool:

@@ -95,6 +95,40 @@ def full_scan(add, mul) -> bool:
     return True
 
 
+def blocks_of(per_block: int | None, order: int):
+    """Generator checks in blocks of per_block generators (None: all of them)
+    over tables of the order, by patching the block's cell count."""
+    cells = (per_block or order) * order * order
+    return mock.patch.object(core, "_GENERATOR_BLOCK_CELLS", cells)
+
+
+def planted_right_defect(place: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Tables of order 16 on three digits, each in Z2 but the one at the
+    place, which is in Z4 (call it d); an element is labelled by its digits,
+    least significant first, so the additive generators are the place
+    values. Every product is 0 but x*3, which is 1 where d is 2 or 3:
+    (x+g)*3 == x*3 + g*3 holds for the generators that leave d alone and
+    fails for the Z4's generator at d = 1. Every generator's row is 0, so
+    left distributivity and associativity hold on the generators, and
+    associativity holds everywhere."""
+    radices = [2, 2, 2]
+    radices[place] = 4
+    digits = np.array(list(np.ndindex(*radices[::-1])))[:, ::-1]  # [x, i]: digit i of x
+    places = np.cumprod([1] + radices[:-1])
+    add = ((digits[:, None] + digits[None]) % radices) @ places
+    mul = np.zeros_like(add)
+    mul[:, 3] = digits[:, place] // 2
+    return add, mul, places.tolist()
+
+
+def right_law_holds(add: np.ndarray, mul: np.ndarray, g: int) -> bool:
+    """(x+g)*z == x*z + g*z for every x and z, cell by cell."""
+    n = len(add)
+    return all(
+        mul[add[x, g], z] == add[mul[x, z], mul[g, z]] for x in range(n) for z in range(n)
+    )
+
+
 @pytest.fixture
 def refuse_full_scan(monkeypatch):
     def refuse(*args):
@@ -146,6 +180,19 @@ class TestValidateRing:
         mul3 = [[mul2[perm.index(i)][perm.index(j)] for j in range(4)] for i in range(4)]
         with pytest.raises(ZeroIndexNotZero):
             validate_ring(add3, mul3, 0)
+
+    @pytest.mark.parametrize(
+        "cells,bad", [({(0, 2): 3}, 2), ({(2, 0): 3}, 2), ({(0, 3): 0, (1, 0): 2}, 3)]
+    )
+    def test_zero_witness(self, cells, bad):
+        """The witness is the first x with 0 + x != x, else with x + 0 != x."""
+        add, mul = z4_tables()
+        for (a, b), value in cells.items():
+            add[a][b] = value
+        with pytest.raises(ZeroIndexNotZero) as info:
+            validate_ring(add, mul, 1)
+        assert str(info.value) == f"element 0 is not the additive identity (witness element {bad})"
+        assert info.value.witness == (bad,)
 
     def test_non_abelian_addition(self):
         add, mul = z4_tables()
@@ -227,6 +274,7 @@ class TestValidateRing:
         with pytest.raises(NotClosed, match="multiplication table has non-integer entries"):
             validate_ring(add, mul, 1)
 
+    @pytest.mark.parametrize("per_block", [1, 2, None], ids=["one", "two", "all"])
     @given(
         name=st.sampled_from(CORRUPTIBLE),
         kind=st.sampled_from(
@@ -235,8 +283,9 @@ class TestValidateRing:
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_generator_checks_agree_with_full_scan(self, name, kind, data):
-        """Same class, message and witness as validation by the full scan alone."""
+    def test_generator_checks_agree_with_full_scan(self, per_block, name, kind, data):
+        """Same class, message and witness as validation by the full scan
+        alone, with the generators checked one, two or all to a block."""
         ring = ring_of(name)
         n, one = ring.order, ring.one
         add, mul = ring.add.copy(), ring.mul.copy()
@@ -274,12 +323,14 @@ class TestValidateRing:
             else:  # an isomorphic copy of mul over the unchanged addition
                 inv = np.argsort(perm)
                 mul = perm[mul[np.ix_(inv, inv)]]
-        fast = validation_outcome(add, mul, one)
+        with blocks_of(per_block, n):
+            fast = validation_outcome(add, mul, one)
         with mock.patch.object(core, "_axioms_hold_on_generators", full_scan):
             assert fast == validation_outcome(add, mul, one)
 
+    @pytest.mark.parametrize("per_block", [1, 2, None], ids=["one", "two", "all"])
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_near_ring_rejected(self, side):
+    def test_near_ring_rejected(self, side, per_block):
         """The maps of Z2 to itself, added pointwise and multiplied by
         composition, satisfy every axiom but left distributivity (a
         near-ring); on the opposite table only right distributivity fails."""
@@ -289,10 +340,48 @@ class TestValidateRing:
         mul = np.array([[code[(f[g[0]], f[g[1]])] for g in maps] for f in maps])
         if side == "right":
             mul = mul.T
-        fast = validation_outcome(add, mul, code[(0, 1)])
+        with blocks_of(per_block, len(maps)):
+            fast = validation_outcome(add, mul, code[(0, 1)])
         assert fast[0] == "NotDistributive" and fast[1].startswith(side)
         with mock.patch.object(core, "_axioms_hold_on_generators", full_scan):
             assert fast == validation_outcome(add, mul, code[(0, 1)])
+
+    @pytest.mark.parametrize("per_block", [1, 2, None], ids=["one", "two", "all"])
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    def test_defect_only_one_generator_exposes(self, place, per_block):
+        """A defect that only the generator at the place exposes is found,
+        whichever block that generator ends: (x+g)*z0 == x*z0 + g*z0 fails
+        for g = gens[place] alone (see planted_right_defect)."""
+        add, mul, gens = planted_right_defect(place)
+        assert core._additive_generators(add) == gens
+        exposed = [g for g in gens if not right_law_holds(add, mul, g)]
+        assert exposed == [gens[place]]
+        with blocks_of(per_block, len(add)):
+            assert not core._axioms_hold_on_generators(add, mul)
+            fast = validation_outcome(add, mul, 1)
+        assert fast[0] == "NotDistributive"
+        with mock.patch.object(core, "_axioms_hold_on_generators", full_scan):
+            assert fast == validation_outcome(add, mul, 1)
+
+    @pytest.mark.parametrize(
+        "recipe,blocks",
+        [("gf:16", [4]), ("gf:32", [4, 1]), ("gf:64", [1] * 6), ("gf:128", [1] * 7)],
+    )
+    def test_generator_block_sizes(self, recipe, blocks):
+        """A block holds at most one order-64 table of cells: all four
+        generators of an order-16 ring, four of an order-32 ring at a time,
+        and from order 64 up one generator per block."""
+        ring = build_recipe(recipe)
+        gathers = []
+
+        class Logged(np.ndarray):
+            def take(self, indices, axis=None, **kwargs):
+                if axis == 0 and np.ndim(indices) == 1:  # the block's rows of add
+                    gathers.append(len(indices))
+                return np.asarray(self).take(indices, axis=axis, **kwargs)
+
+        assert core._axioms_hold_on_generators(ring.add.view(Logged), ring.mul)
+        assert gathers == blocks
 
     def test_valid_rings_skip_full_scan(self, refuse_full_scan):
         recipes = [e.recipe for e in builtin_catalog() if e.recipe is not None]

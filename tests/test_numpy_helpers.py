@@ -7,7 +7,10 @@ At catalog sizes a helper's fixed cost per call, not its cell count, sets
 the time (np.ix_ costs about 2.8 us more per gather than ``a[:, None], b``),
 and ``x.take(a, 0).take(b, 1)`` takes about a quarter of the time of
 ``x[a[:, None], b]``: 23 against 97 us for the 162 x 162 bool gather of a
-right line's adjacency (numpy 2.4.6, Python 3.11, a 2-vCPU Xeon VM)."""
+right line's adjacency (numpy 2.4.6, Python 3.11, a 2-vCPU Xeon VM).
+np.unique is called only where a right line breaks down, to count its class
+sizes: the twin classes come from one lexsort of 64-bit words, which took
+a tenth off the time of np.unique over the rows as void scalars."""
 
 from __future__ import annotations
 
@@ -67,6 +70,25 @@ def outer_gathers(source: str, skip: set[str] = frozenset()) -> list[str]:
             isinstance(part, ast.Subscript)
             and any(isinstance(p, ast.Constant) and p.value is None for p in index_parts(part))
             for part in index_parts(node)
+        )
+    ]
+
+
+def unique_owners(source: str) -> list[str]:
+    """The innermost function around each use of numpy's unique or its
+    unique_* variants in the source, as name, attribute or import;
+    "<module>" outside every function."""
+    tree = ast.parse(source)
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: an inner function's name overwrites
+        if isinstance(func, ast.FunctionDef):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return [
+        owner.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if any(
+            isinstance(node, kind) and getattr(node, field).startswith("unique")
+            for kind, field in ((ast.Attribute, "attr"), (ast.Name, "id"), (ast.alias, "name"))
         )
     ]
 
@@ -163,3 +185,26 @@ def test_each_outer_gather_is_found(source):
 )
 def test_stores_and_plain_gathers_pass(source):
     assert outer_gathers(source, SLOW_PATHS) == []
+
+
+def test_unique_only_in_the_breakdown_histogram():
+    """np.unique appears in src/ only where _line_record counts the class
+    sizes of a right line that breaks down."""
+    owners = {path.name: unique_owners(read(path.name)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in owners.items() if found} == {
+        "line.py": ["_line_record", "_line_record"]
+    }
+
+
+@pytest.mark.parametrize(
+    "source,owners",
+    [
+        ("x = np.unique(rows, axis=0)", ["<module>"]),
+        ("def f():\n    return numpy.unique_counts(x)", ["f"]),
+        ("from numpy import unique", ["<module>"]),
+        ("def f():\n    def g():\n        return unique(x)\n    return g", ["g"]),
+        ("def f():\n    return np.lexsort(x.T)", []),
+    ],
+)
+def test_each_unique_use_is_found(source, owners):
+    assert unique_owners(source) == owners
